@@ -27,6 +27,7 @@ from .errors import (  # noqa: E402
     ProbesCollide,
     RadiusOutOfDomain,
     RootOutOfRange,
+    ToleranceNotReached,
     UnsupportedFamily,
 )
 from .families import (  # noqa: E402

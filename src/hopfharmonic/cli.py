@@ -23,7 +23,7 @@ from mpmath import mp
 from . import __version__
 from ._rational import to_fraction
 from .biharmonic import BRANCHES, biharmonic_radii, index_threshold_scan, stability_condition
-from .errors import HopfError, ProbesCollide
+from .errors import HopfError, NoExactCountGuarantee, ProbesCollide
 from .existence import (
     a1_offset_probe_poly,
     a2_closed_form,
@@ -79,7 +79,7 @@ class UsageError(Exception):
 # commands
 # ---------------------------------------------------------------------------
 
-def _solve_rows(family: HypersurfaceFamily, r: int, tol: float):
+def _solve_rows(family: HypersurfaceFamily, r: int):
     poly = build_quartic(family, r)
     certs = isolate_and_refine(poly, 0, 1, _ROOT_TOL)
     xmin = minimal_x(family)
@@ -112,7 +112,8 @@ def cmd_solve(args):
     family = _family_from_args(args)
     if args.r is None:
         raise UsageError("--r is required for solve")
-    return {"rows": _solve_rows(family, args.r, args.tol)}, True
+    rows = _solve_rows(family, args.r)
+    return {"rows": rows}, all(abs(float(row["residual"])) <= args.tol for row in rows)
 
 
 def cmd_scan(args):
@@ -125,7 +126,7 @@ def cmd_scan(args):
     for r in range(lo, hi + 1):
         try:
             pattern = probe_values(family, r).pattern
-        except (ProbesCollide, HopfError):
+        except (ProbesCollide, NoExactCountGuarantee):
             pattern = ""
         rows.append({
             "r": r,
@@ -412,7 +413,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def add_common(p):
         p.add_argument("--precision", type=int, default=None, help="working precision in significant digits (>= 30)")
-        p.add_argument("--tol", type=float, default=1e-10, help="numeric zero tolerance in (0, 1e-6]")
+        p.add_argument("--tol", type=float, default=1e-10, help="solve exits 1 if a residual exceeds this, in (0, 1e-6]")
         p.add_argument("--format", choices=("json", "csv", "text"), default="json")
         p.add_argument("--out", default=None, help="write the report to this path instead of stdout")
 
@@ -498,12 +499,8 @@ def main(argv=None) -> int:
     mp.dps = precision
     try:
         payload, ok = _HANDLERS[args.command](args)
-    except UsageError as exc:
+    except (UsageError, HopfError) as exc:
         parser.exit(2, f"error: {exc}\n")
-        return 2
-    except HopfError as exc:
-        parser.exit(2, f"error: {exc}\n")
-        return 2
     finally:
         mp.dps = old_dps
 

@@ -37,6 +37,10 @@ class RootOutOfRange(HopfError):
     """Root value does not correspond to a non-degenerate tube radius."""
 
 
+class ToleranceNotReached(HopfError):
+    """Bisection refinement hit its step bound before reaching the tolerance."""
+
+
 class ProbesCollide(HopfError):
     """Probe points are not strictly ordered inside (0, 1) for this r."""
 

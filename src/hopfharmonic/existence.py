@@ -40,7 +40,9 @@ class ThresholdPair(NamedTuple):
     """Orders guaranteeing at least two, and exactly four, proper tubes.
 
     ``r_four`` is None for the balanced A2 families (2k = n-1), whose quartic
-    collapses to a biquadratic with exactly two real roots for every order.
+    collapses to a biquadratic with exactly two real roots for every order,
+    and for the A1 curve (n = 1), which has exactly two proper radii for
+    every order.
     """
 
     r_two: int
@@ -90,7 +92,7 @@ def guaranteed_thresholds(family: HypersurfaceFamily) -> ThresholdPair:
         raise UnsupportedFamily("hyperbolic families admit no proper polyharmonic tubes")
     n, k, tag = family.n, family.k, family.tag
     if tag is FamilyTag.CP_A1:
-        return ThresholdPair(2, 2 * n + 13)
+        return ThresholdPair(2, None if n == 1 else 2 * n + 13)
     if tag is FamilyTag.CP_B:
         poly_bound = 12 * n * n + 16 * n - 19
         return ThresholdPair(min(6001, poly_bound), max(6001, poly_bound))

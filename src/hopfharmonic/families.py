@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 from mpmath import mp
@@ -172,52 +173,65 @@ def _check_radius(family: HypersurfaceFamily, t):
     return t
 
 
-def curvature_spectrum(family: HypersurfaceFamily, t=None) -> CurvatureSpectrum:
-    """Evaluate the family's spectrum at radius t (ignored for the horosphere).
+def _spectrum(family: HypersurfaceFamily, t, lib, one):
+    """Alpha and the (lambda, m) branches with m > 0, evaluated with lib.
 
-    Branches with zero multiplicity (the n = 1 curve case) are dropped, so the
-    invariant 1 + sum(multiplicities) = 2n - 1 holds for every admissible n.
+    ``lib`` is ``mp`` or the float64 namespace ``_FLOAT64`` and ``one`` the
+    matching unit (an mpf, or an array of ones shaped like t).  This is the
+    only copy of the table; both lanes read it.
     """
     tag, n, k = family.tag, family.n, family.k
-    t = _check_radius(family, t)
-
     if tag is FamilyTag.CH_A0:
-        alpha = mp.mpf(2)
-        branches = [(mp.mpf(1), 2 * n - 2)]
+        alpha = 2 * one
+        branches = [(one, 2 * n - 2)]
     elif tag is FamilyTag.CH_A1_GEODESIC:
-        alpha = 2 * mp.coth(2 * t)
-        branches = [(mp.tanh(t), 2 * n - 2)]
+        alpha = 2 * lib.coth(2 * t)
+        branches = [(lib.tanh(t), 2 * n - 2)]
     elif tag is FamilyTag.CH_A1_POINT:
-        alpha = 2 * mp.coth(2 * t)
-        branches = [(mp.coth(t), 2 * n - 2)]
+        alpha = 2 * lib.coth(2 * t)
+        branches = [(lib.coth(t), 2 * n - 2)]
     elif tag is FamilyTag.CH_A2:
-        alpha = 2 * mp.coth(2 * t)
-        branches = [(mp.coth(t), 2 * (n - k - 1)), (mp.tanh(t), 2 * k)]
+        alpha = 2 * lib.coth(2 * t)
+        branches = [(lib.coth(t), 2 * (n - k - 1)), (lib.tanh(t), 2 * k)]
     elif tag is FamilyTag.CH_B:
-        alpha = 2 * mp.tanh(2 * t)
-        branches = [(mp.coth(t), n - 1), (mp.tanh(t), n - 1)]
+        alpha = 2 * lib.tanh(2 * t)
+        branches = [(lib.coth(t), n - 1), (lib.tanh(t), n - 1)]
     elif tag is FamilyTag.CP_A1:
-        alpha = 2 * mp.cot(2 * t)
-        branches = [(-mp.tan(t), 2 * n - 2)]
+        alpha = 2 * lib.cot(2 * t)
+        branches = [(-lib.tan(t), 2 * n - 2)]
     elif tag is FamilyTag.CP_A2:
-        alpha = 2 * mp.cot(2 * t)
-        branches = [(mp.cot(t), 2 * (n - k - 1)), (-mp.tan(t), 2 * k)]
+        alpha = 2 * lib.cot(2 * t)
+        branches = [(lib.cot(t), 2 * (n - k - 1)), (-lib.tan(t), 2 * k)]
     elif tag is FamilyTag.CP_B:
-        alpha = 2 * mp.tan(2 * t)
-        branches = [(-mp.cot(t), n - 1), (mp.tan(t), n - 1)]
+        alpha = 2 * lib.tan(2 * t)
+        branches = [(-lib.cot(t), n - 1), (lib.tan(t), n - 1)]
     else:  # CP_C, CP_D, CP_E share the quarter-turn curvature pattern
-        alpha = 2 * mp.cot(2 * t)
-        lams = [mp.cot(t - j * mp.pi / 4) for j in (1, 3, 2, 0)]
+        alpha = 2 * lib.cot(2 * t)
+        lams = [lib.cot(t - j * lib.pi / 4) for j in (1, 3, 2, 0)]
         if tag is FamilyTag.CP_C:
             mults = (2, 2, n - 3, n - 3)
         elif tag is FamilyTag.CP_D:
             mults = (4, 4, 4, 4)
         else:
             mults = (6, 6, 8, 8)
-        branches = list(zip(lams, mults))
+        branches = zip(lams, mults)
+    return alpha, [(lam, m) for lam, m in branches if m > 0]
 
-    branches = tuple((lam, m) for lam, m in branches if m > 0)
-    return CurvatureSpectrum(alpha=alpha, branches=branches)
+
+# cot and coth as reciprocals: 2 * (1 / tan(x)) has the bits of 2 / tan(x).
+_FLOAT64 = SimpleNamespace(
+    pi=np.pi, tan=np.tan, tanh=np.tanh, cot=lambda x: 1 / np.tan(x), coth=lambda x: 1 / np.tanh(x)
+)
+
+
+def curvature_spectrum(family: HypersurfaceFamily, t=None) -> CurvatureSpectrum:
+    """Evaluate the family's spectrum at radius t (ignored for the horosphere).
+
+    Branches with zero multiplicity (the n = 1 curve case) are dropped, so the
+    invariant 1 + sum(multiplicities) = 2n - 1 holds for every admissible n.
+    """
+    alpha, branches = _spectrum(family, _check_radius(family, t), mp, mp.mpf(1))
+    return CurvatureSpectrum(alpha=alpha, branches=tuple(branches))
 
 
 def trace_shape(spectrum: CurvatureSpectrum):
@@ -337,35 +351,8 @@ def spectrum_arrays(family: HypersurfaceFamily, ts: np.ndarray):
     fast lane used for sign-level grid scans; certified quantities always go
     through the mpmath path.
     """
-    tag, n, k = family.tag, family.n, family.k
     ts = np.asarray(ts, dtype=float)
-
-    if tag is FamilyTag.CH_A0:
-        ones = np.ones_like(ts)
-        return 2 * ones, [(ones, 2 * n - 2)]
-    if tag is FamilyTag.CH_A1_GEODESIC:
-        return 2 / np.tanh(2 * ts), [(np.tanh(ts), 2 * n - 2)]
-    if tag is FamilyTag.CH_A1_POINT:
-        return 2 / np.tanh(2 * ts), [(1 / np.tanh(ts), 2 * n - 2)]
-    if tag is FamilyTag.CH_A2:
-        return 2 / np.tanh(2 * ts), [(1 / np.tanh(ts), 2 * (n - k - 1)), (np.tanh(ts), 2 * k)]
-    if tag is FamilyTag.CH_B:
-        return 2 * np.tanh(2 * ts), [(1 / np.tanh(ts), n - 1), (np.tanh(ts), n - 1)]
-    if tag is FamilyTag.CP_A1:
-        return 2 / np.tan(2 * ts), [(-np.tan(ts), m) for m in (2 * n - 2,) if m > 0]
-    if tag is FamilyTag.CP_A2:
-        return 2 / np.tan(2 * ts), [(1 / np.tan(ts), 2 * (n - k - 1)), (-np.tan(ts), 2 * k)]
-    if tag is FamilyTag.CP_B:
-        return 2 * np.tan(2 * ts), [(-1 / np.tan(ts), n - 1), (np.tan(ts), n - 1)]
-
-    lams = [1 / np.tan(ts - j * np.pi / 4) for j in (1, 3, 2, 0)]
-    if tag is FamilyTag.CP_C:
-        mults = (2, 2, n - 3, n - 3)
-    elif tag is FamilyTag.CP_D:
-        mults = (4, 4, 4, 4)
-    else:
-        mults = (6, 6, 8, 8)
-    return 2 / np.tan(2 * ts), list(zip(lams, mults))
+    return _spectrum(family, ts, _FLOAT64, np.ones_like(ts))
 
 
 def _require_projective(family: HypersurfaceFamily):

@@ -20,9 +20,11 @@ from .errors import (
     EndpointRoot,
     InvalidOrder,
     RootOutOfRange,
+    ToleranceNotReached,
     UnsupportedFamily,
 )
 from .families import FamilyTag, HypersurfaceFamily, Substitution, radius_from_x
+from .residual import residual
 
 # Endpoint nudge used when a probe endpoint happens to be a root: exactly
 # representable and far below any root separation occurring here.
@@ -50,18 +52,20 @@ def _derivative(p):
     return [i * c for i, c in enumerate(p)][1:]
 
 
-def _remainder(a, b):
-    """Remainder of polynomial division a mod b over the rationals."""
+def _divmod(a, b):
+    """Quotient and remainder of polynomial long division a / b over the rationals."""
     a = list(a)
     db, lead = len(b) - 1, b[-1]
+    q = [Fraction(0)] * max(len(a) - db, 0)
     while len(a) - 1 >= db and a:
         factor = a[-1] / lead
         shift = len(a) - 1 - db
+        q[shift] = factor
         for i, c in enumerate(b):
             a[i + shift] -= factor * c
         a.pop()
         _trim(a)
-    return a
+    return q, a
 
 
 def _monic(p):
@@ -72,24 +76,8 @@ def _monic(p):
 def _gcd(a, b):
     a, b = list(a), list(b)
     while b:
-        a, b = b, _remainder(a, b)
+        a, b = b, _divmod(a, b)[1]
     return _monic(a) if a else a
-
-
-def _div_exact(a, b):
-    """Exact quotient a / b (remainder known to vanish)."""
-    a = list(a)
-    q = [Fraction(0)] * (len(a) - len(b) + 1)
-    db, lead = len(b) - 1, b[-1]
-    while len(a) - 1 >= db and a:
-        factor = a[-1] / lead
-        shift = len(a) - 1 - db
-        q[shift] = factor
-        for i, c in enumerate(b):
-            a[i + shift] -= factor * c
-        a.pop()
-        _trim(a)
-    return q
 
 
 def _square_free(p):
@@ -99,7 +87,7 @@ def _square_free(p):
     g = _gcd(p, d)
     if len(g) == 1:
         return list(p)
-    return _div_exact(p, g)
+    return _divmod(p, g)[0]
 
 
 def _clear_to_ints(p):
@@ -133,7 +121,7 @@ class _SturmChain:
         if d:
             chain.append(d)
             while len(chain[-1]) > 1:
-                rem = _remainder(chain[-2], chain[-1])
+                rem = _divmod(chain[-2], chain[-1])[1]
                 if not rem:
                     break
                 chain.append([-c for c in rem])
@@ -340,7 +328,19 @@ def cauchy_bound(poly: QuarticPoly) -> Fraction:
 # counting, isolation, refinement
 # ---------------------------------------------------------------------------
 
-def _perturbed_endpoints(sf, lo: Fraction, hi: Fraction):
+def _prepare(poly: QuarticPoly, lo, hi):
+    """Checked interval, coefficients, square-free part and its Sturm chain.
+
+    An endpoint that is a root of the square-free part is nudged inward by
+    ENDPOINT_EPS, so the Sturm counts never evaluate the chain at a root.
+    """
+    lo, hi = to_fraction(lo), to_fraction(hi)
+    if not lo < hi:
+        raise ValueError(f"need lo < hi, got {lo} >= {hi}")
+    coeffs = poly._low_to_high()
+    if not coeffs:
+        raise ValueError("the zero polynomial has no isolated roots")
+    sf = _square_free(coeffs)
     if _eval(sf, lo) == 0:
         lo = lo + ENDPOINT_EPS
         if _eval(sf, lo) == 0:
@@ -351,22 +351,13 @@ def _perturbed_endpoints(sf, lo: Fraction, hi: Fraction):
             raise EndpointRoot(f"right endpoint {hi} still a root after nudging")
     if not lo < hi:
         raise ValueError("interval collapsed during endpoint perturbation")
-    return lo, hi
+    return coeffs, sf, _SturmChain(sf), lo, hi
 
 
 def count_real_roots(poly: QuarticPoly, lo, hi) -> int:
     """Exact number of distinct real roots in the open interval (lo, hi)."""
-    lo, hi = to_fraction(lo), to_fraction(hi)
-    if not lo < hi:
-        raise ValueError(f"need lo < hi, got {lo} >= {hi}")
-    coeffs = poly._low_to_high()
-    if not coeffs:
-        raise ValueError("the zero polynomial has no root count")
-    if len(coeffs) == 1:
-        return 0
-    sf = _square_free(coeffs)
-    lo, hi = _perturbed_endpoints(sf, lo, hi)
-    return _SturmChain(sf).count(lo, hi)
+    _, _, chain, lo, hi = _prepare(poly, lo, hi)
+    return chain.count(lo, hi)
 
 
 def _isolate_exact_root(chain, sf, m: Fraction, width_cap: Fraction):
@@ -386,21 +377,10 @@ def isolate_and_refine(poly: QuarticPoly, lo, hi, tol) -> list:
     exact |P| at the midpoint drop below tol.  When the certified polynomial
     carries a family, the tube radius and its residual are filled in.
     """
-    lo, hi = to_fraction(lo), to_fraction(hi)
-    if not lo < hi:
-        raise ValueError(f"need lo < hi, got {lo} >= {hi}")
     tol_frac = to_fraction(tol)
     if tol_frac <= 0:
         raise ValueError("tol must be positive")
-
-    original = poly._low_to_high()
-    if not original:
-        raise ValueError("the zero polynomial has no isolated roots")
-    sf = _square_free(original)
-    if len(sf) <= 1:
-        return []
-    lo, hi = _perturbed_endpoints(sf, lo, hi)
-    chain = _SturmChain(sf)
+    original, sf, chain, lo, hi = _prepare(poly, lo, hi)
 
     intervals = []  # (lo, hi) each holding exactly one root, or (m, m) exact hits
     stack = [(lo, hi, chain.count(lo, hi))]
@@ -423,8 +403,7 @@ def isolate_and_refine(poly: QuarticPoly, lo, hi, tol) -> list:
             stack.append((a, m, chain.count(a, m)))
             stack.append((m, b, chain.count(m, b)))
 
-    certificates = [_refine(poly, original, sf, chain, a, b, tol_frac) for a, b in sorted(intervals)]
-    return certificates
+    return [_refine(poly, original, sf, chain, a, b, tol_frac) for a, b in sorted(intervals)]
 
 
 def _refine(poly, original, sf, chain, a: Fraction, b: Fraction, tol: Fraction):
@@ -442,7 +421,7 @@ def _refine(poly, original, sf, chain, a: Fraction, b: Fraction, tol: Fraction):
         else:
             b = mid
     else:
-        raise RuntimeError("bisection failed to reach the requested tolerance")
+        raise ToleranceNotReached("bisection did not reach the requested tolerance in 4000 steps")
 
     mid = (a + b) / 2
     root = to_mpf(mid)
@@ -450,9 +429,7 @@ def _refine(poly, original, sf, chain, a: Fraction, b: Fraction, tol: Fraction):
     res = None
     if poly.family is not None and poly.r is not None and 0 < mid < 1:
         radius = root_to_radius(poly.family, root)
-        from .residual import residual as _residual_fn
-
-        res = _residual_fn(poly.family, radius, poly.r).residual
+        res = residual(poly.family, radius, poly.r).residual
     return RootCertificate(
         isolating_interval=(a, b),
         refined_root=root,

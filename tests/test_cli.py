@@ -46,6 +46,14 @@ class TestSolve:
         assert all(abs(float(row["x"]) - 0.5) > 1e-6 for row in doc["rows"])
         assert all(abs(float(row["trace"])) > 1e-6 for row in doc["rows"])
 
+    def test_tol_gates_the_residuals(self, capsys):
+        argv = ("solve", "--type", "A2", "--n", "3", "--k", "1", "--r", "2")
+        code, default = run(capsys, *argv)
+        assert code == 0
+        code, strict = run(capsys, *argv, "--tol", "1e-40")
+        assert code == 1
+        assert json.loads(strict)["rows"] == json.loads(default)["rows"]
+
 
 class TestScan:
     def test_a1_counts_and_flags(self, capsys):

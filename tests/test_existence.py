@@ -98,6 +98,12 @@ class TestThresholds:
         for n in (2, 9):
             assert guaranteed_thresholds(F(CP.CP_A1, n)) == (2, 2 * n + 13)
 
+    def test_a1_curve_has_no_four_count(self):
+        # the curve n = 1 has exactly two proper radii for every order
+        assert guaranteed_thresholds(F(CP.CP_A1, 1)) == (2, None)
+        for r in (2, 15, 100, 9999):
+            assert count_solutions(F(CP.CP_A1, 1), r) == 2
+
     def test_a2_branches(self):
         low = guaranteed_thresholds(F(CP.CP_A2, 5, 1))
         assert low == (2, 4 * (22 + 85 + 123 + 54 + 8) * 1)

@@ -16,6 +16,7 @@ from hopfharmonic import (
     QuarticPoly,
     RootOutOfRange,
     Substitution,
+    ToleranceNotReached,
     UnsupportedFamily,
     biquadratic_roots,
     build_quartic,
@@ -263,6 +264,11 @@ class TestIsolateAndRefine:
         assert abs(certs[1].radius - mp.pi / 6) < 1e-25
         for cert in certs:
             assert abs(cert.residual_at_radius) < 1e-9
+
+    def test_unreachable_tolerance_is_a_hopf_error(self):
+        # 4000 bisection steps from width 1 stop at width 2^-4000 > tol
+        with pytest.raises(ToleranceNotReached):
+            isolate_and_refine(quartic(0, 0, 1, 0, -2), 1, 2, Fraction(1, 2**4100))
 
     def test_free_polynomials_have_no_radius(self):
         certs = isolate_and_refine(quartic(1, 0, -1, 0, 0), -2, 2, Fraction(1, 10**8))

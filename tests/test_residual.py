@@ -155,7 +155,10 @@ class TestGridLane:
     @pytest.mark.parametrize(
         "fam,t_hi",
         [(F(CP.CP_A1, 2), 1.5), (F(CP.CP_A2, 4, 2), 1.5), (F(CP.CP_B, 3), 0.78),
-         (F(CP.CP_C, 5), 0.78), (F(CP.CH_B, 3), 3.0)],
+         (F(CP.CP_C, 5), 0.78), (F(CP.CH_B, 3), 3.0),
+         (F(CP.CP_A1, 1), 1.5), (F(CP.CP_D, 9), 0.78), (F(CP.CP_E, 15), 0.78),
+         (F(CP.CH_A0, 3), 3.0), (F(CP.CH_A1_GEODESIC, 3), 3.0), (F(CP.CH_A1_POINT, 3), 3.0),
+         (F(CP.CH_A2, 5, 2), 3.0)],
         ids=lambda v: str(v),
     )
     def test_agrees_with_mpmath_lane(self, fam, t_hi):
