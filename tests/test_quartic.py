@@ -293,3 +293,64 @@ class TestRootToRadius:
             x = mp.mpf(rng.uniform(1e-3, 1 - 1e-3))
             lo, hi = fam.radius_domain()
             assert lo < root_to_radius(fam, x) < hi
+
+
+# Isolating intervals as certified before the exact layer moved onto
+# integers; the integer bisection and Sturm chain must reproduce them bit
+# for bit.  CP_D at r = 7 and CP_C(7) at r = 11 sit just below their
+# existence thresholds and certify nothing; r = 97 and r = 12 pin roots.
+GOLDEN_FAMILY_CERTIFICATES = [
+    (F(CP.CP_A2, 3, 1), 2, 20, [
+        ("49999999999999999999/200000000000000000000", "50000000000000000001/200000000000000000000"),
+        ("149999999999999999999/200000000000000000000", "150000000000000000001/200000000000000000000"),
+    ]),
+    (F(CP.CP_D, 9), 7, 30, []),
+    (F(CP.CP_D, 9), 97, 30, [
+        ("2030697060031192563924161733065/40564819207303340847894502572032",
+         "4061394120062385127848323466131/81129638414606681695789005144064"),
+        ("2527462841790935192177184910089/10141204801825835211973625643008",
+         "5054925683581870384354369820179/20282409603651670423947251286016"),
+        ("638934818571012658005577201163/1267650600228229401496703205376",
+         "40891828388544810112356940874433/81129638414606681695789005144064"),
+        ("157873782734664517555224821663127/162259276829213363391578010288128",
+         "19734222841833064694403102707891/20282409603651670423947251286016"),
+    ]),
+    (F(CP.CP_A1, 5), 30, 24, [
+        ("164927949009068271422937/19342813113834066795298816", "82463974504534135711469/9671406556917033397649408"),
+        ("1013833821083970922636021/9671406556917033397649408", "506916910541985461318011/4835703278458516698824704"),
+        ("291004788645592708206671/1208925819614629174706176", "4656076618329483331306737/19342813113834066795298816"),
+        ("603366408015608633925779275/618970019642690137449562112",
+         "150841602003902158481444819/154742504910672534362390528"),
+    ]),
+    (F(CP.CP_C, 7), 11, 18, []),
+    (F(CP.CP_C, 7), 12, 18, [
+        ("706295290508997693/1152921504606846976", "353147645254498847/576460752303423488"),
+        ("1537228672809129301/2305843009213693952", "3074457345618258603/4611686018427387904"),
+    ]),
+]
+
+# (x^2 - 2)(x - 1)^2 on (-8, 8): isolation hits the double root 1 exactly at
+# a midpoint, so the root of sqrt(2) is refined from a non-dyadic endpoint.
+GOLDEN_FREE_CERTIFICATES = [
+    ("-54709737280064589764386659/38685626227668133590597632",
+     "-27354868640032294882193329/19342813113834066795298816"),
+    ("39999999999999999999999999/40000000000000000000000000", "40000000000000000000000001/40000000000000000000000000"),
+    ("34193585800040368602741660708172349227239919275269/24178516392292583494123520000000000000000000000000",
+     "547097372800645897643866591330757587635838708404303/386856262276681335905976320000000000000000000000000"),
+]
+
+
+def _intervals(certs):
+    return [tuple(map(str, cert.isolating_interval)) for cert in certs]
+
+
+class TestGoldenCertificates:
+    @pytest.mark.parametrize("fam,r,digits,expected", GOLDEN_FAMILY_CERTIFICATES)
+    def test_family_intervals(self, fam, r, digits, expected):
+        certs = isolate_and_refine(build_quartic(fam, r), 0, 1, Fraction(1, 10**digits))
+        assert _intervals(certs) == expected
+        assert all(isinstance(x, Fraction) for cert in certs for x in cert.isolating_interval)
+
+    def test_free_quartic_on_wide_symmetric_interval(self):
+        certs = isolate_and_refine(quartic(1, -2, -1, 4, -2), -8, 8, Fraction(1, 10**25))
+        assert _intervals(certs) == GOLDEN_FREE_CERTIFICATES
