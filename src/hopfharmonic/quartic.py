@@ -1,9 +1,13 @@
 """Exact quartic construction and certified real-root isolation.
 
-Coefficient arithmetic, Sturm sequences and bisection all run over exact
-rationals (with an integer fast path for sign evaluation); only the final
-trigonometric back-substitution from a certified root to a tube radius is
-numerical.  Root multiplicity is handled by counting on the square-free part.
+The exact layer runs on integers.  A quartic's rational coefficients are
+cleared to integers once; its square-free part and Sturm chain come from a
+primitive pseudo-remainder sequence, and every sign is the sign of an
+integer den^deg * P(num/den).  Bisection carries its interval as two integer
+numerators over one shared denominator and builds rationals only for the
+interval it returns.  Root multiplicity is handled by counting on the
+square-free part.  Only the final trigonometric back-substitution from a
+certified root to a tube radius is numerical.
 """
 
 from __future__ import annotations
@@ -31,8 +35,13 @@ from .residual import residual
 ENDPOINT_EPS = Fraction(1, 2**32)
 
 
+# Bound on the halvings of one bisection or one exact-root window.
+_MAX_STEPS = 4000
+
+
 # ---------------------------------------------------------------------------
-# dense rational polynomials, low -> high degree
+# dense polynomials, low -> high degree: rational for QuarticPoly.evaluate,
+# integer everywhere else
 # ---------------------------------------------------------------------------
 
 def _trim(p):
@@ -52,49 +61,9 @@ def _derivative(p):
     return [i * c for i, c in enumerate(p)][1:]
 
 
-def _divmod(a, b):
-    """Quotient and remainder of polynomial long division a / b over the rationals."""
-    a = list(a)
-    db, lead = len(b) - 1, b[-1]
-    q = [Fraction(0)] * max(len(a) - db, 0)
-    while len(a) - 1 >= db and a:
-        factor = a[-1] / lead
-        shift = len(a) - 1 - db
-        q[shift] = factor
-        for i, c in enumerate(b):
-            a[i + shift] -= factor * c
-        a.pop()
-        _trim(a)
-    return q, a
-
-
-def _monic(p):
-    lead = p[-1]
-    return [c / lead for c in p]
-
-
-def _gcd(a, b):
-    a, b = list(a), list(b)
-    while b:
-        a, b = b, _divmod(a, b)[1]
-    return _monic(a) if a else a
-
-
-def _square_free(p):
-    d = _derivative(p)
-    if not d:
-        return list(p)
-    g = _gcd(p, d)
-    if len(g) == 1:
-        return list(p)
-    return _divmod(p, g)[0]
-
-
 def _clear_to_ints(p):
     """Scale by the positive lcm of denominators; sign pattern is preserved."""
-    lcm = 1
-    for c in p:
-        lcm = lcm * c.denominator // math.gcd(lcm, c.denominator)
+    lcm = math.lcm(*(c.denominator for c in p))
     return [int(c * lcm) for c in p], lcm
 
 
@@ -108,24 +77,79 @@ def _int_value(ip, num: int, den: int) -> int:
     return acc
 
 
+def _is_root(ip, x: Fraction) -> bool:
+    return _int_value(ip, x.numerator, x.denominator) == 0
+
+
 def _sign(v) -> int:
     return (v > 0) - (v < 0)
 
 
+def _primitive(p):
+    """p divided by the positive gcd of its coefficients."""
+    g = math.gcd(*p)
+    return [c // g for c in p]
+
+
+def _pseudo_divmod(a, b):
+    """Integer q, r with m * a = q * b + r, deg r < deg b, for some integer m > 0.
+
+    This is pseudo-division with |lc(b)| in place of lc(b): each elimination
+    step scales a by |lc(b)|, so r is a positive multiple of the rational
+    remainder and q of the rational quotient.
+    """
+    a = list(a)
+    db, lead = len(b) - 1, b[-1]
+    scale = abs(lead)
+    q = [0] * max(len(a) - db, 0)
+    while len(a) > db:
+        factor = a[-1] if lead > 0 else -a[-1]
+        shift = len(a) - 1 - db
+        a = [scale * c for c in a]
+        q = [scale * c for c in q]
+        q[shift] = factor
+        for i, c in enumerate(b):
+            a[i + shift] -= factor * c
+        a.pop()
+        _trim(a)
+    return q, a
+
+
+def _square_free(ip):
+    """Primitive square-free part of a nonzero integer polynomial.
+
+    Its leading coefficient has the sign of ip's, so it is a positive
+    multiple of ip divided by the monic gcd(ip, ip').
+    """
+    g, d = ip, _derivative(ip)
+    while d:
+        g, d = d, _pseudo_divmod(g, d)[1]
+        if d:
+            d = _primitive(d)
+    if len(g) == 1:
+        return _primitive(ip)
+    quotient = _pseudo_divmod(ip, g if g[-1] > 0 else [-c for c in g])[0]
+    return _primitive(quotient)
+
+
 class _SturmChain:
-    """Sturm chain of a square-free rational polynomial, integer-cleared."""
+    """Sturm chain of a square-free integer polynomial.
+
+    Each element is a positive multiple of the element the rational
+    Euclidean chain would hold, so every sign variation is the same.
+    """
 
     def __init__(self, square_free):
-        chain = [list(square_free)]
+        chain = [square_free]
         d = _derivative(square_free)
         if d:
-            chain.append(d)
+            chain.append(_primitive(d))
             while len(chain[-1]) > 1:
-                rem = _divmod(chain[-2], chain[-1])[1]
+                rem = _pseudo_divmod(chain[-2], chain[-1])[1]
                 if not rem:
                     break
-                chain.append([-c for c in rem])
-        self._chain = [_clear_to_ints(p)[0] for p in chain]
+                chain.append(_primitive([-c for c in rem]))
+        self._chain = chain
 
     def variations(self, x: Fraction) -> int:
         num, den = x.numerator, x.denominator
@@ -329,10 +353,12 @@ def cauchy_bound(poly: QuarticPoly) -> Fraction:
 # ---------------------------------------------------------------------------
 
 def _prepare(poly: QuarticPoly, lo, hi):
-    """Checked interval, coefficients, square-free part and its Sturm chain.
+    """Checked interval, integer coefficients, square-free part and its Sturm chain.
 
-    An endpoint that is a root of the square-free part is nudged inward by
-    ENDPOINT_EPS, so the Sturm counts never evaluate the chain at a root.
+    Returns the coefficients cleared to integers with their positive scale,
+    so P = ints / lcm.  An endpoint that is a root of the square-free part is
+    nudged inward by ENDPOINT_EPS, so the Sturm counts never evaluate the
+    chain at a root.
     """
     lo, hi = to_fraction(lo), to_fraction(hi)
     if not lo < hi:
@@ -340,34 +366,36 @@ def _prepare(poly: QuarticPoly, lo, hi):
     coeffs = poly._low_to_high()
     if not coeffs:
         raise ValueError("the zero polynomial has no isolated roots")
-    sf = _square_free(coeffs)
-    if _eval(sf, lo) == 0:
+    ints, lcm = _clear_to_ints(coeffs)
+    sf = _square_free(ints)
+    if _is_root(sf, lo):
         lo = lo + ENDPOINT_EPS
-        if _eval(sf, lo) == 0:
+        if _is_root(sf, lo):
             raise EndpointRoot(f"left endpoint {lo} still a root after nudging")
-    if _eval(sf, hi) == 0:
+    if _is_root(sf, hi):
         hi = hi - ENDPOINT_EPS
-        if _eval(sf, hi) == 0:
+        if _is_root(sf, hi):
             raise EndpointRoot(f"right endpoint {hi} still a root after nudging")
     if not lo < hi:
         raise ValueError("interval collapsed during endpoint perturbation")
-    return coeffs, sf, _SturmChain(sf), lo, hi
+    return ints, lcm, sf, _SturmChain(sf), lo, hi
 
 
 def count_real_roots(poly: QuarticPoly, lo, hi) -> int:
     """Exact number of distinct real roots in the open interval (lo, hi)."""
-    _, _, chain, lo, hi = _prepare(poly, lo, hi)
+    *_, chain, lo, hi = _prepare(poly, lo, hi)
     return chain.count(lo, hi)
 
 
 def _isolate_exact_root(chain, sf, m: Fraction, width_cap: Fraction):
     """Shrink a symmetric window around a known rational root to Sturm count 1."""
     delta = width_cap
-    while True:
+    for _ in range(_MAX_STEPS):
         lo, hi = m - delta, m + delta
-        if _eval(sf, lo) != 0 and _eval(sf, hi) != 0 and chain.count(lo, hi) == 1:
+        if not _is_root(sf, lo) and not _is_root(sf, hi) and chain.count(lo, hi) == 1:
             return lo, hi
         delta /= 2
+    raise ToleranceNotReached(f"no window around the root {m} isolated it in {_MAX_STEPS} halvings")
 
 
 def isolate_and_refine(poly: QuarticPoly, lo, hi, tol) -> list:
@@ -380,7 +408,7 @@ def isolate_and_refine(poly: QuarticPoly, lo, hi, tol) -> list:
     tol_frac = to_fraction(tol)
     if tol_frac <= 0:
         raise ValueError("tol must be positive")
-    original, sf, chain, lo, hi = _prepare(poly, lo, hi)
+    ints, lcm, sf, chain, lo, hi = _prepare(poly, lo, hi)
 
     intervals = []  # (lo, hi) each holding exactly one root, or (m, m) exact hits
     stack = [(lo, hi, chain.count(lo, hi))]
@@ -392,7 +420,7 @@ def isolate_and_refine(poly: QuarticPoly, lo, hi, tol) -> list:
             intervals.append((a, b))
             continue
         m = (a + b) / 2
-        if _eval(sf, m) == 0:
+        if _is_root(sf, m):
             win = _isolate_exact_root(chain, sf, m, min(m - a, b - m, tol_frac) / 2)
             intervals.append(win)
             a2 = win[0]
@@ -403,25 +431,41 @@ def isolate_and_refine(poly: QuarticPoly, lo, hi, tol) -> list:
             stack.append((a, m, chain.count(a, m)))
             stack.append((m, b, chain.count(m, b)))
 
-    return [_refine(poly, original, sf, chain, a, b, tol_frac) for a, b in sorted(intervals)]
+    return [_refine(poly, ints, lcm, sf, chain, a, b, tol_frac) for a, b in sorted(intervals)]
 
 
-def _refine(poly, original, sf, chain, a: Fraction, b: Fraction, tol: Fraction):
-    sign_a = _sign(_eval(sf, a))
-    for _ in range(4000):
-        mid = (a + b) / 2
-        if b - a < tol and abs(_eval(original, mid)) <= tol:
+def _refine(poly, ints, lcm, sf, chain, a: Fraction, b: Fraction, tol: Fraction):
+    """Bisect (a, b) until it is narrower than tol and |P(mid)| <= tol.
+
+    The interval is (lo/den, hi/den) in integers: the midpoint is
+    (lo + hi) / 2den, and each step doubles all three and moves one end
+    to lo + hi.  Both stopping tests are cross-multiplied, with P = ints / lcm.
+    """
+    den = math.lcm(a.denominator, b.denominator)
+    lo, hi = a.numerator * (den // a.denominator), b.numerator * (den // b.denominator)
+    tol_num, tol_den = tol.numerator, tol.denominator
+    deg = len(ints) - 1
+    sign_lo = _sign(_int_value(sf, lo, den))
+    for _ in range(_MAX_STEPS):
+        mid, mid_den = lo + hi, 2 * den
+        if (hi - lo) * tol_den < tol_num * den and (
+            abs(_int_value(ints, mid, mid_den)) * tol_den <= tol_num * lcm * mid_den**deg
+        ):
+            a, b = Fraction(lo, den), Fraction(hi, den)
             break
-        s = _sign(_eval(sf, mid))
+        s = _sign(_int_value(sf, mid, mid_den))
         if s == 0:
-            a, b = _isolate_exact_root(chain, sf, mid, min(mid - a, b - mid, tol) / 2)
+            m = Fraction(mid, mid_den)
+            half = Fraction(hi - lo, mid_den)  # m - lo/den = hi/den - m
+            a, b = _isolate_exact_root(chain, sf, m, min(half, tol) / 2)
             break
-        if s == sign_a:
-            a = mid
+        if s == sign_lo:
+            lo, hi = mid, 2 * hi
         else:
-            b = mid
+            lo, hi = 2 * lo, mid
+        den = mid_den
     else:
-        raise ToleranceNotReached("bisection did not reach the requested tolerance in 4000 steps")
+        raise ToleranceNotReached(f"bisection did not reach the requested tolerance in {_MAX_STEPS} steps")
 
     mid = (a + b) / 2
     root = to_mpf(mid)

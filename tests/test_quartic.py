@@ -270,6 +270,26 @@ class TestIsolateAndRefine:
         with pytest.raises(ToleranceNotReached):
             isolate_and_refine(quartic(0, 0, 1, 0, -2), 1, 2, Fraction(1, 2**4100))
 
+    def test_refinement_lands_on_a_rational_root(self):
+        # the first bisection midpoint of (0, 1) is the root 1/2 of 2x - 1
+        tol = Fraction(1, 10**20)
+        (cert,) = isolate_and_refine(quartic(0, 0, 0, 2, -1), 0, 1, tol)
+        lo, hi = cert.isolating_interval
+        assert lo < Fraction(1, 2) < hi
+        assert hi - lo <= tol
+
+    def test_exact_hit_window_is_cut_from_the_current_interval(self):
+        # 8x - 3 on (0, 1): midpoints 1/2 and 1/4 miss, 3/8 is the root; half
+        # the current width (1/8) is below tol, so the window radius is 1/16
+        (cert,) = isolate_and_refine(quartic(0, 0, 0, 8, -3), 0, 1, Fraction(1, 5))
+        assert cert.isolating_interval == (Fraction(5, 16), Fraction(7, 16))
+
+    def test_exact_root_window_is_bounded(self):
+        # x (x - 2^-4100) on (-1, 1): isolation hits the root 0, and no window
+        # after 4000 halvings leaves out the second root
+        with pytest.raises(ToleranceNotReached):
+            isolate_and_refine(quartic(0, 0, 1, -Fraction(1, 2**4100), 0), -1, 1, 1)
+
     def test_free_polynomials_have_no_radius(self):
         certs = isolate_and_refine(quartic(1, 0, -1, 0, 0), -2, 2, Fraction(1, 10**8))
         assert all(cert.radius is None for cert in certs)
