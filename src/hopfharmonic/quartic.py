@@ -410,7 +410,7 @@ def isolate_and_refine(poly: QuarticPoly, lo, hi, tol) -> list:
         raise ValueError("tol must be positive")
     ints, lcm, sf, chain, lo, hi = _prepare(poly, lo, hi)
 
-    intervals = []  # (lo, hi) each holding exactly one root, or (m, m) exact hits
+    intervals = []  # (lo, hi) each holding exactly one root
     stack = [(lo, hi, chain.count(lo, hi))]
     while stack:
         a, b, cnt = stack.pop()

@@ -270,9 +270,10 @@ class TestIsolateAndRefine:
         with pytest.raises(ToleranceNotReached):
             isolate_and_refine(quartic(0, 0, 1, 0, -2), 1, 2, Fraction(1, 2**4100))
 
-    def test_refinement_lands_on_a_rational_root(self):
-        # the first bisection midpoint of (0, 1) is the root 1/2 of 2x - 1
-        tol = Fraction(1, 10**20)
+    @pytest.mark.parametrize("tol", [Fraction(1, 10**20), Fraction(1, 2**4100)])
+    def test_refinement_lands_on_a_rational_root(self, tol):
+        # the first bisection midpoint of (0, 1) is the root 1/2 of 2x - 1; the
+        # exact hit certifies even a tol that 4000 halvings could not reach
         (cert,) = isolate_and_refine(quartic(0, 0, 0, 2, -1), 0, 1, tol)
         lo, hi = cert.isolating_interval
         assert lo < Fraction(1, 2) < hi
