@@ -16,7 +16,6 @@ if mp.dps < 30:
 from .errors import (  # noqa: E402
     DegenerateLeadingCoefficient,
     DegenerateTube,
-    EndpointRoot,
     ExcludedRadius,
     HopfError,
     InvalidFamily,

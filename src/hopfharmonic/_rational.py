@@ -16,9 +16,7 @@ def to_mpf(value):
 
 def to_fraction(value) -> Fraction:
     """Exact rational value of an int/float/Fraction/mpf (all binary-exact)."""
-    if isinstance(value, (Fraction, int)):
-        return Fraction(value)
-    if isinstance(value, float):
+    if isinstance(value, (Fraction, int, float)):
         return Fraction(value)
     x = mp.mpf(value)
     sign, man, exp, _ = x._mpf_

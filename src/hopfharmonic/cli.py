@@ -495,14 +495,11 @@ def main(argv=None) -> int:
         parser.exit(2, "error: --tol must lie in (0, 1e-6]\n")
     args.precision = precision
 
-    old_dps = mp.dps
-    mp.dps = precision
-    try:
-        payload, ok = _HANDLERS[args.command](args)
-    except (UsageError, HopfError) as exc:
-        parser.exit(2, f"error: {exc}\n")
-    finally:
-        mp.dps = old_dps
+    with mp.workdps(precision):
+        try:
+            payload, ok = _HANDLERS[args.command](args)
+        except (UsageError, HopfError) as exc:
+            parser.exit(2, f"error: {exc}\n")
 
     result = {"config": _config_dict(args), **payload, "version": __version__}
     result.setdefault("rows", [])

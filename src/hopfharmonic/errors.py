@@ -29,10 +29,6 @@ class DegenerateLeadingCoefficient(HopfError):
     """Quartic operation requires a nonzero leading coefficient."""
 
 
-class EndpointRoot(HopfError):
-    """Interval endpoint is still a polynomial root after perturbation."""
-
-
 class RootOutOfRange(HopfError):
     """Root value does not correspond to a non-degenerate tube radius."""
 

@@ -52,10 +52,8 @@ class Substitution(str, Enum):
     COS2_2T = "cos^2(2t)"
 
 
-_CP_TAGS = frozenset(
-    {FamilyTag.CP_A1, FamilyTag.CP_A2, FamilyTag.CP_B, FamilyTag.CP_C, FamilyTag.CP_D, FamilyTag.CP_E}
-)
-_QUARTER_DOMAIN = frozenset({FamilyTag.CP_B, FamilyTag.CP_C, FamilyTag.CP_D, FamilyTag.CP_E})
+# The projective families, each with its radius variable; the cos^2(2t)
+# families live on the quarter domain (0, pi/4).
 _SUBSTITUTION = {
     FamilyTag.CP_A1: Substitution.SIN2_T,
     FamilyTag.CP_A2: Substitution.COS2_T,
@@ -113,7 +111,7 @@ class HypersurfaceFamily:
 
     @property
     def is_projective(self) -> bool:
-        return self.tag in _CP_TAGS
+        return self.tag in _SUBSTITUTION
 
     @property
     def space_form_sign(self) -> int:
@@ -134,7 +132,7 @@ class HypersurfaceFamily:
             return None
         if not self.is_projective:
             return (mp.mpf(0), mp.inf)
-        if self.tag in _QUARTER_DOMAIN:
+        if self.substitution is Substitution.COS2_2T:
             return (mp.mpf(0), mp.pi / 4)
         return (mp.mpf(0), mp.pi / 2)
 

@@ -21,7 +21,6 @@ from mpmath import mp
 from ._rational import to_fraction, to_mpf
 from .errors import (
     DegenerateLeadingCoefficient,
-    EndpointRoot,
     InvalidOrder,
     RootOutOfRange,
     ToleranceNotReached,
@@ -29,11 +28,6 @@ from .errors import (
 )
 from .families import FamilyTag, HypersurfaceFamily, Substitution, radius_from_x
 from .residual import residual
-
-# Endpoint nudge used when a probe endpoint happens to be a root: exactly
-# representable and far below any root separation occurring here.
-ENDPOINT_EPS = Fraction(1, 2**32)
-
 
 # Bound on the halvings of one bisection or one exact-root window.
 _MAX_STEPS = 4000
@@ -161,6 +155,11 @@ class _SturmChain:
         return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
     def count(self, lo: Fraction, hi: Fraction) -> int:
+        """Number of roots in the half-open (lo, hi], for lo < hi.
+
+        Exact whatever the ends: a root at lo adds no variation (Sturm's
+        theorem with zero signs dropped), and a root at hi is counted.
+        """
         return self.variations(lo) - self.variations(hi)
 
 
@@ -356,9 +355,8 @@ def _prepare(poly: QuarticPoly, lo, hi):
     """Checked interval, integer coefficients, square-free part and its Sturm chain.
 
     Returns the coefficients cleared to integers with their positive scale,
-    so P = ints / lcm.  An endpoint that is a root of the square-free part is
-    nudged inward by ENDPOINT_EPS, so the Sturm counts never evaluate the
-    chain at a root.
+    so P = ints / lcm.  The ends may be roots: the chain counts (lo, hi]
+    exactly, and the callers drop a root at hi to count the open interval.
     """
     lo, hi = to_fraction(lo), to_fraction(hi)
     if not lo < hi:
@@ -368,28 +366,25 @@ def _prepare(poly: QuarticPoly, lo, hi):
         raise ValueError("the zero polynomial has no isolated roots")
     ints, lcm = _clear_to_ints(coeffs)
     sf = _square_free(ints)
-    if _is_root(sf, lo):
-        lo = lo + ENDPOINT_EPS
-        if _is_root(sf, lo):
-            raise EndpointRoot(f"left endpoint {lo} still a root after nudging")
-    if _is_root(sf, hi):
-        hi = hi - ENDPOINT_EPS
-        if _is_root(sf, hi):
-            raise EndpointRoot(f"right endpoint {hi} still a root after nudging")
-    if not lo < hi:
-        raise ValueError("interval collapsed during endpoint perturbation")
     return ints, lcm, sf, _SturmChain(sf), lo, hi
 
 
 def count_real_roots(poly: QuarticPoly, lo, hi) -> int:
-    """Exact number of distinct real roots in the open interval (lo, hi)."""
-    *_, chain, lo, hi = _prepare(poly, lo, hi)
-    return chain.count(lo, hi)
+    """Exact number of distinct real roots in the open interval (lo, hi).
+
+    The ends may be roots themselves; they are not counted.
+    """
+    _, _, sf, chain, lo, hi = _prepare(poly, lo, hi)
+    return chain.count(lo, hi) - _is_root(sf, hi)
 
 
-def _isolate_exact_root(chain, sf, m: Fraction, width_cap: Fraction):
-    """Shrink a symmetric window around a known rational root to Sturm count 1."""
-    delta = width_cap
+def _isolate_exact_root(chain, sf, m: Fraction, half: Fraction, tol: Fraction):
+    """Shrink a symmetric window around a known rational root to Sturm count 1.
+
+    m is the midpoint of an interval of half-width ``half``; the window
+    starts at radius min(half, tol) / 2, so it stays inside that interval.
+    """
+    delta = min(half, tol) / 2
     for _ in range(_MAX_STEPS):
         lo, hi = m - delta, m + delta
         if not _is_root(sf, lo) and not _is_root(sf, hi) and chain.count(lo, hi) == 1:
@@ -409,27 +404,31 @@ def isolate_and_refine(poly: QuarticPoly, lo, hi, tol) -> list:
     if tol_frac <= 0:
         raise ValueError("tol must be positive")
     ints, lcm, sf, chain, lo, hi = _prepare(poly, lo, hi)
+    # Midpoints and exact-root windows are tested for roots, so only the
+    # caller's ends can be roots, and of the right ends only hi.
+    end_roots = tuple(x for x in (lo, hi) if _is_root(sf, x))
 
-    intervals = []  # (lo, hi) each holding exactly one root
-    stack = [(lo, hi, chain.count(lo, hi))]
+    def count(a, b):
+        return chain.count(a, b) - (b in end_roots)
+
+    intervals = []  # (lo, hi) each holding exactly one root, with nonzero signs at both ends
+    stack = [(lo, hi, count(lo, hi))]
     while stack:
         a, b, cnt = stack.pop()
         if cnt == 0:
             continue
-        if cnt == 1:
+        if cnt == 1 and a not in end_roots and b not in end_roots:
             intervals.append((a, b))
             continue
         m = (a + b) / 2
         if _is_root(sf, m):
-            win = _isolate_exact_root(chain, sf, m, min(m - a, b - m, tol_frac) / 2)
+            win = _isolate_exact_root(chain, sf, m, b - m, tol_frac)
             intervals.append(win)
-            a2 = win[0]
-            b2 = win[1]
-            stack.append((a, a2, chain.count(a, a2)))
-            stack.append((b2, b, chain.count(b2, b)))
+            stack.append((a, win[0], count(a, win[0])))
+            stack.append((win[1], b, count(win[1], b)))
         else:
-            stack.append((a, m, chain.count(a, m)))
-            stack.append((m, b, chain.count(m, b)))
+            stack.append((a, m, count(a, m)))
+            stack.append((m, b, count(m, b)))
 
     return [_refine(poly, ints, lcm, sf, chain, a, b, tol_frac) for a, b in sorted(intervals)]
 
@@ -455,9 +454,8 @@ def _refine(poly, ints, lcm, sf, chain, a: Fraction, b: Fraction, tol: Fraction)
             break
         s = _sign(_int_value(sf, mid, mid_den))
         if s == 0:
-            m = Fraction(mid, mid_den)
-            half = Fraction(hi - lo, mid_den)  # m - lo/den = hi/den - m
-            a, b = _isolate_exact_root(chain, sf, m, min(half, tol) / 2)
+            m, half = Fraction(mid, mid_den), Fraction(hi - lo, mid_den)  # m - lo/den = hi/den - m
+            a, b = _isolate_exact_root(chain, sf, m, half, tol)
             break
         if s == sign_lo:
             lo, hi = mid, 2 * hi

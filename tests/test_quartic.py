@@ -9,7 +9,6 @@ from mpmath import mp
 
 from hopfharmonic import (
     DegenerateLeadingCoefficient,
-    EndpointRoot,
     FamilyTag,
     HypersurfaceFamily,
     InvalidOrder,
@@ -156,7 +155,8 @@ class TestCauchyBound:
         rng = random.Random(7)
         for _ in range(10_000):
             fam, r = _random_family_and_order(rng)
-            poly = build_quartic(fam, r)
+            # the free copy: the test reads no radius or residual
+            poly = QuarticPoly(*build_quartic(fam, r).coefficients())
             bound = cauchy_bound(poly)
             wide = bound * 2 + 1
             for cert in isolate_and_refine(poly, -wide, wide, Fraction(1, 10**4)):
@@ -189,15 +189,38 @@ class TestCountRealRoots:
     def test_counts_distinct_roots_once(self):
         assert count_real_roots(quartic(1, -4, 6, -4, 1), 0, 2) == 1
 
-    def test_endpoint_perturbation(self):
-        # P(0) = 0 but no second root within 2^-32: nudging succeeds
+    def test_endpoint_roots_are_not_counted(self):
+        # x^4 - x^2 has roots -1, 0, 1; the open (0, 2) holds only 1
         assert count_real_roots(quartic(1, 0, -1, 0, 0), 0, 2) == 1
+        assert count_real_roots(quartic(1, 0, -1, 0, 0), -1, 1) == 1
 
-    def test_endpoint_root_after_perturbation(self):
+    def test_root_next_to_an_endpoint_root(self):
         eps = Fraction(1, 2**32)
-        poly = quartic(1, -eps, 1, -eps, 0)  # roots at 0 and eps
-        with pytest.raises(EndpointRoot):
-            count_real_roots(poly, 0, 1)
+        poly = quartic(1, -eps, 1, -eps, 0)  # x (x^2 + 1) (x - eps)
+        assert count_real_roots(poly, 0, 1) == 1
+        (cert,) = isolate_and_refine(poly, 0, 1, Fraction(1, 10**20))
+        lo, hi = cert.isolating_interval
+        assert 0 < lo < eps < hi
+
+    def test_root_closer_to_an_endpoint_root_than_2_to_the_minus_32(self):
+        # x^2 (x - 2^-33) (x - 1/2) on (0, 1): both inner roots count
+        eps = Fraction(1, 2**33)
+        poly = quartic(1, -eps - Fraction(1, 2), eps / 2, 0, 0)
+        assert count_real_roots(poly, 0, 1) == 2
+        certs = isolate_and_refine(poly, 0, 1, Fraction(1, 10**20))
+        assert len(certs) == 2
+        square_free = quartic(0, 1, -eps - Fraction(1, 2), eps / 2, 0)
+        for cert, root in zip(certs, (eps, Fraction(1, 2))):
+            lo, hi = cert.isolating_interval
+            assert 0 < lo < root < hi < 1
+            assert square_free.evaluate(lo) * square_free.evaluate(hi) < 0
+
+    def test_roots_at_both_ends(self):
+        poly = quartic(0, 3, -4, 1, 0)  # x (x - 1) (3x - 1)
+        assert count_real_roots(poly, 0, 1) == 1
+        (cert,) = isolate_and_refine(poly, 0, 1, Fraction(1, 10**20))
+        lo, hi = cert.isolating_interval
+        assert lo < Fraction(1, 3) < hi
 
     def test_matches_grid_sign_oracle(self):
         polys = [
