@@ -3,11 +3,14 @@
 The exact layer runs on integers.  A quartic's rational coefficients are
 cleared to integers once; its square-free part and Sturm chain come from a
 primitive pseudo-remainder sequence, and every sign is the sign of an
-integer den^deg * P(num/den).  Bisection carries its interval as two integer
-numerators over one shared denominator and builds rationals only for the
-interval it returns.  Root multiplicity is handled by counting on the
-square-free part.  Only the final trigonometric back-substitution from a
-certified root to a tube radius is numerical.
+integer den^deg * P(num/den).  Isolation halves intervals and evaluates the
+chain once per split.  Refinement carries its interval as two integer
+numerators over one shared denominator: it jumps down bisection's dyadic
+grid by secant steps verified with two signs, then finishes by bisection,
+so each interval it returns is the one plain bisection returns.  Root
+multiplicity is handled by counting on the square-free part.  Only the
+final trigonometric back-substitution from a certified root to a tube
+radius is numerical.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ from .errors import (
 from .families import FamilyTag, HypersurfaceFamily, Substitution, radius_from_x
 from .residual import residual
 
-# Bound on the halvings of one bisection or one exact-root window.
+# Bound on the halvings of one isolation path, one refinement or one exact-root window.
 _MAX_STEPS = 4000
 
 
@@ -396,9 +399,13 @@ def _isolate_exact_root(chain, sf, m: Fraction, half: Fraction, tol: Fraction):
 def isolate_and_refine(poly: QuarticPoly, lo, hi, tol) -> list:
     """One certificate per distinct real root of poly in (lo, hi).
 
-    Intervals are pairwise disjoint and bisected until both the width and the
-    exact |P| at the midpoint drop below tol.  When the certified polynomial
-    carries a family, the tube radius and its residual are filled in.
+    Isolation halves (lo, hi) until each piece holds one root; each stack
+    entry carries the chain's variations at its ends, so a split evaluates
+    the chain only at its midpoint, and past ``_MAX_STEPS`` halvings it raises
+    ``ToleranceNotReached``.  Each piece is then refined to the interval
+    plain bisection would return: narrower than tol with the exact |P| at
+    its midpoint at most tol.  When the certified polynomial carries a
+    family, the tube radius and its residual are filled in.
     """
     tol_frac = to_fraction(tol)
     if tol_frac <= 0:
@@ -407,45 +414,101 @@ def isolate_and_refine(poly: QuarticPoly, lo, hi, tol) -> list:
     # Midpoints and exact-root windows are tested for roots, so only the
     # caller's ends can be roots, and of the right ends only hi.
     end_roots = tuple(x for x in (lo, hi) if _is_root(sf, x))
-
-    def count(a, b):
-        return chain.count(a, b) - (b in end_roots)
-
+    variations = chain.variations
     intervals = []  # (lo, hi) each holding exactly one root, with nonzero signs at both ends
-    stack = [(lo, hi, count(lo, hi))]
+    stack = [(lo, hi, variations(lo), variations(hi), 0)]  # (a, b, V(a), V(b), halvings)
     while stack:
-        a, b, cnt = stack.pop()
+        a, b, va, vb, depth = stack.pop()
+        cnt = va - vb - (b in end_roots)
         if cnt == 0:
             continue
         if cnt == 1 and a not in end_roots and b not in end_roots:
             intervals.append((a, b))
             continue
+        if depth == _MAX_STEPS:
+            raise ToleranceNotReached(f"isolation did not separate the roots in {_MAX_STEPS} halvings")
         m = (a + b) / 2
         if _is_root(sf, m):
             win = _isolate_exact_root(chain, sf, m, b - m, tol_frac)
             intervals.append(win)
-            stack.append((a, win[0], count(a, win[0])))
-            stack.append((win[1], b, count(win[1], b)))
+            stack.append((a, win[0], va, variations(win[0]), depth + 1))
+            stack.append((win[1], b, variations(win[1]), vb, depth + 1))
         else:
-            stack.append((a, m, count(a, m)))
-            stack.append((m, b, count(m, b)))
+            vm = variations(m)
+            stack.append((a, m, va, vm, depth + 1))
+            stack.append((m, b, vm, vb, depth + 1))
 
     return [_refine(poly, ints, lcm, sf, chain, a, b, tol_frac) for a, b in sorted(intervals)]
 
 
+def _first_stop_level(width: int, den: int, tol: Fraction) -> int:
+    """Least level j >= 0 at which width / (den 2^j) < tol.
+
+    Bisection's stop test needs that width, so it cannot pass at a lower level.
+    """
+    need, have = width * tol.denominator, tol.numerator * den
+    j = max(need.bit_length() - have.bit_length(), 0)
+    return j if have << j > need else j + 1
+
+
+def _jump(sf, lo: int, hi: int, den: int, cap: int):
+    """Follow bisection's cells toward the root in (lo/den, hi/den), at most cap levels down.
+
+    At level j bisection holds the cell (lo 2^j + i w, lo 2^j + (i+1) w) / (den 2^j),
+    w = hi - lo, that contains the root.  A secant step on the integer values
+    of sf picks one of the 2^e sub-cells, and the signs at its two ends
+    verify it: on a hit e doubles, on a miss one plain halving is made and e
+    halves.  Every cell kept has strict opposite signs at its ends, so the
+    root is inside and on no grid point of a coarser level: it is the cell
+    bisection reaches, having met no exact root on the way.  A zero at a
+    probe stops the jumps, and bisection goes on from the last cell kept.
+    Returns that cell, its level and the sign of sf at its left end.
+    """
+    shift = len(sf) - 1  # den^deg scaling: doubling den multiplies a value by 2^shift
+    f_lo, f_hi = _int_value(sf, lo, den), _int_value(sf, hi, den)
+    w, level, e = hi - lo, 0, 1
+    while level < cap:
+        e = min(e, cap - level)
+        k = (f_lo << e) // (f_lo - f_hi)  # secant root in sub-cell k of 2^e
+        den_e = den << e
+        a = (lo << e) + k * w
+        fa, fb = _int_value(sf, a, den_e), _int_value(sf, a + w, den_e)
+        if fa == 0 or fb == 0:
+            break
+        if (fa > 0) == (f_lo > 0) and (fb > 0) == (f_hi > 0):
+            lo, hi, den, f_lo, f_hi = a, a + w, den_e, fa, fb
+            level, e = level + e, 2 * e
+            continue
+        mid = lo + hi
+        fm = _int_value(sf, mid, 2 * den)
+        if fm == 0:
+            break
+        den *= 2
+        if (fm > 0) == (f_lo > 0):
+            lo, hi, f_lo, f_hi = mid, 2 * hi, fm, f_hi << shift
+        else:
+            lo, hi, f_lo, f_hi = 2 * lo, mid, f_lo << shift, fm
+        level, e = level + 1, max(e // 2, 1)
+    return lo, hi, den, level, _sign(f_lo)
+
+
 def _refine(poly, ints, lcm, sf, chain, a: Fraction, b: Fraction, tol: Fraction):
-    """Bisect (a, b) until it is narrower than tol and |P(mid)| <= tol.
+    """Refine (a, b) to the interval plain bisection returns: narrower than tol, |P(mid)| <= tol.
 
     The interval is (lo/den, hi/den) in integers: the midpoint is
     (lo + hi) / 2den, and each step doubles all three and moves one end
     to lo + hi.  Both stopping tests are cross-multiplied, with P = ints / lcm.
+    Below the first level where the width test can pass, ``_jump`` reaches
+    bisection's cell by quadratic steps on the same grid; bisection
+    finishes from there, and the jump levels count against its budget.
     """
     den = math.lcm(a.denominator, b.denominator)
     lo, hi = a.numerator * (den // a.denominator), b.numerator * (den // b.denominator)
     tol_num, tol_den = tol.numerator, tol.denominator
     deg = len(ints) - 1
-    sign_lo = _sign(_int_value(sf, lo, den))
-    for _ in range(_MAX_STEPS):
+    cap = min(_first_stop_level(hi - lo, den, tol), _MAX_STEPS)
+    lo, hi, den, levels, sign_lo = _jump(sf, lo, hi, den, cap)
+    for _ in range(_MAX_STEPS - levels):
         mid, mid_den = lo + hi, 2 * den
         if (hi - lo) * tol_den < tol_num * den and (
             abs(_int_value(ints, mid, mid_den)) * tol_den <= tol_num * lcm * mid_den**deg

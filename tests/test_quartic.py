@@ -314,6 +314,19 @@ class TestIsolateAndRefine:
         with pytest.raises(ToleranceNotReached):
             isolate_and_refine(quartic(0, 0, 1, -Fraction(1, 2**4100), 0), -1, 1, 1)
 
+    @pytest.mark.parametrize(
+        "coeffs,lo",
+        [
+            # (x - 2^-8000)(x - 2^-7999) on (-1, 1): the roots part only after 7999 halvings
+            ((0, 0, 1, -3 * Fraction(1, 2**8000), Fraction(1, 2**15999)), -1),
+            # x (x - 2^-8000) on (0, 1): the root end 0 is bisected away for 8000 halvings
+            ((0, 0, 1, -Fraction(1, 2**8000), 0), 0),
+        ],
+    )
+    def test_isolation_is_bounded(self, coeffs, lo):
+        with pytest.raises(ToleranceNotReached):
+            isolate_and_refine(quartic(*coeffs), lo, 1, Fraction(1, 10**6))
+
     def test_free_polynomials_have_no_radius(self):
         certs = isolate_and_refine(quartic(1, 0, -1, 0, 0), -2, 2, Fraction(1, 10**8))
         assert all(cert.radius is None for cert in certs)
