@@ -16,7 +16,9 @@ def to_mpf(value):
 
 def to_fraction(value) -> Fraction:
     """Exact rational value of an int/float/Fraction/mpf (all binary-exact)."""
-    if isinstance(value, (Fraction, int, float)):
+    if isinstance(value, Fraction):
+        return value
+    if isinstance(value, (int, float)):
         return Fraction(value)
     x = mp.mpf(value)
     sign, man, exp, _ = x._mpf_

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 
 from mpmath import mp
@@ -37,21 +38,13 @@ _MAX_STEPS = 4000
 
 
 # ---------------------------------------------------------------------------
-# dense polynomials, low -> high degree: rational for QuarticPoly.evaluate,
-# integer everywhere else
+# dense integer polynomials, low -> high degree
 # ---------------------------------------------------------------------------
 
 def _trim(p):
     while p and p[-1] == 0:
         p.pop()
     return p
-
-
-def _eval(p, x: Fraction) -> Fraction:
-    acc = Fraction(0)
-    for c in reversed(p):
-        acc = acc * x + c
-    return acc
 
 
 def _derivative(p):
@@ -61,7 +54,7 @@ def _derivative(p):
 def _clear_to_ints(p):
     """Scale by the positive lcm of denominators; sign pattern is preserved."""
     lcm = math.lcm(*(c.denominator for c in p))
-    return [int(c * lcm) for c in p], lcm
+    return [c.numerator * (lcm // c.denominator) for c in p], lcm
 
 
 def _int_value(ip, num: int, den: int) -> int:
@@ -197,9 +190,19 @@ class QuarticPoly:
     def _low_to_high(self):
         return _trim([self.a0, self.a1, self.a2, self.a3, self.a4])
 
+    @cached_property
+    def _cleared(self):
+        """Low-to-high coefficients cleared to integers, and their positive scale."""
+        ints, lcm = _clear_to_ints(self._low_to_high())
+        return tuple(ints), lcm
+
     def evaluate(self, x) -> Fraction:
-        """Exact value at a rational (or binary-float) point."""
-        return _eval(self._low_to_high(), to_fraction(x))
+        """Exact value at a rational (or binary-float) point, by integer Horner."""
+        x = to_fraction(x)
+        ints, lcm = self._cleared
+        if not ints:
+            return Fraction(0)
+        return Fraction(_int_value(ints, x.numerator, x.denominator), lcm * x.denominator ** (len(ints) - 1))
 
     def evaluate_real(self, x):
         """mpf value at an mpf point (Horner)."""
@@ -364,10 +367,9 @@ def _prepare(poly: QuarticPoly, lo, hi):
     lo, hi = to_fraction(lo), to_fraction(hi)
     if not lo < hi:
         raise ValueError(f"need lo < hi, got {lo} >= {hi}")
-    coeffs = poly._low_to_high()
-    if not coeffs:
+    ints, lcm = poly._cleared
+    if not ints:
         raise ValueError("the zero polynomial has no isolated roots")
-    ints, lcm = _clear_to_ints(coeffs)
     sf = _square_free(ints)
     return ints, lcm, sf, _SturmChain(sf), lo, hi
 
