@@ -7,7 +7,8 @@ its ends, so some ends are drawn on a root, 2^-33 from one, or beyond one.
 
 Refinement jumps along the bisection grid and must end on the interval that
 plain bisection returns, bit for bit; a copy of plain isolation and
-bisection is the reference for that.
+bisection is the reference for that, and rational Horner is the reference
+for the integer evaluation of ``QuarticPoly.evaluate``.
 """
 
 import itertools
@@ -201,3 +202,22 @@ def test_exact_hits_near_the_first_stop_level_match_plain_bisection(data):
 def test_deep_refinement_matches_plain_bisection(low_to_high, lo, hi, tol):
     poly = _poly(low_to_high)
     assert _refined(poly, lo, hi, tol) == _plain_bisection_intervals(poly, lo, hi, tol)
+
+
+# ---------------------------------------------------------------------------
+# rational Horner as the reference for evaluation
+# ---------------------------------------------------------------------------
+
+_RATIONALS = st.builds(Fraction, st.integers(-10**6, 10**6), st.integers(1, 10**4))
+
+
+@settings(max_examples=300)
+@given(st.lists(st.one_of(st.just(Fraction(0)), _RATIONALS), min_size=5, max_size=5),
+       st.one_of(_RATIONALS, st.integers(-50, 50), st.floats(-1e3, 1e3)))
+def test_evaluate_matches_rational_horner(high_to_low, x):
+    # zero leading coefficients give every degree from 4 down to the zero polynomial
+    expected = Fraction(0)
+    for c in high_to_low:
+        expected = expected * Fraction(x) + c
+    value = QuarticPoly(*high_to_low).evaluate(x)
+    assert type(value) is Fraction and value == expected
