@@ -55,14 +55,11 @@ from .residual import (  # noqa: E402
     tail_residual,
 )
 from .quartic import (  # noqa: E402
-    DepressedQuartic,
     QuarticPoly,
     RootCertificate,
-    biquadratic_roots,
     build_quartic,
     cauchy_bound,
     count_real_roots,
-    depress,
     isolate_and_refine,
     root_to_radius,
 )

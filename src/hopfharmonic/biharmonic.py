@@ -101,14 +101,17 @@ def tube_family(n: int, p: int) -> HypersurfaceFamily:
     return HypersurfaceFamily(FamilyTag.CP_A2, n, n - p)
 
 
-def _cos_sq_branches(n: int, p: int):
+def _tube(n: int, p: int, branch: str):
+    """The tube of one branch, or None when its cos^2 t falls outside (0, 1)."""
     disc = n * n + 6 * n - 4 * (n + 1) * p + 4 * p * p + 5
     if disc < 0:
         raise NoBiharmonicTube(f"negative discriminant for n={n}, p={p}")
     sqrt_disc = mp.sqrt(disc)
-    denom = 4 * (n + 1)
     base = 3 * (n + 1) - 2 * p
-    return {"plus": (base + sqrt_disc) / denom, "minus": (base - sqrt_disc) / denom}
+    cs = (base + sqrt_disc if branch == "plus" else base - sqrt_disc) / (4 * (n + 1))
+    if not 0 < cs < 1:
+        return None
+    return BiharmonicTube(n=n, p=p, branch=branch, cos_sq_t=cs, t=mp.acos(mp.sqrt(cs)))
 
 
 def biharmonic_radii(n: int, p: int) -> list:
@@ -118,11 +121,8 @@ def biharmonic_radii(n: int, p: int) -> list:
     dropped; in the admissible range both branches are always interior.
     """
     tube_family(n, p)  # validates (n, p)
-    tubes = []
-    for branch, cs in _cos_sq_branches(n, p).items():
-        if 0 < cs < 1:
-            tubes.append(BiharmonicTube(n=n, p=p, branch=branch, cos_sq_t=cs, t=mp.acos(mp.sqrt(cs))))
-    return tubes
+    tubes = (_tube(n, p, branch) for branch in BRANCHES)
+    return [tube for tube in tubes if tube is not None]
 
 
 def lambda_min_squared(spectrum: CurvatureSpectrum):
@@ -145,11 +145,11 @@ def stability_condition(n: int, p: int, branch: str) -> StabilityReport:
     """
     if branch not in BRANCHES:
         raise ValueError(f"branch must be one of {BRANCHES}, got {branch!r}")
-    tube = next((tb for tb in biharmonic_radii(n, p) if tb.branch == branch), None)
+    family = tube_family(n, p)
+    tube = _tube(n, p, branch)
     if tube is None:
         raise DegenerateTube(f"branch {branch} of (n={n}, p={p}) is not a tube")
 
-    family = tube_family(n, p)
     spec = curvature_spectrum(family, tube.t)
     tr = trace_shape(spec)
     tr2 = trace_shape_squared(spec)
@@ -199,9 +199,9 @@ def asymptotic_check(p: int, n: int) -> AsymptoticErrors:
     |4 cot^2 2t - 2n/(2p-1)|/n,  |cot^2 t - 2n/(2p-1)|/n,
     |tan^2 t - (2p-1)/(2n)|*n,   |tr S - 2 sqrt(4p-2)/sqrt(n)|*sqrt(n).
     """
-    tube = next(tb for tb in biharmonic_radii(n, p) if tb.branch == "plus")
-    t = tube.t
-    spec = curvature_spectrum(tube_family(n, p), t)
+    family = tube_family(n, p)
+    t = _tube(n, p, "plus").t
+    spec = curvature_spectrum(family, t)
     tr = trace_shape(spec)
     lead = mp.mpf(2 * n) / (2 * p - 1)
     return AsymptoticErrors(

@@ -261,7 +261,7 @@ def _check_biquadratic(n_max=15, orders=(2, 17, 40)):
                 return False, f"biquadratic relation failed at n={n}, r={r}"
             roots = a2_closed_form(n, r)
             for x in (roots.x_plus, roots.x_minus):
-                if abs(poly.evaluate_real(x)) > mp.mpf(10) ** (-18):
+                if abs(poly.evaluate(to_fraction(x))) > Fraction(1, 10**18):
                     return False, f"closed-form root misses the quartic at n={n}, r={r}"
     return True, f"balanced-family biquadratic branch exact up to n={n_max}"
 

@@ -14,7 +14,7 @@ from typing import NamedTuple
 from mpmath import mp
 
 from .errors import InvalidOrder, NoExactCountGuarantee, NotApplicable, ProbesCollide, UnsupportedFamily
-from .families import FamilyTag, HypersurfaceFamily, minimal_x
+from .families import FamilyTag, HypersurfaceFamily, minimal_x, r_independent_x
 from .quartic import build_quartic, count_real_roots
 
 
@@ -49,26 +49,24 @@ class ThresholdPair(NamedTuple):
     r_four: int | None
 
 
+# Order-dependent outer probes (x0 = a/r, x2 = 1 - b/r) around the minimal tube.
+_OUTER_PROBES = {FamilyTag.CP_B: (2, 5), FamilyTag.CP_C: (5, 4), FamilyTag.CP_D: (5, 3), FamilyTag.CP_E: (5, 4)}
+
+
 def _probe_triple(family: HypersurfaceFamily, r: int):
     n, k, tag = family.n, family.k, family.tag
+    x_min = minimal_x(family)
     if tag is FamilyTag.CP_A1:
-        x0 = Fraction(1, 2 * n)
-        return x0, x0 + Fraction(1, n * r), Fraction(2, n + 3)
-    if tag is FamilyTag.CP_B:
-        return Fraction(2, r), Fraction(1, n), 1 - Fraction(5, r)
-    if tag is FamilyTag.CP_C:
-        return Fraction(5, r), Fraction(2, n), 1 - Fraction(4, r)
-    if tag is FamilyTag.CP_D:
-        return Fraction(5, r), Fraction(4, 9), 1 - Fraction(3, r)
-    if tag is FamilyTag.CP_E:
-        return Fraction(5, r), Fraction(2, 5), 1 - Fraction(4, r)
-    # CP_A2: probe layout depends on which side of the k-window we are on.
-    x_star = Fraction(2 * k + 1, 2 * n)
-    if k_below_k1(n, k):
-        return x_star, x_star + Fraction(1, r), 1 - Fraction(1, r)
-    if k_above_k2(n, k):
-        return Fraction(1, r), x_star - Fraction(1, r), x_star
-    raise NoExactCountGuarantee(f"no probe layout for CP_A2 with n={n}, k={k} inside the k-window")
+        return x_min, x_min + Fraction(1, n * r), r_independent_x(family)
+    if tag is FamilyTag.CP_A2:
+        # the probe layout depends on which side of the k-window we are on
+        if k_below_k1(n, k):
+            return x_min, x_min + Fraction(1, r), 1 - Fraction(1, r)
+        if k_above_k2(n, k):
+            return Fraction(1, r), x_min - Fraction(1, r), x_min
+        raise NoExactCountGuarantee(f"no probe layout for CP_A2 with n={n}, k={k} inside the k-window")
+    a, b = _OUTER_PROBES[tag]
+    return Fraction(a, r), x_min, 1 - Fraction(b, r)
 
 
 def probe_values(family: HypersurfaceFamily, r: int) -> ProbeReport:

@@ -122,10 +122,6 @@ class HypersurfaceFamily:
     def substitution(self) -> Substitution | None:
         return _SUBSTITUTION.get(self.tag)
 
-    @property
-    def hypersurface_dim(self) -> int:
-        return 2 * self.n - 1
-
     def radius_domain(self):
         """Open interval of admissible radii as mpf bounds, or None (horosphere)."""
         if self.tag is FamilyTag.CH_A0:
@@ -150,9 +146,6 @@ class CurvatureSpectrum:
 
     alpha: object
     branches: tuple
-
-    def __iter__(self):
-        return iter(self.branches)
 
 
 def _check_radius(family: HypersurfaceFamily, t):

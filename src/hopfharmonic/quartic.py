@@ -30,7 +30,7 @@ from .errors import (
     ToleranceNotReached,
     UnsupportedFamily,
 )
-from .families import FamilyTag, HypersurfaceFamily, Substitution, radius_from_x
+from .families import FamilyTag, HypersurfaceFamily, radius_from_x
 from .residual import residual
 
 # Bound on the halvings of one isolation path, one refinement or one exact-root window.
@@ -167,8 +167,8 @@ class _SturmChain:
 class QuarticPoly:
     """Quartic with exact rational coefficients, highest degree first.
 
-    ``substitution``, ``family`` and ``r`` tie a polynomial to the tube-radius
-    variable it certifies; they are None for free-standing polynomials.
+    ``family`` and ``r`` tie a polynomial to the tube radii it certifies;
+    they are None for free-standing polynomials.
     """
 
     a4: Fraction
@@ -176,7 +176,6 @@ class QuarticPoly:
     a2: Fraction
     a1: Fraction
     a0: Fraction
-    substitution: Substitution | None = None
     family: HypersurfaceFamily | None = None
     r: int | None = None
 
@@ -203,27 +202,6 @@ class QuarticPoly:
         if not ints:
             return Fraction(0)
         return Fraction(_int_value(ints, x.numerator, x.denominator), lcm * x.denominator ** (len(ints) - 1))
-
-    def evaluate_real(self, x):
-        """mpf value at an mpf point (Horner)."""
-        x = to_mpf(x)
-        acc = mp.mpf(0)
-        for c in self.coefficients():
-            acc = acc * x + to_mpf(c)
-        return acc
-
-
-@dataclass(frozen=True)
-class DepressedQuartic:
-    """Cubic-free form y^4 + p2 y^2 + p1 y + p0 with x = y - shift."""
-
-    p2: Fraction
-    p1: Fraction
-    p0: Fraction
-    shift: Fraction
-
-    def x_from_y(self, y):
-        return y - self.shift if isinstance(y, Fraction) else y - to_mpf(self.shift)
 
 
 @dataclass(frozen=True)
@@ -301,49 +279,7 @@ def build_quartic(family: HypersurfaceFamily, r: int) -> QuarticPoly:
     else:
         coeffs = (135 * r - 14, -234 * r + 100, 117 * r + 184, -(18 * r + 180), 72)
 
-    return QuarticPoly(*map(Fraction, coeffs), substitution=family.substitution, family=family, r=r)
-
-
-def depress(poly: QuarticPoly) -> DepressedQuartic:
-    """Standard cubic-term elimination of the monic quartic.
-
-    Substituting x = y - a3/(4 a4) makes the cubic coefficient vanish; the
-    expansion identity is exact in rational arithmetic.
-    """
-    if poly.a4 == 0:
-        raise DegenerateLeadingCoefficient("depressed form needs a4 != 0")
-    b = poly.a3 / poly.a4
-    c = poly.a2 / poly.a4
-    d = poly.a1 / poly.a4
-    e = poly.a0 / poly.a4
-    p2 = c - 3 * b * b / 8
-    p1 = d - b * c / 2 + b**3 / 8
-    p0 = e - b * d / 4 + b * b * c / 16 - 3 * b**4 / 256
-    return DepressedQuartic(p2=p2, p1=p1, p0=p0, shift=b / 4)
-
-
-def biquadratic_roots(p2, p0):
-    """All real y with y^4 + p2 y^2 + p0 = 0, via y^2 = (-p2 ± sqrt(p2^2-4p0))/2.
-
-    Which square roots are real is decided exactly on the rational data; the
-    returned values are mpf at the current precision, sorted ascending.
-    """
-    p2, p0 = to_fraction(p2), to_fraction(p0)
-    disc = p2 * p2 - 4 * p0
-    if disc < 0:
-        return []
-    sqrt_disc = mp.sqrt(to_mpf(disc))
-    roots = []
-    # u = y^2 candidates; u_plus >= 0 iff p2 <= 0 or p0 <= 0, u_minus >= 0 iff p2 <= 0 <= p0
-    if p2 <= 0 or p0 <= 0:
-        u = (-to_mpf(p2) + sqrt_disc) / 2
-        y = mp.sqrt(u if u > 0 else mp.mpf(0))
-        roots += [y] if y == 0 else [-y, y]
-    if p2 <= 0 and p0 >= 0:
-        u = (-to_mpf(p2) - sqrt_disc) / 2
-        y = mp.sqrt(u if u > 0 else mp.mpf(0))
-        roots += [y] if y == 0 else [-y, y]
-    return sorted(set(roots))
+    return QuarticPoly(*map(Fraction, coeffs), family=family, r=r)
 
 
 def cauchy_bound(poly: QuarticPoly) -> Fraction:

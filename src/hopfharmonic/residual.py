@@ -48,7 +48,7 @@ def _residual_value(sign: int, n: int, r: int, trace, trace_sq, alpha):
     return sign * trace_sq**2 - 2 * (n + 1) * trace_sq - (r - 2) * trace**2 - 3 * alpha * (r - 2) * trace
 
 
-def residual(family: HypersurfaceFamily, t=None, r: int = 2, *, minimal_tol: float = DEFAULT_MINIMAL_TOL) -> ResidualReport:
+def residual(family: HypersurfaceFamily, t=None, r: int = 2) -> ResidualReport:
     """Evaluate the r-harmonicity residual at radius t (ignored for CH_A0)."""
     if r < 2:
         raise InvalidOrder(f"order r must be >= 2, got {r}")
@@ -62,7 +62,7 @@ def residual(family: HypersurfaceFamily, t=None, r: int = 2, *, minimal_tol: flo
         trace_sq=tr2,
         alpha=spec.alpha,
         r=r,
-        is_minimal=abs(tr) <= minimal_tol,
+        is_minimal=abs(tr) <= DEFAULT_MINIMAL_TOL,
     )
 
 

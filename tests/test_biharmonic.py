@@ -134,6 +134,20 @@ class TestStability:
         with pytest.raises(ValueError):
             stability_condition(4, 1, "middle")
 
+    def test_branch_is_checked_before_the_subspace(self):
+        with pytest.raises(ValueError, match="branch"):
+            stability_condition(5, 5, "middle")
+        with pytest.raises(ValueError, match="1 <= p <= n-1"):
+            stability_condition(5, 5, "plus")
+
+    def test_reads_the_tube_of_biharmonic_radii(self):
+        for n in range(2, 61):
+            for p in range(1, n):
+                for tube in biharmonic_radii(n, p):
+                    rep = stability_condition(n, p, tube.branch)
+                    assert rep.t == tube.t
+                    assert rep.cos_sq_t == tube.cos_sq_t
+
 
 class TestThresholdScan:
     @pytest.mark.parametrize("p", [1, 2, 3])

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -175,3 +176,26 @@ class TestContract:
         with pytest.raises(SystemExit) as err:
             main(list(argv))
         assert err.value.code == 2
+
+
+# The README's commands and the SHA-256 of their stdout reports at the default precision.
+README_REPORTS = [
+    ("solve --type A2 --n 3 --k 1 --r 2", "ab85e27f8703477961b22ce251094e1755eeb6ee10cf380ffc009f4b37939e60"),
+    ("solve --type D --r 89", "049872b9fc95c537e80dc1e870744d5500b496e1ef398d4c8640a6b7c0fde9ee"),
+    ("scan --type A1 --n 2 --r-range 2..30 --format csv",
+     "4647d338f91384a6f40fdb0b926850808253e6f443c1ea07eaea441d7fbe31b0"),
+    ("probes --type D --r 89 --format text", "3c7fff42155116609da882df7d7c8e8f45c4f57e53ddc868bf0a1b954333ac24"),
+    ("verify --suite all", "59dc751d470c5fb21ec44610c48f40e850d0b93f16b1057fb88ad3d1785b6580"),
+    ("verify --suite ch-nonexistence --r-max 20", "0288a262321a62345e7928279b57845575d7aca7eac7e7a4a9bf06a25cd9fe9a"),
+    ("biharmonic --n 2 --p 1", "a6adc19a430ab955ee6075d613074b7a7c8040587fdd616d80d23c373e3fff7e"),
+    ("biharmonic --scan-threshold --p 1 --n-max 500",
+     "729b0f639371567e6a23cc9f0d8e3093559c3c47c78faed00263d3267a8ea1fd"),
+]
+
+
+@pytest.mark.parametrize("command,digest", README_REPORTS, ids=[c for c, _ in README_REPORTS])
+def test_readme_reports_keep_their_digests(capsys, monkeypatch, command, digest):
+    monkeypatch.delenv("HOPF_PRECISION", raising=False)
+    code, out = run(capsys, *command.split())
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

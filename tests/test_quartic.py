@@ -3,8 +3,6 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 from mpmath import mp
 
 from hopfharmonic import (
@@ -17,11 +15,9 @@ from hopfharmonic import (
     Substitution,
     ToleranceNotReached,
     UnsupportedFamily,
-    biquadratic_roots,
     build_quartic,
     cauchy_bound,
     count_real_roots,
-    depress,
     isolate_and_refine,
     root_to_radius,
 )
@@ -38,12 +34,12 @@ class TestBuild:
     def test_a1_n2_r2(self):
         poly = build_quartic(F(CP.CP_A1, 2), 2)
         assert poly.coefficients() == (72, -108, 58, -14, 1)
-        assert poly.substitution is Substitution.SIN2_T
+        assert poly.family.substitution is Substitution.SIN2_T
 
     def test_a2_n3_k1_r2(self):
         poly = build_quartic(F(CP.CP_A2, 3, 1), 2)
         assert poly.coefficients() == (128, -256, 200, -72, 9)
-        assert poly.substitution is Substitution.COS2_T
+        assert poly.family.substitution is Substitution.COS2_T
 
     def test_d_r32(self):
         # linear coefficient is -(4r + 44); the boundary value P(1) = 25 pins it
@@ -87,69 +83,15 @@ class TestBuild:
                 assert build_quartic(fam, r).a4 > 0
 
 
-class TestDepress:
-    def test_monic_without_cubic_term_is_fixed_point(self):
-        dep = depress(quartic(1, 0, 3, -2, 5))
-        assert (dep.p2, dep.p1, dep.p0, dep.shift) == (3, -2, 5, 0)
-
-    def test_a2_example(self):
-        dep = depress(build_quartic(F(CP.CP_A2, 3, 1), 2))
-        assert (dep.p2, dep.p1, dep.p0) == (Fraction(1, 16), 0, Fraction(-1, 128))
-        assert dep.shift == Fraction(-1, 2)
-
-    def test_quadruple_root(self):
-        dep = depress(quartic(1, -4, 6, -4, 1))
-        assert (dep.p2, dep.p1, dep.p0) == (0, 0, 0)
-
-    def test_rejects_degenerate(self):
-        with pytest.raises(DegenerateLeadingCoefficient):
-            depress(quartic(0, 1, 1, 1, 1))
-
-    @given(st.lists(st.integers(min_value=-50, max_value=50), min_size=5, max_size=5))
-    def test_expansion_identity(self, coeffs):
-        if coeffs[0] == 0:
-            coeffs[0] = 7
-        poly = quartic(*coeffs)
-        dep = depress(poly)
-        # degree-4 identity checked at five points pins it exactly
-        for y in map(Fraction, (0, 1, -1, 2, Fraction(1, 3))):
-            monic_val = poly.evaluate(y - dep.shift) / poly.a4
-            assert monic_val == y**4 + dep.p2 * y**2 + dep.p1 * y + dep.p0
-
-
-class TestBiquadratic:
-    def test_split_real_pair(self):
-        roots = biquadratic_roots(Fraction(1, 16), Fraction(-1, 128))
-        assert len(roots) == 2
-        assert abs(roots[0] + mp.mpf(1) / 4) < 1e-35
-        assert abs(roots[1] - mp.mpf(1) / 4) < 1e-35
-
-    def test_zero_and_empty(self):
-        assert biquadratic_roots(0, 0) == [0]
-        assert biquadratic_roots(1, 1) == []
-
-    def test_four_real_roots(self):
-        # y^4 - 5y^2 + 4 = (y^2-1)(y^2-4)
-        roots = biquadratic_roots(-5, 4)
-        assert [mp.nstr(y, 10) for y in roots] == ["-2.0", "-1.0", "1.0", "2.0"]
-
-    @pytest.mark.parametrize("n,r", [(3, 2), (5, 17), (7, 40), (9, 5)])
-    def test_agrees_with_isolation_when_cubic_free(self, n, r):
-        poly = build_quartic(F(CP.CP_A2, n, (n - 1) // 2), r)
-        dep = depress(poly)
-        assert dep.p1 == 0
-        xs = sorted(dep.x_from_y(y) for y in biquadratic_roots(dep.p2, dep.p0))
-        certs = isolate_and_refine(poly, 0, 1, Fraction(1, 10**20))
-        assert len(xs) == len(certs) == 2
-        for x, cert in zip(xs, certs):
-            assert abs(x - cert.refined_root) < 1e-19
-
-
 class TestCauchyBound:
     def test_examples(self):
         assert cauchy_bound(quartic(72, -108, 58, -14, 1)) == Fraction(5, 2)
         assert cauchy_bound(quartic(1, 0, 0, 0, 0)) == 1
         assert cauchy_bound(quartic(860, -1525, 846, -84, 16)) == Fraction(477, 172)
+
+    def test_rejects_degenerate(self):
+        with pytest.raises(DegenerateLeadingCoefficient):
+            cauchy_bound(quartic(0, 1, 1, 1, 1))
 
     def test_bound_dominates_refined_roots(self):
         rng = random.Random(7)
