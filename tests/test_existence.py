@@ -69,6 +69,30 @@ class TestProbeValues:
             assert report.pattern == "+-+-+"
             assert all(a < b for a, b in zip(report.points, report.points[1:]))
 
+    @pytest.mark.parametrize(
+        "fam,r,expected",
+        [
+            (F(CP.CP_A1, 6), 25, lambda n, k, r: (Fraction(1, 2 * n), Fraction(1, 2 * n) + Fraction(1, n * r),
+                                                  Fraction(2, n + 3))),
+            (F(CP.CP_B, 3), 6001, lambda n, k, r: (Fraction(2, r), Fraction(1, n), 1 - Fraction(5, r))),
+            (F(CP.CP_C, 5), 7001, lambda n, k, r: (Fraction(5, r), Fraction(2, n), 1 - Fraction(4, r))),
+            (F(CP.CP_D, 9), 89, lambda n, k, r: (Fraction(5, r), Fraction(4, 9), 1 - Fraction(3, r))),
+            (F(CP.CP_E, 15), 100, lambda n, k, r: (Fraction(5, r), Fraction(2, 5), 1 - Fraction(4, r))),
+            (F(CP.CP_A2, 5, 1), 1168, lambda n, k, r: (Fraction(2 * k + 1, 2 * n),
+                                                      Fraction(2 * k + 1, 2 * n) + Fraction(1, r),
+                                                      1 - Fraction(1, r))),
+            (F(CP.CP_A2, 5, 3), 115584, lambda n, k, r: (Fraction(1, r),
+                                                        Fraction(2 * k + 1, 2 * n) - Fraction(1, r),
+                                                        Fraction(2 * k + 1, 2 * n))),
+        ],
+        ids=["A1", "B", "C", "D", "E", "A2-below-k1", "A2-above-k2"],
+    )
+    def test_points_follow_the_paper_layout(self, fam, r, expected):
+        # the layout restated per type, independent of families.minimal_x
+        for order in (r, r + 1, r + 37):
+            report = probe_values(fam, order)
+            assert report.points == (Fraction(0), *expected(fam.n, fam.k, order), Fraction(1))
+
     def test_probes_collide_for_small_orders(self):
         with pytest.raises(ProbesCollide):
             probe_values(F(CP.CP_B, 2), 2)
