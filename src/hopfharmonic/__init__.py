@@ -71,6 +71,7 @@ from .existence import (  # noqa: E402
     a1_offset_probe_poly,
     a2_closed_form,
     a2_k_thresholds,
+    certify_radii,
     count_solutions,
     eta1,
     eta2,

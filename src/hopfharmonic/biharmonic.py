@@ -22,7 +22,7 @@ from enum import Enum
 
 from mpmath import mp
 
-from .errors import DegenerateTube, NoBiharmonicTube
+from .errors import DegenerateTube, InvalidFamily, NoBiharmonicTube
 from .families import (
     CurvatureSpectrum,
     FamilyTag,
@@ -95,7 +95,7 @@ class AsymptoticErrors:
 def tube_family(n: int, p: int) -> HypersurfaceFamily:
     """Family hosting the tube over CP^(n-p): A1 for p = 1, A2 with k = n-p else."""
     if n < 2 or not 1 <= p <= n - 1:
-        raise ValueError(f"need n >= 2 and 1 <= p <= n-1, got n={n}, p={p}")
+        raise InvalidFamily(f"need n >= 2 and 1 <= p <= n-1, got n={n}, p={p}")
     if p == 1:
         return HypersurfaceFamily(FamilyTag.CP_A1, n)
     return HypersurfaceFamily(FamilyTag.CP_A2, n, n - p)
@@ -180,7 +180,7 @@ def index_threshold_scan(p: int, n_max: int) -> ThresholdScan:
     """Smallest n in (p+1, n_max] whose plus branch satisfies the condition,
     together with whether it keeps holding up to n_max."""
     if p < 1 or n_max <= p + 1:
-        raise ValueError(f"need p >= 1 and n_max > p+1, got p={p}, n_max={n_max}")
+        raise InvalidFamily(f"need p >= 1 and n_max > p+1, got p={p}, n_max={n_max}")
     threshold = None
     holds_above = True
     for n in range(p + 2, n_max + 1):

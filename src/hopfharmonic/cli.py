@@ -12,7 +12,6 @@ import argparse
 import csv
 import io
 import json
-import os
 import random
 import sys
 from fractions import Fraction
@@ -22,18 +21,19 @@ from mpmath import mp
 
 from . import __version__
 from ._rational import to_fraction
-from .biharmonic import BRANCHES, biharmonic_radii, index_threshold_scan, stability_condition
-from .errors import HopfError, NoExactCountGuarantee, ProbesCollide
+from .biharmonic import BRANCHES, index_threshold_scan, stability_condition
+from .errors import DegenerateTube, HopfError, NoExactCountGuarantee, ProbesCollide
 from .existence import (
     a1_offset_probe_poly,
     a2_closed_form,
+    certify_radii,
     count_solutions,
     guaranteed_thresholds,
     probe_values,
 )
-from .families import FamilyTag, HypersurfaceFamily, minimal_x, x_from_radius
-from .quartic import build_quartic, isolate_and_refine
-from .residual import chn_scan, residual, residual_grid
+from .families import FamilyTag, HypersurfaceFamily, x_from_radius
+from .quartic import build_quartic
+from .residual import chn_scan, residual_grid
 
 _CP_TYPES = {"A1": FamilyTag.CP_A1, "A2": FamilyTag.CP_A2, "B": FamilyTag.CP_B,
              "C": FamilyTag.CP_C, "D": FamilyTag.CP_D, "E": FamilyTag.CP_E}
@@ -44,8 +44,7 @@ _ROOT_TOL = Fraction(1, 10**24)
 
 def fmt(x) -> str:
     """Decimal string with 17 significant digits (platform independent)."""
-    with mp.workdps(max(mp.dps, 25)):
-        return mp.nstr(mp.mpf(x), 17)
+    return mp.nstr(mp.mpf(x), 17)
 
 
 def _family_from_args(args) -> HypersurfaceFamily:
@@ -80,22 +79,12 @@ class UsageError(Exception):
 # ---------------------------------------------------------------------------
 
 def _solve_rows(family: HypersurfaceFamily, r: int):
-    poly = build_quartic(family, r)
-    certs = isolate_and_refine(poly, 0, 1, _ROOT_TOL)
-    xmin = minimal_x(family)
     rows = []
-    seen_mids = []
-    for cert in certs:
-        mid = cert.midpoint
+    for cert in certify_radii(family, r, _ROOT_TOL):
         lo, hi = cert.isolating_interval
-        if poly.evaluate(xmin) == 0 and lo < xmin < hi:
-            continue  # minimal tube: r-harmonic but not proper
-        if family.tag is FamilyTag.CP_A1 and family.n == 1 and any(
-            abs(1 - mid - m) < Fraction(1, 10**18) for m in seen_mids
-        ):
-            continue  # n = 1: x and 1-x give congruent circles, keep one
-        seen_mids.append(mid)
-        rep = residual(family, cert.radius, r)
+        if family.tag is FamilyTag.CP_A1 and family.n == 1 and hi > Fraction(1, 2):
+            continue  # n = 1: the roots pair up as x <-> 1-x (congruent circles), keep x < 1/2
+        rep = cert.residual_report
         rows.append({
             "x": fmt(cert.refined_root),
             "interval_lo": str(lo),
@@ -165,13 +154,13 @@ def cmd_biharmonic(args):
         return {"rows": rows}, scan.threshold is not None
     if args.n is None or args.p is None:
         raise UsageError("biharmonic requires --n and --p (or --scan-threshold)")
-    branches = {tube.branch for tube in biharmonic_radii(args.n, args.p)}
     rows = []
     for branch in BRANCHES:
-        if branch not in branches:
+        try:
+            rep = stability_condition(args.n, args.p, branch)
+        except DegenerateTube:
             rows.append({"branch": branch, "degenerate": True})
             continue
-        rep = stability_condition(args.n, args.p, branch)
         rows.append({
             "branch": branch,
             "degenerate": False,
@@ -327,11 +316,11 @@ def _check_roundtrip(tol=1e-9):
         lo, hi = family.radius_domain()
         ts = np.linspace(float(hi) / 301, float(hi) * 300 / 301, 300)
         for r in orders:
-            poly = build_quartic(family, r)
-            certs = isolate_and_refine(poly, 0, 1, Fraction(1, 10**18))
+            certs = certify_radii(family, r, Fraction(1, 10**18))
             for cert in certs:
-                if abs(cert.residual_at_radius) > tol:
-                    return False, f"residual {mp.nstr(cert.residual_at_radius, 4)} too large for {family.tag.value} r={r}"
+                res = cert.residual_report.residual
+                if abs(res) > tol:
+                    return False, f"residual {mp.nstr(res, 4)} too large for {family.tag.value} r={r}"
             values = residual_grid(family, r, ts)
             intervals = [cert.isolating_interval for cert in certs]
             for i in range(len(ts) - 1):
@@ -412,7 +401,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(p):
-        p.add_argument("--precision", type=int, default=None, help="working precision in significant digits (>= 30)")
+        p.add_argument("--precision", type=int, default=30, help="working precision in significant digits (>= 30)")
         p.add_argument("--tol", type=float, default=1e-10, help="solve exits 1 if a residual exceeds this, in (0, 1e-6]")
         p.add_argument("--format", choices=("json", "csv", "text"), default="json")
         p.add_argument("--out", default=None, help="write the report to this path instead of stdout")
@@ -486,16 +475,12 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
 
-    precision = args.precision
-    if precision is None:
-        precision = int(os.environ.get("HOPF_PRECISION", "30"))
-    if precision < 30:
+    if args.precision < 30:
         parser.exit(2, "error: --precision must be at least 30\n")
     if not 0 < args.tol <= 1e-6:
         parser.exit(2, "error: --tol must lie in (0, 1e-6]\n")
-    args.precision = precision
 
-    with mp.workdps(precision):
+    with mp.workdps(args.precision):
         try:
             payload, ok = _HANDLERS[args.command](args)
         except (UsageError, HopfError) as exc:

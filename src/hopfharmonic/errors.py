@@ -5,8 +5,8 @@ class HopfError(Exception):
     """Base class for all package-specific errors."""
 
 
-class InvalidFamily(HopfError):
-    """Family parameters (tag, n, k) violate the admissibility constraints."""
+class InvalidFamily(HopfError, ValueError):
+    """Family parameters (tag, n, k; a tube's n, p; a scan's p, n_max) are not admissible."""
 
 
 class RadiusOutOfDomain(HopfError):

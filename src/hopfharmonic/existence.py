@@ -1,8 +1,9 @@
 """Existence counts for proper r-harmonic tubes in the projective families.
 
-Root counts are certified by exact Sturm counts in (0, 1); the rational
-probe points used by the intermediate-value arguments are retained as a
-secondary witness, with every probe value evaluated in exact arithmetic.
+Root counts are certified by exact Sturm counts in (0, 1) and the proper
+radii by ``certify_radii``; the rational probe points used by the
+intermediate-value arguments are retained as a secondary witness, with
+every probe value evaluated in exact arithmetic.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from mpmath import mp
 
 from .errors import InvalidOrder, NoExactCountGuarantee, NotApplicable, ProbesCollide, UnsupportedFamily
 from .families import FamilyTag, HypersurfaceFamily, minimal_x, r_independent_x
-from .quartic import build_quartic, count_real_roots
+from .quartic import build_quartic, count_real_roots, isolate_and_refine
 
 
 @dataclass(frozen=True)
@@ -117,6 +118,19 @@ def count_solutions(family: HypersurfaceFamily, r: int) -> int:
     if poly.evaluate(minimal_x(family)) == 0:
         count -= 1
     return count
+
+
+def certify_radii(family: HypersurfaceFamily, r: int, tol) -> list:
+    """Certificates of the proper r-harmonic radii, one per root that
+    ``count_solutions`` counts: each root of the family quartic in (0, 1),
+    refined to tol, with its radius and residual report; a root at the
+    minimal radius (exact rational test) is not proper and is dropped."""
+    poly = build_quartic(family, r)
+    certs = isolate_and_refine(poly, 0, 1, tol)
+    x_min = minimal_x(family)
+    if poly.evaluate(x_min) != 0:
+        return certs
+    return [cert for cert in certs if not cert.isolating_interval[0] < x_min < cert.isolating_interval[1]]
 
 
 @dataclass(frozen=True)

@@ -216,7 +216,12 @@ class RootCertificate:
     isolating_interval: tuple
     refined_root: object
     radius: object = None
-    residual_at_radius: object = None
+    residual_report: object = None
+
+    @property
+    def residual_at_radius(self):
+        """The residual value of ``residual_report``, or None without a family."""
+        return None if self.residual_report is None else self.residual_report.residual
 
     @property
     def midpoint(self) -> Fraction:
@@ -343,7 +348,7 @@ def isolate_and_refine(poly: QuarticPoly, lo, hi, tol) -> list:
     ``ToleranceNotReached``.  Each piece is then refined to the interval
     plain bisection would return: narrower than tol with the exact |P| at
     its midpoint at most tol.  When the certified polynomial carries a
-    family, the tube radius and its residual are filled in.
+    family, the tube radius and its residual report are filled in.
     """
     tol_frac = to_fraction(tol)
     if tol_frac <= 0:
@@ -468,17 +473,11 @@ def _refine(poly, ints, lcm, sf, chain, a: Fraction, b: Fraction, tol: Fraction)
 
     mid = (a + b) / 2
     root = to_mpf(mid)
-    radius = None
-    res = None
+    radius = report = None
     if poly.family is not None and poly.r is not None and 0 < mid < 1:
         radius = root_to_radius(poly.family, root)
-        res = residual(poly.family, radius, poly.r).residual
-    return RootCertificate(
-        isolating_interval=(a, b),
-        refined_root=root,
-        radius=radius,
-        residual_at_radius=res,
-    )
+        report = residual(poly.family, radius, poly.r)
+    return RootCertificate(isolating_interval=(a, b), refined_root=root, radius=radius, residual_report=report)
 
 
 def root_to_radius(family: HypersurfaceFamily, x):

@@ -1,8 +1,13 @@
 import hashlib
+import importlib
 import json
 import math
+import re
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from mpmath import mp
 
 from hopfharmonic.cli import main
 
@@ -35,12 +40,20 @@ class TestSolve:
         for row in doc["rows"]:
             assert abs(float(row["residual"])) < 1e-9
 
-    def test_curve_one_row_with_closed_form(self, capsys):
-        code, doc = run_json(capsys, "solve", "--type", "A1", "--n", "1", "--r", "4")
+    @pytest.mark.parametrize("r", [2, 3, 4, 9, 17, 40])
+    def test_curve_one_row_with_closed_form(self, capsys, r):
+        code, doc = run_json(capsys, "solve", "--type", "A1", "--n", "1", "--r", str(r))
         assert code == 0
         assert len(doc["rows"]) == 1
-        t = float(doc["rows"][0]["t"])
-        assert math.sin(2 * t) ** 2 == pytest.approx(0.25, abs=1e-12)
+        row = doc["rows"][0]
+        # x(1 - x) = 1/(4r): the root below 1/2 of the mirror pair x <-> 1 - x
+        x = (1 - mp.sqrt(1 - mp.mpf(1) / r)) / 2
+        lo, hi = Fraction(row["interval_lo"]), Fraction(row["interval_hi"])
+        assert hi < Fraction(1, 2)
+        assert mp.mpf(lo.numerator) / lo.denominator < x < mp.mpf(hi.numerator) / hi.denominator
+        assert hi - lo < Fraction(1, 10**20)
+        assert abs(mp.mpf(row["x"]) - x) <= 1e-16 * x
+        assert math.sin(2 * float(row["t"])) ** 2 == pytest.approx(1 / r, abs=1e-12)
 
     def test_minimal_root_not_reported_as_proper(self, capsys):
         _, doc = run_json(capsys, "solve", "--type", "A1", "--n", "1", "--r", "9")
@@ -54,6 +67,21 @@ class TestSolve:
         code, strict = run(capsys, *argv, "--tol", "1e-40")
         assert code == 1
         assert json.loads(strict)["rows"] == json.loads(default)["rows"]
+
+    def test_one_spectrum_per_row(self, capsys, monkeypatch):
+        residual_module = importlib.import_module("hopfharmonic.residual")
+        spectrum = residual_module.curvature_spectrum
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return spectrum(*args, **kwargs)
+
+        monkeypatch.setattr(residual_module, "curvature_spectrum", counted)
+        code, doc = run_json(capsys, "solve", "--type", "D", "--r", "89")
+        assert code == 0
+        assert len(doc["rows"]) == 4
+        assert len(calls) == 4
 
 
 class TestScan:
@@ -149,10 +177,13 @@ class TestContract:
         doc = json.loads(target.read_text())
         assert len(doc["rows"]) == 2
 
-    def test_env_var_sets_default_precision(self, capsys, monkeypatch):
+    def test_env_var_does_not_change_the_report(self, capsys, monkeypatch):
+        argv = ("solve", "--type", "A1", "--n", "2", "--r", "2")
+        monkeypatch.delenv("HOPF_PRECISION", raising=False)
+        _, plain = run(capsys, *argv)
         monkeypatch.setenv("HOPF_PRECISION", "42")
-        _, doc = run_json(capsys, "solve", "--type", "A1", "--n", "2", "--r", "2")
-        assert doc["config"]["precision"] == 42
+        _, with_env = run(capsys, *argv)
+        assert with_env == plain
 
     def test_flag_overrides_env(self, capsys, monkeypatch):
         monkeypatch.setenv("HOPF_PRECISION", "42")
@@ -170,6 +201,9 @@ class TestContract:
             ("solve", "--type", "D", "--n", "8", "--r", "2"),
             ("scan", "--type", "A1", "--n", "2", "--r-range", "9..3"),
             ("solve", "--type", "A1", "--n", "2", "--r", "2", "--k", "1"),
+            ("biharmonic", "--n", "2", "--p", "5"),
+            ("biharmonic", "--scan-threshold", "--p", "0"),
+            ("biharmonic", "--scan-threshold", "--p", "3", "--n-max", "4"),
         ],
     )
     def test_usage_errors_exit_2(self, capsys, argv):
@@ -194,8 +228,17 @@ README_REPORTS = [
 
 
 @pytest.mark.parametrize("command,digest", README_REPORTS, ids=[c for c, _ in README_REPORTS])
-def test_readme_reports_keep_their_digests(capsys, monkeypatch, command, digest):
-    monkeypatch.delenv("HOPF_PRECISION", raising=False)
+def test_readme_reports_keep_their_digests(capsys, command, digest):
     code, out = run(capsys, *command.split())
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_readme_library_example_runs(capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Library example", 1)[1]
+    code = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    exec(compile(code, "README.md", "exec"), {})
+    lines = capsys.readouterr().out.splitlines()
+    # one line per certified radius, then the certified count
+    assert int(lines[-1]) == len(lines) - 1 >= 1

@@ -14,6 +14,7 @@ from hopfharmonic import (
     a2_closed_form,
     a2_k_thresholds,
     build_quartic,
+    certify_radii,
     count_solutions,
     eta1,
     eta2,
@@ -22,6 +23,7 @@ from hopfharmonic import (
     k_above_k2,
     k_below_k1,
     probe_values,
+    residual,
 )
 
 F = HypersurfaceFamily
@@ -200,6 +202,33 @@ class TestCounts:
         fam = F(CP.CP_A2, 9, 4)
         for r in (2, 17, 1000, 10**6):
             assert count_solutions(fam, r) == 2
+
+
+def _cp_families(n_max):
+    fams = [F(CP.CP_A1, n) for n in range(1, n_max + 1)]
+    fams += [F(CP.CP_A2, n, k) for n in range(3, n_max + 1) for k in range(1, n - 1)]
+    fams += [F(CP.CP_B, n) for n in range(2, n_max + 1)]
+    fams += [F(CP.CP_C, n) for n in range(5, n_max + 1, 2)]
+    return fams + [F(CP.CP_D, 9), F(CP.CP_E, 15)]
+
+
+class TestCertifyRadii:
+    @pytest.mark.parametrize("fam", _cp_families(8), ids=lambda f: f"{f.tag.value}-n{f.n}-k{f.k}")
+    def test_one_certificate_per_counted_radius(self, fam):
+        for r in (2, 3, 17, 89):
+            certs = certify_radii(fam, r, 1e-20)
+            assert len(certs) == count_solutions(fam, r)
+            for cert in certs:
+                assert cert.residual_report == residual(fam, cert.radius, r)
+
+    def test_minimal_root_of_the_curve_is_dropped(self):
+        fam, half = F(CP.CP_A1, 1), Fraction(1, 2)
+        for r in (2, 4, 9):
+            all_roots = isolate_and_refine(build_quartic(fam, r), 0, 1, 1e-20)
+            assert any(lo < half < hi for lo, hi in (c.isolating_interval for c in all_roots))
+            proper = certify_radii(fam, r, 1e-20)
+            assert len(proper) == len(all_roots) - 1 == 2
+            assert not any(lo < half < hi for lo, hi in (c.isolating_interval for c in proper))
 
 
 class TestBalancedClosedForm:
