@@ -234,6 +234,33 @@ def test_readme_reports_keep_their_digests(capsys, command, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+# SHA-256 of every `biharmonic --n N --p P` report for 2 <= N <= 30 and all P,
+# concatenated in (N, P) order, and of the threshold scans up to n = 500.
+BIHARMONIC_SWEEP_DIGEST = "35eb95b28a5f7284135f3d01577ae8ff10f4869bf973942a9eecbcd3c7f2210d"
+THRESHOLD_SCAN_DIGESTS = {
+    1: "729b0f639371567e6a23cc9f0d8e3093559c3c47c78faed00263d3267a8ea1fd",
+    2: "49142d0257853cac85ceb0cb7ec3863fc4ccfa8738811a4f8b3ece567a1d766a",
+    3: "71fca76e6f5b7e62248f7982f16226ee96d9d5d67a8ff590480964b10f79d094",
+}
+
+
+def test_biharmonic_reports_keep_their_digest(capsys):
+    digest = hashlib.sha256()
+    for n in range(2, 31):
+        for p in range(1, n):
+            code, out = run(capsys, "biharmonic", "--n", str(n), "--p", str(p))
+            assert code == 0
+            digest.update(out.encode())
+    assert digest.hexdigest() == BIHARMONIC_SWEEP_DIGEST
+
+
+@pytest.mark.parametrize("p", sorted(THRESHOLD_SCAN_DIGESTS))
+def test_threshold_scans_keep_their_digests(capsys, p):
+    code, out = run(capsys, "biharmonic", "--scan-threshold", "--p", str(p), "--n-max", "500")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == THRESHOLD_SCAN_DIGESTS[p]
+
+
 def test_readme_library_example_runs(capsys):
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     section = readme.split("## Library example", 1)[1]
