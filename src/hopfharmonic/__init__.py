@@ -35,6 +35,7 @@ from .families import (  # noqa: E402
     HypersurfaceFamily,
     SpecialRadii,
     Substitution,
+    angle_spectrum,
     curvature_spectrum,
     minimal_x,
     r_independent_x,

@@ -5,7 +5,9 @@ admissible radii are the two branches
 
     cos^2 t_(+/-) = (3(n+1) - 2p +/- sqrt(n^2 + 6n - 4(n+1)p + 4p^2 + 5)) / (4(n+1))
 
-for the tube over a codimension-p totally geodesic complex subspace.  Every
+for the tube over a codimension-p totally geodesic complex subspace.  The
+spectrum at a tube comes from cos^2 t by square roots alone, cos t = sqrt(c)
+and sin t = sqrt(1 - c); only the reported radius t uses acos.  Every
 such tube is unstable (constant variations are negative directions); the
 normal index is exactly one when
 
@@ -27,6 +29,7 @@ from .families import (
     CurvatureSpectrum,
     FamilyTag,
     HypersurfaceFamily,
+    angle_spectrum,
     curvature_spectrum,
     trace_shape,
     trace_shape_squared,
@@ -102,7 +105,7 @@ def tube_family(n: int, p: int) -> HypersurfaceFamily:
 
 
 def _tube(n: int, p: int, branch: str):
-    """The tube of one branch, or None when its cos^2 t falls outside (0, 1)."""
+    """The tube of one branch and its cos t, or None when cos^2 t is outside (0, 1)."""
     disc = n * n + 6 * n - 4 * (n + 1) * p + 4 * p * p + 5
     if disc < 0:
         raise NoBiharmonicTube(f"negative discriminant for n={n}, p={p}")
@@ -111,7 +114,8 @@ def _tube(n: int, p: int, branch: str):
     cs = (base + sqrt_disc if branch == "plus" else base - sqrt_disc) / (4 * (n + 1))
     if not 0 < cs < 1:
         return None
-    return BiharmonicTube(n=n, p=p, branch=branch, cos_sq_t=cs, t=mp.acos(mp.sqrt(cs)))
+    cos_t = mp.sqrt(cs)
+    return BiharmonicTube(n=n, p=p, branch=branch, cos_sq_t=cs, t=mp.acos(cos_t)), cos_t
 
 
 def biharmonic_radii(n: int, p: int) -> list:
@@ -122,7 +126,7 @@ def biharmonic_radii(n: int, p: int) -> list:
     """
     tube_family(n, p)  # validates (n, p)
     tubes = (_tube(n, p, branch) for branch in BRANCHES)
-    return [tube for tube in tubes if tube is not None]
+    return [tube[0] for tube in tubes if tube is not None]
 
 
 def lambda_min_squared(spectrum: CurvatureSpectrum):
@@ -146,11 +150,12 @@ def stability_condition(n: int, p: int, branch: str) -> StabilityReport:
     if branch not in BRANCHES:
         raise ValueError(f"branch must be one of {BRANCHES}, got {branch!r}")
     family = tube_family(n, p)
-    tube = _tube(n, p, branch)
-    if tube is None:
+    found = _tube(n, p, branch)
+    if found is None:
         raise DegenerateTube(f"branch {branch} of (n={n}, p={p}) is not a tube")
 
-    spec = curvature_spectrum(family, tube.t)
+    tube, cos_t = found
+    spec = angle_spectrum(family, cos_t, mp.sqrt(1 - tube.cos_sq_t))
     tr = trace_shape(spec)
     tr2 = trace_shape_squared(spec)
     lam_min = lambda_min_squared(spec)
@@ -200,7 +205,7 @@ def asymptotic_check(p: int, n: int) -> AsymptoticErrors:
     |tan^2 t - (2p-1)/(2n)|*n,   |tr S - 2 sqrt(4p-2)/sqrt(n)|*sqrt(n).
     """
     family = tube_family(n, p)
-    t = _tube(n, p, "plus").t
+    t = _tube(n, p, "plus")[0].t
     spec = curvature_spectrum(family, t)
     tr = trace_shape(spec)
     lead = mp.mpf(2 * n) / (2 * p - 1)

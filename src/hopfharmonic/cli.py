@@ -269,11 +269,13 @@ def _check_offset_probe_poly(n_max=30):
 def _check_trig_identities(samples=1000, tol=1e-10):
     rng = random.Random(_TRIG_SEED)
     with mp.workdps(max(mp.dps, 35)):
+        quarter = mp.pi / 4
         for _ in range(samples):
             t = mp.mpf(rng.uniform(1e-3, float(mp.pi) / 4 - 1e-3))
-            lams = [mp.cot(t - j * mp.pi / 4) for j in range(4)]
-            lhs1, rhs1 = mp.fsum(lams), 4 * mp.cot(4 * t)
-            lhs2, rhs2 = mp.fsum(l * l for l in lams), 12 + 16 * mp.cot(4 * t) ** 2
+            lams = [mp.cot(t - j * quarter) for j in range(4)]
+            cot4 = mp.cot(4 * t)
+            lhs1, rhs1 = mp.fsum(lams), 4 * cot4
+            lhs2, rhs2 = mp.fsum(l * l for l in lams), 12 + 16 * cot4**2
             if abs(lhs1 - rhs1) > tol * max(1, abs(rhs1)) or abs(lhs2 - rhs2) > tol * abs(rhs2):
                 return False, f"quarter-turn cotangent identity failed at t={mp.nstr(t, 12)}"
     return True, f"quarter-turn cotangent identities hold at {samples} random radii"
@@ -353,6 +355,8 @@ def cmd_verify(args):
         "hyperbolic-negativity": lambda: _check_ch_negativity(r_max=args.r_max),
         "root-residual-roundtrip": _check_roundtrip,
     }
+    if args.r_max < 2:
+        raise UsageError(f"--r-max must be at least 2, got {args.r_max}")
     suite = args.suite or "all"
     if suite not in _SUITES:
         raise UsageError(f"unknown --suite {suite!r} (choose from {sorted(_SUITES)})")

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from types import SimpleNamespace
+from typing import NamedTuple
 
 import numpy as np
 from mpmath import mp
@@ -167,9 +168,9 @@ def _check_radius(family: HypersurfaceFamily, t):
 def _spectrum(family: HypersurfaceFamily, t, lib, one):
     """Alpha and the (lambda, m) branches with m > 0, evaluated with lib.
 
-    ``lib`` is ``mp`` or the float64 namespace ``_FLOAT64`` and ``one`` the
-    matching unit (an mpf, or an array of ones shaped like t).  This is the
-    only copy of the table; both lanes read it.
+    ``lib`` is ``mp``, the float64 ``_FLOAT64`` or the (cos, sin) ``_ANGLE``
+    and ``one`` the matching unit (an mpf, or an array of ones shaped like t).
+    This is the only copy of the table; every lane reads it.
     """
     tag, n, k = family.tag, family.n, family.k
     if tag is FamilyTag.CH_A0:
@@ -213,6 +214,31 @@ def _spectrum(family: HypersurfaceFamily, t, lib, one):
 _FLOAT64 = SimpleNamespace(
     pi=np.pi, tan=np.tan, tanh=np.tanh, cot=lambda x: 1 / np.tan(x), coth=lambda x: 1 / np.tanh(x)
 )
+
+
+class _Angle(NamedTuple):
+    """An angle held as its (cos, sin) pair; ``2 * angle`` is the double angle."""
+
+    cos: object
+    sin: object
+
+    def __rmul__(self, k):
+        if k != 2:
+            return NotImplemented
+        return _Angle(self.cos * self.cos - self.sin * self.sin, 2 * self.sin * self.cos)
+
+
+# Field operations only: it covers the table rows that use t and 2t alone.
+_ANGLE = SimpleNamespace(tan=lambda a: a.sin / a.cos, cot=lambda a: a.cos / a.sin)
+
+
+def angle_spectrum(family: HypersurfaceFamily, cos_t, sin_t) -> CurvatureSpectrum:
+    """Spectrum at the radius t with (cos t, sin t) = (cos_t, sin_t), by field
+    operations alone; CP_A1, CP_A2 and CP_B only."""
+    if family.tag not in (FamilyTag.CP_A1, FamilyTag.CP_A2, FamilyTag.CP_B):
+        raise UnsupportedFamily(f"{family.tag.value} needs more than t and 2t")
+    alpha, branches = _spectrum(family, _Angle(cos_t, sin_t), _ANGLE, mp.mpf(1))
+    return CurvatureSpectrum(alpha=alpha, branches=tuple(branches))
 
 
 def curvature_spectrum(family: HypersurfaceFamily, t=None) -> CurvatureSpectrum:

@@ -204,12 +204,18 @@ class TestContract:
             ("biharmonic", "--n", "2", "--p", "5"),
             ("biharmonic", "--scan-threshold", "--p", "0"),
             ("biharmonic", "--scan-threshold", "--p", "3", "--n-max", "4"),
+            ("verify", "--suite", "ch-nonexistence", "--r-max", "1"),
+            ("verify", "--suite", "ch-nonexistence", "--r-max", "0"),
+            ("verify", "--r-max", "-3"),
         ],
     )
     def test_usage_errors_exit_2(self, capsys, argv):
         with pytest.raises(SystemExit) as err:
             main(list(argv))
         assert err.value.code == 2
+        out, err_text = capsys.readouterr()
+        assert out == ""
+        assert err_text.count("error:") == 1
 
 
 # The README's commands and the SHA-256 of their stdout reports at the default precision.

@@ -12,6 +12,8 @@ from hopfharmonic import (
     InvalidFamily,
     RadiusOutOfDomain,
     UnsupportedFamily,
+    angle_spectrum,
+    biharmonic_radii,
     curvature_spectrum,
     minimal_x,
     r_independent_x,
@@ -21,6 +23,7 @@ from hopfharmonic import (
     spectrum_arrays,
     trace_shape,
     trace_shape_squared,
+    tube_family,
     x_from_radius,
 )
 
@@ -251,3 +254,41 @@ class TestGridLane:
             for (lam_arr, m_arr), (lam, m) in zip(branches, spec.branches):
                 assert m_arr == m
                 assert abs(lam_arr[i] - float(lam)) < 1e-9 * max(1, abs(lam_arr[i]))
+
+
+def assert_spectra_agree(angle, spec, rel=mp.mpf(10) ** -25):
+    assert abs(angle.alpha - spec.alpha) <= rel * abs(spec.alpha)
+    assert [m for _, m in angle.branches] == [m for _, m in spec.branches]
+    for (lam_a, _), (lam, _) in zip(angle.branches, spec.branches):
+        assert abs(lam_a - lam) <= rel * abs(lam)
+
+
+class TestAngleLane:
+    # sample_families starts with the curve case CP_A1, n = 1 (no branches).
+    ANGLE_FAMILIES = [fam for fam in sample_families(8) if fam.tag in (CP.CP_A1, CP.CP_A2, CP.CP_B)]
+
+    @pytest.mark.parametrize("fam", ANGLE_FAMILIES, ids=lambda f: f"{f.tag.value}-n{f.n}-k{f.k}")
+    def test_agrees_with_mpmath_lane_at_random_radii(self, fam):
+        rng = random.Random(f"{fam.tag.value}-{fam.n}-{fam.k}")
+        hi = fam.radius_domain()[1]
+        for _ in range(25):
+            t = hi * mp.mpf(rng.uniform(1e-3, 1 - 1e-3))
+            angle = angle_spectrum(fam, mp.cos(t), mp.sin(t))
+            assert_spectra_agree(angle, curvature_spectrum(fam, t))
+
+    def test_agrees_with_mpmath_lane_at_every_biharmonic_tube(self):
+        for n in range(2, 61):
+            for p in range(1, n):
+                fam = tube_family(n, p)
+                for tube in biharmonic_radii(n, p):
+                    angle = angle_spectrum(fam, mp.sqrt(tube.cos_sq_t), mp.sqrt(1 - tube.cos_sq_t))
+                    assert_spectra_agree(angle, curvature_spectrum(fam, tube.t))
+
+    @pytest.mark.parametrize(
+        "fam",
+        [fam for fam in sample_families(6) if fam.tag not in (CP.CP_A1, CP.CP_A2, CP.CP_B)],
+        ids=lambda f: f"{f.tag.value}-n{f.n}-k{f.k}",
+    )
+    def test_other_families_are_unsupported(self, fam):
+        with pytest.raises(UnsupportedFamily):
+            angle_spectrum(fam, mp.cos(mp.mpf("0.3")), mp.sin(mp.mpf("0.3")))
