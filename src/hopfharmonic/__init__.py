@@ -35,7 +35,6 @@ from .families import (  # noqa: E402
     HypersurfaceFamily,
     SpecialRadii,
     Substitution,
-    angle_spectrum,
     curvature_spectrum,
     minimal_x,
     r_independent_x,

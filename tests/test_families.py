@@ -12,7 +12,6 @@ from hopfharmonic import (
     InvalidFamily,
     RadiusOutOfDomain,
     UnsupportedFamily,
-    angle_spectrum,
     biharmonic_radii,
     curvature_spectrum,
     minimal_x,
@@ -26,6 +25,7 @@ from hopfharmonic import (
     tube_family,
     x_from_radius,
 )
+from hopfharmonic.families import angle_spectrum
 
 CP = FamilyTag
 F = HypersurfaceFamily
