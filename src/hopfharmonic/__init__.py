@@ -35,6 +35,7 @@ from .families import (  # noqa: E402
     HypersurfaceFamily,
     SpecialRadii,
     Substitution,
+    admissible_families,
     curvature_spectrum,
     minimal_x,
     r_independent_x,

@@ -30,7 +30,6 @@ from .families import (
     FamilyTag,
     HypersurfaceFamily,
     angle_spectrum,
-    curvature_spectrum,
     trace_shape,
     trace_shape_squared,
 )
@@ -202,16 +201,18 @@ def asymptotic_check(p: int, n: int) -> AsymptoticErrors:
     """Scaled errors of the four large-n relations at the plus branch:
 
     |4 cot^2 2t - 2n/(2p-1)|/n,  |cot^2 t - 2n/(2p-1)|/n,
-    |tan^2 t - (2p-1)/(2n)|*n,   |tr S - 2 sqrt(4p-2)/sqrt(n)|*sqrt(n).
+    |tan^2 t - (2p-1)/(2n)|*n,   |tr S - 2 sqrt(4p-2)/sqrt(n)|*sqrt(n),
+
+    all from c = cos^2 t: tan^2 t = (1-c)/c and 4 cot^2 2t = (2c-1)^2/(c(1-c)).
     """
     family = tube_family(n, p)
-    t = _tube(n, p, "plus")[0].t
-    spec = curvature_spectrum(family, t)
-    tr = trace_shape(spec)
+    tube, cos_t = _tube(n, p, "plus")
+    c = tube.cos_sq_t
+    tr = trace_shape(angle_spectrum(family, cos_t, mp.sqrt(1 - c)))
     lead = mp.mpf(2 * n) / (2 * p - 1)
     return AsymptoticErrors(
-        cot2_2t=abs(4 * mp.cot(2 * t) ** 2 - lead) / n,
-        cot2_t=abs(mp.cot(t) ** 2 - lead) / n,
-        tan2_t=abs(mp.tan(t) ** 2 - mp.mpf(2 * p - 1) / (2 * n)) * n,
+        cot2_2t=abs((2 * c - 1) ** 2 / (c * (1 - c)) - lead) / n,
+        cot2_t=abs(c / (1 - c) - lead) / n,
+        tan2_t=abs((1 - c) / c - mp.mpf(2 * p - 1) / (2 * n)) * n,
         trace=abs(tr - 2 * mp.sqrt(4 * p - 2) / mp.sqrt(n)) * mp.sqrt(n),
     )

@@ -31,13 +31,13 @@ from .existence import (
     guaranteed_thresholds,
     probe_values,
 )
-from .families import FamilyTag, HypersurfaceFamily, x_from_radius
+from .families import FamilyTag, HypersurfaceFamily, admissible_families, fixed_dimension, x_from_radius
 from .quartic import build_quartic
 from .residual import chn_scan, residual_grid
 
 _CP_TYPES = {"A1": FamilyTag.CP_A1, "A2": FamilyTag.CP_A2, "B": FamilyTag.CP_B,
              "C": FamilyTag.CP_C, "D": FamilyTag.CP_D, "E": FamilyTag.CP_E}
-_FIXED_N = {FamilyTag.CP_D: 9, FamilyTag.CP_E: 15}
+_CH_TAGS = [tag for tag in FamilyTag if tag not in _CP_TYPES.values()]
 _TRIG_SEED = 0x5EED
 _ROOT_TOL = Fraction(1, 10**24)
 
@@ -53,21 +53,10 @@ def _family_from_args(args) -> HypersurfaceFamily:
     tag = _CP_TYPES.get(args.type.upper())
     if tag is None:
         raise UsageError(f"unknown --type {args.type!r} (choose from {sorted(_CP_TYPES)})")
-    n = args.n
-    if tag in _FIXED_N:
-        if n is None:
-            n = _FIXED_N[tag]
-        elif n != _FIXED_N[tag]:
-            raise UsageError(f"--type {args.type} fixes n = {_FIXED_N[tag]}")
+    n = fixed_dimension(tag) if args.n is None else args.n
     if n is None:
         raise UsageError("--n is required for this family type")
-    k = args.k
-    if tag is not FamilyTag.CP_A2 and k is not None:
-        raise UsageError("--k applies only to --type A2")
-    try:
-        return HypersurfaceFamily(tag, n, k)
-    except HopfError as exc:
-        raise UsageError(str(exc)) from exc
+    return HypersurfaceFamily(tag, n, args.k)
 
 
 class UsageError(Exception):
@@ -183,18 +172,9 @@ def cmd_biharmonic(args):
 # verify suites
 # ---------------------------------------------------------------------------
 
-def _iter_cp_families(n_max: int):
-    for n in range(1, n_max + 1):
-        yield HypersurfaceFamily(FamilyTag.CP_A1, n)
-    for n in range(3, n_max + 1):
-        for k in range(1, n - 1):
-            yield HypersurfaceFamily(FamilyTag.CP_A2, n, k)
-    for n in range(2, n_max + 1):
-        yield HypersurfaceFamily(FamilyTag.CP_B, n)
-    for n in range(5, n_max + 1, 2):
-        yield HypersurfaceFamily(FamilyTag.CP_C, n)
-    yield HypersurfaceFamily(FamilyTag.CP_D, 9)
-    yield HypersurfaceFamily(FamilyTag.CP_E, 15)
+def _families(tags, n_max: int):
+    for tag in tags:
+        yield from admissible_families(tag, n_max)
 
 
 def _boundary_targets(family: HypersurfaceFamily):
@@ -210,7 +190,7 @@ def _boundary_targets(family: HypersurfaceFamily):
 
 
 def _check_boundary_values(n_max=25, orders=(2, 17)):
-    for family in _iter_cp_families(n_max):
+    for family in _families(_CP_TYPES.values(), n_max):
         p0, p1 = _boundary_targets(family)
         for r in orders:
             poly = build_quartic(family, r)
@@ -221,30 +201,33 @@ def _check_boundary_values(n_max=25, orders=(2, 17)):
 
 def _check_probe_identities(n_max=25, orders=(2, 17)):
     for r in orders:
-        for n in range(2, n_max + 1):
-            pa1 = build_quartic(HypersurfaceFamily(FamilyTag.CP_A1, n), r)
+        for family in admissible_families(FamilyTag.CP_A1, n_max):
+            n, pa1 = family.n, build_quartic(family, r)
             if 2 * n**4 * pa1.evaluate(Fraction(1, 2 * n)) != -(n - 1) * (2 * n - 1) ** 2:
                 return False, f"A1 trace-zero probe failed at n={n}"
             if (n + 3) ** 4 * pa1.evaluate(Fraction(2, n + 3)) != -(3 * n * n + 2 * n + 11) * (n + 7) * (n - 1):
                 return False, f"A1 order-free probe failed at n={n}"
-            pb = build_quartic(HypersurfaceFamily(FamilyTag.CP_B, n), r)
+        for family in admissible_families(FamilyTag.CP_B, n_max):
+            n, pb = family.n, build_quartic(family, r)
             if n**4 * pb.evaluate(Fraction(1, n)) != 2 * (3 * n - 1) * (n - 1) ** 3:
                 return False, f"B minimal probe failed at n={n}"
-            for k in range(1, n - 1):
-                pa2 = build_quartic(HypersurfaceFamily(FamilyTag.CP_A2, n, k), r)
-                if 2 * n**4 * pa2.evaluate(Fraction(2 * k + 1, 2 * n)) != -(n - 1) * (2 * n - 2 * k - 1) ** 2 * (2 * k + 1) ** 2:
-                    return False, f"A2 minimal probe failed at n={n}, k={k}"
-        for n in range(5, n_max + 1, 2):
-            pc = build_quartic(HypersurfaceFamily(FamilyTag.CP_C, n), r)
+        for family in admissible_families(FamilyTag.CP_A2, n_max):
+            n, k, pa2 = family.n, family.k, build_quartic(family, r)
+            if 2 * n**4 * pa2.evaluate(Fraction(2 * k + 1, 2 * n)) != -(n - 1) * (2 * n - 2 * k - 1) ** 2 * (2 * k + 1) ** 2:
+                return False, f"A2 minimal probe failed at n={n}, k={k}"
+        for family in admissible_families(FamilyTag.CP_C, n_max):
+            n, pc = family.n, build_quartic(family, r)
             if n**4 * pc.evaluate(Fraction(2, n)) != 8 * (3 * n - 1) * (n - 1) * (n - 2) ** 2:
                 return False, f"C minimal probe failed at n={n}"
     return True, f"rational probe identities exact up to n={n_max}"
 
 
 def _check_biquadratic(n_max=15, orders=(2, 17, 40)):
-    for n in range(3, n_max + 1, 2):
+    balanced = (f for f in admissible_families(FamilyTag.CP_A2, n_max) if f.n == 2 * f.k + 1)
+    for family in balanced:
+        n = family.n
         for r in orders:
-            poly = build_quartic(HypersurfaceFamily(FamilyTag.CP_A2, n, (n - 1) // 2), r)
+            poly = build_quartic(family, r)
             a4, a3, a2, a1, _ = poly.coefficients()
             if a3**3 - 4 * a4 * a3 * a2 + 8 * a4 * a4 * a1 != 0:
                 return False, f"biquadratic relation failed at n={n}, r={r}"
@@ -256,10 +239,11 @@ def _check_biquadratic(n_max=15, orders=(2, 17, 40)):
 
 
 def _check_offset_probe_poly(n_max=30):
-    for n in range(2, n_max + 1):
+    for family in admissible_families(FamilyTag.CP_A1, n_max):
+        n = family.n
         b4, b3, b2, b1, b0 = a1_offset_probe_poly(n)
         for r in (2, 3, 17, 97):
-            poly = build_quartic(HypersurfaceFamily(FamilyTag.CP_A1, n), r)
+            poly = build_quartic(family, r)
             lhs = 2 * n**4 * r**4 * poly.evaluate(Fraction(1, 2 * n) + Fraction(1, n * r))
             if lhs != b4 * r**4 + b3 * r**3 + b2 * r**2 + b1 * r + b0:
                 return False, f"offset-probe polynomial mismatch at n={n}, r={r}"
@@ -281,21 +265,10 @@ def _check_trig_identities(samples=1000, tol=1e-10):
     return True, f"quarter-turn cotangent identities hold at {samples} random radii"
 
 
-def _iter_ch_families(n_max: int):
-    for n in range(2, n_max + 1):
-        yield HypersurfaceFamily(FamilyTag.CH_A0, n)
-        yield HypersurfaceFamily(FamilyTag.CH_A1_GEODESIC, n)
-        yield HypersurfaceFamily(FamilyTag.CH_A1_POINT, n)
-        yield HypersurfaceFamily(FamilyTag.CH_B, n)
-    for n in range(3, n_max + 1):
-        for k in range(1, n - 1):
-            yield HypersurfaceFamily(FamilyTag.CH_A2, n, k)
-
-
 def _check_ch_negativity(r_max=20, n_max=5, points=2000):
     grid = np.linspace(0.01, 12.0, points)
     worst = -np.inf
-    for family in _iter_ch_families(n_max):
+    for family in _families(_CH_TAGS, n_max):
         for r in range(2, r_max + 1):
             worst = max(worst, chn_scan(family, r, grid))
             if worst >= -1e-6:

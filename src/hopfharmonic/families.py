@@ -11,6 +11,7 @@ family's own algebraic variable.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -65,6 +66,24 @@ _SUBSTITUTION = {
 }
 
 
+# Admissible parameters per family: (least n, step between admissible n with
+# 0 for a single n, whether k is taken with 1 <= k <= n - 2).  Takagi's list
+# for CP^n (n = 1 is the curve case of A1) and Berndt's classification for CH^n.
+_ADMISSIBLE = {
+    FamilyTag.CH_A0: (2, 1, False),
+    FamilyTag.CH_A1_GEODESIC: (2, 1, False),
+    FamilyTag.CH_A1_POINT: (2, 1, False),
+    FamilyTag.CH_A2: (3, 1, True),
+    FamilyTag.CH_B: (2, 1, False),
+    FamilyTag.CP_A1: (1, 1, False),
+    FamilyTag.CP_A2: (3, 1, True),
+    FamilyTag.CP_B: (2, 1, False),
+    FamilyTag.CP_C: (5, 2, False),
+    FamilyTag.CP_D: (9, 0, False),
+    FamilyTag.CP_E: (15, 0, False),
+}
+
+
 @dataclass(frozen=True)
 class HypersurfaceFamily:
     """One homogeneous family: space form, type tag and dimension parameters.
@@ -79,36 +98,21 @@ class HypersurfaceFamily:
 
     def __post_init__(self):
         tag, n, k = self.tag, self.n, self.k
-        if not isinstance(tag, FamilyTag):
-            object.__setattr__(self, "tag", FamilyTag(tag))
-            tag = self.tag
-        if tag in (FamilyTag.CP_A2, FamilyTag.CH_A2):
-            if k is None:
-                raise InvalidFamily(f"{tag.value} requires the parameter k")
-            if n < 3 or not 1 <= k <= n - 2:
-                raise InvalidFamily(f"{tag.value} needs n >= 3 and 1 <= k <= n-2, got n={n}, k={k}")
-            return
-        if k is not None:
-            raise InvalidFamily(f"{tag.value} takes no parameter k")
-        if tag is FamilyTag.CP_A1:
-            # n = 1 is the curve case (tube around a point of CP^1).
-            if n < 1:
-                raise InvalidFamily("CP_A1 requires n >= 1")
-        elif tag is FamilyTag.CP_B:
-            if n < 2:
-                raise InvalidFamily("CP_B requires n >= 2")
-        elif tag is FamilyTag.CP_C:
-            if n < 5 or n % 2 == 0:
-                raise InvalidFamily("CP_C requires odd n >= 5")
-        elif tag is FamilyTag.CP_D:
-            if n != 9:
-                raise InvalidFamily("CP_D exists only in complex dimension 9")
-        elif tag is FamilyTag.CP_E:
-            if n != 15:
-                raise InvalidFamily("CP_E exists only in complex dimension 15")
-        else:
-            if n < 2:
-                raise InvalidFamily(f"{tag.value} requires n >= 2")
+        try:
+            if not isinstance(tag, FamilyTag):
+                tag = FamilyTag(tag)
+                object.__setattr__(self, "tag", tag)
+            n = operator.index(n)
+            k = None if k is None else operator.index(k)
+        except (TypeError, ValueError):
+            raise InvalidFamily(f"not a family: tag={tag!r}, n={n!r}, k={k!r}") from None
+        n_min, step, takes_k = _ADMISSIBLE[tag]
+        if not (n == n_min if step == 0 else n >= n_min and (n - n_min) % step == 0):
+            need = f"n = {n_min}, {n_min + step}, ..." if step else f"n = {n_min}"
+            raise InvalidFamily(f"{tag.value} needs {need}, got n={n}")
+        if takes_k != (k is not None) or (takes_k and not 1 <= k <= n - 2):
+            need = "1 <= k <= n-2" if takes_k else "no parameter k"
+            raise InvalidFamily(f"{tag.value} takes {need}, got n={n}, k={k}")
 
     @property
     def is_projective(self) -> bool:
@@ -141,6 +145,20 @@ class HypersurfaceFamily:
         return None
 
 
+def fixed_dimension(tag: FamilyTag) -> int | None:
+    """The one admissible n of a family that exists in a single dimension (D, E)."""
+    n_min, step, _ = _ADMISSIBLE[tag]
+    return n_min if step == 0 else None
+
+
+def admissible_families(tag: FamilyTag, n_max: int):
+    """Every family of one tag with n <= n_max, in increasing (n, k)."""
+    n_min, step, takes_k = _ADMISSIBLE[tag]
+    for n in range(n_min, (n_max if step else min(n_max, n_min)) + 1, step or 1):
+        for k in range(1, n - 1) if takes_k else (None,):
+            yield HypersurfaceFamily(tag, n, k)
+
+
 @dataclass(frozen=True)
 class CurvatureSpectrum:
     """Hopf curvature alpha plus (principal curvature, multiplicity) branches."""
@@ -154,7 +172,7 @@ def _check_radius(family: HypersurfaceFamily, t):
     if domain is None:
         return None
     if t is None:
-        raise TypeError(f"{family.tag.value} requires a radius t")
+        raise RadiusOutOfDomain(f"{family.tag.value} requires a radius t")
     t = to_mpf(t)
     lo, hi = domain
     if not lo < t < hi:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 from mpmath import mp
 
-from .errors import ExcludedRadius, InvalidOrder, UnsupportedFamily
+from .errors import ExcludedRadius, InvalidOrder, RadiusOutOfDomain, UnsupportedFamily
 from .families import (
     CurvatureSpectrum,
     FamilyTag,
@@ -98,7 +98,7 @@ def chn_scan(family: HypersurfaceFamily, r: int, grid) -> float:
     ts = np.asarray(grid, dtype=float)
     if family.tag is not FamilyTag.CH_A0:
         if ts.size == 0 or np.any(ts <= 0):
-            raise ValueError("grid points must be positive radii")
+            raise RadiusOutOfDomain("grid points must be positive radii")
         excl = family.excluded_radius
         if excl is not None and np.any(np.abs(ts - float(excl)) < 1e-15):
             raise ExcludedRadius("grid hits the CH_B forbidden radius")

@@ -185,8 +185,7 @@ class TestContract:
         _, with_env = run(capsys, *argv)
         assert with_env == plain
 
-    def test_flag_overrides_env(self, capsys, monkeypatch):
-        monkeypatch.setenv("HOPF_PRECISION", "42")
+    def test_precision_flag_is_echoed(self, capsys):
         _, doc = run_json(capsys, "solve", "--type", "A1", "--n", "2", "--r", "2", "--precision", "35")
         assert doc["config"]["precision"] == 35
 

@@ -12,6 +12,7 @@ from hopfharmonic import (
     InvalidFamily,
     RadiusOutOfDomain,
     UnsupportedFamily,
+    admissible_families,
     biharmonic_radii,
     curvature_spectrum,
     minimal_x,
@@ -25,7 +26,8 @@ from hopfharmonic import (
     tube_family,
     x_from_radius,
 )
-from hopfharmonic.families import angle_spectrum
+from hopfharmonic.families import angle_spectrum, fixed_dimension
+from hopfharmonic.residual import residual
 
 CP = FamilyTag
 F = HypersurfaceFamily
@@ -60,11 +62,26 @@ class TestValidation:
             (CP.CP_E, 9, None),
             (CP.CH_A0, 1, None),
             (CP.CH_B, 2, 1),
+            (CP.CP_A1, 2.5, None),
+            (CP.CP_B, 7.5, None),
+            (CP.CP_A2, 5.5, 1),
+            (CP.CP_A2, 5, 1.5),
+            (CP.CP_A1, None, None),
         ],
     )
     def test_rejects_bad_parameters(self, tag, n, k):
         with pytest.raises(InvalidFamily):
             F(tag, n, k)
+
+    def test_rejects_unknown_tag(self):
+        with pytest.raises(InvalidFamily):
+            F("CP_F", 3)
+
+    def test_missing_radius_is_out_of_domain(self):
+        with pytest.raises(RadiusOutOfDomain):
+            residual(F(CP.CP_A1, 2), None, 3)
+        with pytest.raises(RadiusOutOfDomain):
+            curvature_spectrum(F(CP.CH_B, 2))
 
     def test_radius_domain_violations(self):
         with pytest.raises(RadiusOutOfDomain):
@@ -81,6 +98,35 @@ class TestValidation:
         # nearby radii are fine, and there alpha stays away from the branches
         spec = curvature_spectrum(F(CP.CH_B, 2), t_bad + mp.mpf("0.05"))
         assert len(spec.branches) == 2
+
+
+class TestEnumeration:
+    N_MAX = 40
+
+    def test_enumeration_matches_the_classification(self):
+        yielded = [f for tag in CP for f in admissible_families(tag, self.N_MAX)]
+        assert len(yielded) == len(set(yielded))
+        assert set(yielded) == set(sample_families(self.N_MAX))
+
+    @pytest.mark.parametrize("tag", list(CP), ids=lambda t: t.value)
+    def test_construction_matches_enumeration(self, tag):
+        yielded = list(admissible_families(tag, self.N_MAX))
+        assert [(f.n, f.k or 0) for f in yielded] == sorted((f.n, f.k or 0) for f in yielded)
+        admissible = {(f.n, f.k) for f in yielded}
+        for n in range(-1, self.N_MAX + 1):
+            for k in [None, *range(-1, n + 1)]:
+                try:
+                    F(tag, n, k)
+                    constructed = True
+                except InvalidFamily:
+                    constructed = False
+                assert constructed == ((n, k) in admissible), (tag, n, k)
+
+    def test_fixed_dimensions(self):
+        assert fixed_dimension(CP.CP_D) == 9 and fixed_dimension(CP.CP_E) == 15
+        assert all(fixed_dimension(tag) is None for tag in CP if tag not in (CP.CP_D, CP.CP_E))
+        assert list(admissible_families(CP.CP_E, 14)) == []
+        assert list(admissible_families(CP.CP_D, 40)) == [F(CP.CP_D, 9)]
 
 
 class TestSpectra:

@@ -8,6 +8,7 @@ from hopfharmonic import (
     FamilyTag,
     HypersurfaceFamily,
     InvalidOrder,
+    RadiusOutOfDomain,
     UnsupportedFamily,
     chn_scan,
     curvature_spectrum,
@@ -127,6 +128,11 @@ class TestHyperbolicScan:
         fam = F(CP.CH_B, 2)
         with pytest.raises(ExcludedRadius):
             chn_scan(fam, 2, [0.5, float(fam.excluded_radius)])
+
+    @pytest.mark.parametrize("grid", [[], [0.0, 0.5], [-1.0]])
+    def test_grid_outside_domain_rejected(self, grid):
+        with pytest.raises(RadiusOutOfDomain):
+            chn_scan(F(CP.CH_A1_POINT, 2), 2, grid)
 
     def test_projective_family_rejected(self):
         with pytest.raises(UnsupportedFamily):
