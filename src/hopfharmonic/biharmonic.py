@@ -19,6 +19,7 @@ first-eigenvalue bound mu_1 >= (n+1) - |tr S|/2.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from enum import Enum
 
@@ -133,10 +134,10 @@ def lambda_min_squared(spectrum: CurvatureSpectrum):
     return min([spectrum.alpha**2] + [lam**2 for lam, _ in spectrum.branches])
 
 
-def first_eigenvalue_bound(n: int, spectrum: CurvatureSpectrum):
-    """Lower bound (n+1) - |tr S|/2 for the first nonzero Laplace eigenvalue,
-    valid for hypersurfaces of an Einstein ambient with Ricci = 2(n+1) g."""
-    return (n + 1) - abs(trace_shape(spectrum)) / 2
+def first_eigenvalue_bound(n: int, trace):
+    """Lower bound (n+1) - |tr S|/2 on the first nonzero Laplace eigenvalue from
+    tr S, valid for hypersurfaces of an Einstein ambient with Ricci = 2(n+1) g."""
+    return (n + 1) - abs(trace) / 2
 
 
 def stability_condition(n: int, p: int, branch: str) -> StabilityReport:
@@ -147,7 +148,7 @@ def stability_condition(n: int, p: int, branch: str) -> StabilityReport:
     exactly one, otherwise only index >= 1 is claimed.
     """
     if branch not in BRANCHES:
-        raise ValueError(f"branch must be one of {BRANCHES}, got {branch!r}")
+        raise InvalidFamily(f"branch must be one of {BRANCHES}, got {branch!r}")
     family = tube_family(n, p)
     found = _tube(n, p, branch)
     if found is None:
@@ -171,7 +172,7 @@ def stability_condition(n: int, p: int, branch: str) -> StabilityReport:
         trace_sq=tr2,
         alpha=spec.alpha,
         lambda_min_sq=lam_min,
-        mu1_lower_bound=first_eigenvalue_bound(n, spec),
+        mu1_lower_bound=first_eigenvalue_bound(n, tr),
         lhs=lhs,
         rhs=rhs,
         constant_witness=tr * (tr + 3 * spec.alpha),
@@ -183,6 +184,10 @@ def stability_condition(n: int, p: int, branch: str) -> StabilityReport:
 def index_threshold_scan(p: int, n_max: int) -> ThresholdScan:
     """Smallest n in (p+1, n_max] whose plus branch satisfies the condition,
     together with whether it keeps holding up to n_max."""
+    try:
+        p, n_max = operator.index(p), operator.index(n_max)
+    except TypeError:
+        raise InvalidFamily(f"p and n_max must be integers, got p={p!r}, n_max={n_max!r}") from None
     if p < 1 or n_max <= p + 1:
         raise InvalidFamily(f"need p >= 1 and n_max > p+1, got p={p}, n_max={n_max}")
     threshold = None

@@ -48,8 +48,6 @@ def fmt(x) -> str:
 
 
 def _family_from_args(args) -> HypersurfaceFamily:
-    if args.type is None:
-        raise UsageError("--type is required")
     tag = _CP_TYPES.get(args.type.upper())
     if tag is None:
         raise UsageError(f"unknown --type {args.type!r} (choose from {sorted(_CP_TYPES)})")
@@ -87,17 +85,12 @@ def _solve_rows(family: HypersurfaceFamily, r: int):
 
 
 def cmd_solve(args):
-    family = _family_from_args(args)
-    if args.r is None:
-        raise UsageError("--r is required for solve")
-    rows = _solve_rows(family, args.r)
+    rows = _solve_rows(_family_from_args(args), args.r)
     return {"rows": rows}, all(abs(float(row["residual"])) <= args.tol for row in rows)
 
 
 def cmd_scan(args):
     family = _family_from_args(args)
-    if args.r_range is None:
-        raise UsageError("--r-range LO..HI is required for scan")
     lo, hi = args.r_range
     thresholds = guaranteed_thresholds(family)
     rows = []
@@ -117,10 +110,7 @@ def cmd_scan(args):
 
 
 def cmd_probes(args):
-    family = _family_from_args(args)
-    if args.r is None:
-        raise UsageError("--r is required for probes")
-    report = probe_values(family, args.r)
+    report = probe_values(_family_from_args(args), args.r)
     names = ("0", "x0", "x1", "x2", "1")
     rows = [
         {"probe": name, "x": str(pt), "value": str(val), "sign": sign}
@@ -172,11 +162,6 @@ def cmd_biharmonic(args):
 # verify suites
 # ---------------------------------------------------------------------------
 
-def _families(tags, n_max: int):
-    for tag in tags:
-        yield from admissible_families(tag, n_max)
-
-
 def _boundary_targets(family: HypersurfaceFamily):
     n, k = family.n, family.k
     return {
@@ -190,7 +175,7 @@ def _boundary_targets(family: HypersurfaceFamily):
 
 
 def _check_boundary_values(n_max=25, orders=(2, 17)):
-    for family in _families(_CP_TYPES.values(), n_max):
+    for family in (f for tag in _CP_TYPES.values() for f in admissible_families(tag, n_max)):
         p0, p1 = _boundary_targets(family)
         for r in orders:
             poly = build_quartic(family, r)
@@ -268,7 +253,7 @@ def _check_trig_identities(samples=1000, tol=1e-10):
 def _check_ch_negativity(r_max=20, n_max=5, points=2000):
     grid = np.linspace(0.01, 12.0, points)
     worst = -np.inf
-    for family in _families(_CH_TAGS, n_max):
+    for family in (f for tag in _CH_TAGS for f in admissible_families(tag, n_max)):
         for r in range(2, r_max + 1):
             worst = max(worst, chn_scan(family, r, grid))
             if worst >= -1e-6:
@@ -309,34 +294,28 @@ def _check_roundtrip(tol=1e-9):
     return True, "certified roots and residual sign changes agree"
 
 
-_SUITES = {
-    "exact": ("boundary-values", "probe-identities", "biquadratic-relation", "offset-probe-poly"),
-    "trig": ("quarter-turn-identities",),
-    "ch-nonexistence": ("hyperbolic-negativity",),
-    "roundtrip": ("root-residual-roundtrip",),
-}
-_SUITES["all"] = tuple(name for suite in ("exact", "trig", "ch-nonexistence", "roundtrip") for name in _SUITES[suite])
+# (suite, name, check) in report order; suite "all" runs every row.
+_CHECKS = (
+    ("exact", "boundary-values", _check_boundary_values),
+    ("exact", "probe-identities", _check_probe_identities),
+    ("exact", "biquadratic-relation", _check_biquadratic),
+    ("exact", "offset-probe-poly", _check_offset_probe_poly),
+    ("trig", "quarter-turn-identities", _check_trig_identities),
+    ("ch-nonexistence", "hyperbolic-negativity", _check_ch_negativity),
+    ("roundtrip", "root-residual-roundtrip", _check_roundtrip),
+)
+_SUITES = (*dict.fromkeys(suite for suite, _, _ in _CHECKS), "all")
 
 
 def cmd_verify(args):
-    checks = {
-        "boundary-values": _check_boundary_values,
-        "probe-identities": _check_probe_identities,
-        "biquadratic-relation": _check_biquadratic,
-        "offset-probe-poly": _check_offset_probe_poly,
-        "quarter-turn-identities": _check_trig_identities,
-        "hyperbolic-negativity": lambda: _check_ch_negativity(r_max=args.r_max),
-        "root-residual-roundtrip": _check_roundtrip,
-    }
     if args.r_max < 2:
         raise UsageError(f"--r-max must be at least 2, got {args.r_max}")
-    suite = args.suite or "all"
-    if suite not in _SUITES:
-        raise UsageError(f"unknown --suite {suite!r} (choose from {sorted(_SUITES)})")
     rows = []
     all_passed = True
-    for name in _SUITES[suite]:
-        passed, detail = checks[name]()
+    for suite, name, check in _CHECKS:
+        if args.suite not in (suite, "all"):
+            continue
+        passed, detail = check(r_max=args.r_max) if check is _check_ch_negativity else check()
         all_passed &= passed
         rows.append({"name": name, "passed": passed, "detail": detail})
     return {"checks": rows}, all_passed
@@ -384,27 +363,27 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=None, help="write the report to this path instead of stdout")
 
     def add_family(p):
-        p.add_argument("--type", help="projective family type: A1, A2, B, C, D or E")
+        p.add_argument("--type", required=True, help="projective family type: A1, A2, B, C, D or E")
         p.add_argument("--n", type=int, default=None)
         p.add_argument("--k", type=int, default=None)
 
     p_solve = sub.add_parser("solve", help="certified proper r-harmonic radii of one family")
     add_family(p_solve)
-    p_solve.add_argument("--r", type=int, default=None)
+    p_solve.add_argument("--r", type=int, required=True)
     add_common(p_solve)
 
     p_scan = sub.add_parser("scan", help="solution counts across a range of orders")
     add_family(p_scan)
-    p_scan.add_argument("--r-range", dest="r_range", type=_parse_range, default=None, metavar="LO..HI")
+    p_scan.add_argument("--r-range", dest="r_range", type=_parse_range, required=True, metavar="LO..HI")
     add_common(p_scan)
 
     p_probes = sub.add_parser("probes", help="exact probe values of the family quartic")
     add_family(p_probes)
-    p_probes.add_argument("--r", type=int, default=None)
+    p_probes.add_argument("--r", type=int, required=True)
     add_common(p_probes)
 
     p_verify = sub.add_parser("verify", help="run the invariant suites")
-    p_verify.add_argument("--suite", default="all", help="exact | trig | ch-nonexistence | roundtrip | all")
+    p_verify.add_argument("--suite", choices=_SUITES, default="all")
     p_verify.add_argument("--r-max", dest="r_max", type=int, default=20)
     add_common(p_verify)
 

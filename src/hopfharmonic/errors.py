@@ -1,4 +1,7 @@
-"""Exception types raised by the hopfharmonic package."""
+"""Exception types raised by the hopfharmonic package, and the input checks that raise them."""
+
+import math
+import operator
 
 
 class HopfError(Exception):
@@ -23,6 +26,10 @@ class UnsupportedFamily(HopfError):
 
 class InvalidOrder(HopfError):
     """Polyharmonic order r must be an integer >= 2."""
+
+
+class InvalidTolerance(HopfError, ValueError):
+    """Tolerance must be a finite positive number."""
 
 
 class DegenerateLeadingCoefficient(HopfError):
@@ -55,3 +62,23 @@ class DegenerateTube(HopfError):
 
 class NoBiharmonicTube(HopfError):
     """No real biharmonic radius exists for these parameters."""
+
+
+def check_order(r) -> int:
+    """The polyharmonic order r as an int; ``InvalidOrder`` unless r is an integer >= 2."""
+    try:
+        if operator.index(r) >= 2:
+            return operator.index(r)
+    except TypeError:
+        pass
+    raise InvalidOrder(f"order r must be an integer >= 2, got {r!r}")
+
+
+def check_tol(tol):
+    """tol itself; ``InvalidTolerance`` unless it is a finite positive number."""
+    try:
+        if 0 < tol < math.inf:
+            return tol
+    except TypeError:
+        pass
+    raise InvalidTolerance(f"tolerance must be a finite positive number, got {tol!r}")

@@ -14,7 +14,7 @@ from typing import NamedTuple
 
 from mpmath import mp
 
-from .errors import InvalidOrder, NoExactCountGuarantee, NotApplicable, ProbesCollide, UnsupportedFamily
+from .errors import InvalidFamily, NoExactCountGuarantee, NotApplicable, ProbesCollide, UnsupportedFamily, check_order
 from .families import FamilyTag, HypersurfaceFamily, minimal_x, r_independent_x
 from .quartic import build_quartic, count_real_roots, isolate_and_refine
 
@@ -152,8 +152,7 @@ def a2_closed_form(n: int, r: int) -> BalancedTubeRoots:
     """
     if n < 3 or n % 2 == 0:
         raise NotApplicable(f"closed form needs odd n >= 3, got n={n}")
-    if r < 2:
-        raise InvalidOrder(f"order r must be >= 2, got {r}")
+    r = check_order(r)
     omega = (n + 3) ** 2 * r * r - 8 * n * (n + 3) * r + 16 * (n * n + 2 * n - 2)
     sqrt_omega = mp.sqrt(omega)
     inner = n * (n + 3) * r - 4 * (n * n + n - 1) + n * sqrt_omega
@@ -178,7 +177,7 @@ def _k_discriminant(n: int) -> int:
 def a2_k_thresholds(n: int) -> KWindow:
     """Numeric k1, k2 bracketing the A2 k-window for ambient dimension n."""
     if n < 3:
-        raise ValueError(f"need n >= 3, got {n}")
+        raise InvalidFamily(f"need n >= 3, got {n}")
     sqrt_d = mp.sqrt(_k_discriminant(n))
     k1 = (5 * n * n - 4 * n + 2 - n * sqrt_d) / (4 * (n - 1))
     k2 = (n * sqrt_d - n * n - 4 * n + 2) / (4 * (n - 1))

@@ -25,10 +25,11 @@ from mpmath import mp
 from ._rational import to_fraction, to_mpf
 from .errors import (
     DegenerateLeadingCoefficient,
-    InvalidOrder,
     RootOutOfRange,
     ToleranceNotReached,
     UnsupportedFamily,
+    check_order,
+    check_tol,
 )
 from .families import FamilyTag, HypersurfaceFamily, radius_from_x
 from .residual import residual
@@ -243,8 +244,7 @@ def build_quartic(family: HypersurfaceFamily, r: int) -> QuarticPoly:
     """
     if not family.is_projective:
         raise UnsupportedFamily(f"{family.tag.value} admits no proper polyharmonic tubes")
-    if r < 2:
-        raise InvalidOrder(f"order r must be >= 2, got {r}")
+    r = check_order(r)
     n, k, tag = family.n, family.k, family.tag
 
     if tag is FamilyTag.CP_A1:
@@ -350,9 +350,7 @@ def isolate_and_refine(poly: QuarticPoly, lo, hi, tol) -> list:
     its midpoint at most tol.  When the certified polynomial carries a
     family, the tube radius and its residual report are filled in.
     """
-    tol_frac = to_fraction(tol)
-    if tol_frac <= 0:
-        raise ValueError("tol must be positive")
+    tol_frac = to_fraction(check_tol(tol))
     ints, lcm, sf, chain, lo, hi = _prepare(poly, lo, hi)
     # Midpoints and exact-root windows are tested for roots, so only the
     # caller's ends can be roots, and of the right ends only hi.

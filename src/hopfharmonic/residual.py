@@ -16,11 +16,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from mpmath import mp
 
-from .errors import ExcludedRadius, InvalidOrder, RadiusOutOfDomain, UnsupportedFamily
+from .errors import ExcludedRadius, RadiusOutOfDomain, UnsupportedFamily, check_order, check_tol
 from .families import (
-    CurvatureSpectrum,
     FamilyTag,
     HypersurfaceFamily,
     curvature_spectrum,
@@ -50,8 +48,7 @@ def _residual_value(sign: int, n: int, r: int, trace, trace_sq, alpha):
 
 def residual(family: HypersurfaceFamily, t=None, r: int = 2) -> ResidualReport:
     """Evaluate the r-harmonicity residual at radius t (ignored for CH_A0)."""
-    if r < 2:
-        raise InvalidOrder(f"order r must be >= 2, got {r}")
+    r = check_order(r)
     spec = curvature_spectrum(family, t)
     tr = trace_shape(spec)
     tr2 = trace_shape_squared(spec)
@@ -68,16 +65,14 @@ def residual(family: HypersurfaceFamily, t=None, r: int = 2) -> ResidualReport:
 
 def is_proper_r_harmonic(family: HypersurfaceFamily, t, r: int, tol: float) -> bool:
     """True iff the residual vanishes within tol while the trace does not."""
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    check_tol(tol)
     report = residual(family, t, r)
     return abs(report.residual) <= tol and abs(report.trace) > tol
 
 
 def residual_grid(family: HypersurfaceFamily, r: int, ts) -> np.ndarray:
     """Vectorised float64 residual over an array of radii (sign-scan lane)."""
-    if r < 2:
-        raise InvalidOrder(f"order r must be >= 2, got {r}")
+    r = check_order(r)
     ts = np.asarray(ts, dtype=float)
     alpha, branches = spectrum_arrays(family, ts)
     trace = alpha + sum(m * lam for lam, m in branches)
@@ -93,8 +88,6 @@ def chn_scan(family: HypersurfaceFamily, r: int, grid) -> float:
     """
     if family.is_projective:
         raise UnsupportedFamily("the non-existence scan applies to hyperbolic families only")
-    if r < 2:
-        raise InvalidOrder(f"order r must be >= 2, got {r}")
     ts = np.asarray(grid, dtype=float)
     if family.tag is not FamilyTag.CH_A0:
         if ts.size == 0 or np.any(ts <= 0):
@@ -109,14 +102,9 @@ def tail_residual(family: HypersurfaceFamily, r: int):
     """Large-radius limit of a hyperbolic family's residual.
 
     All hyperbolic curvatures tend to the horosphere values (alpha -> 2,
-    branch curvatures -> 1), so the limit exists and bounds the scan's tail.
+    branch curvatures -> 1), so the limit is the residual of the horosphere
+    CH_A0 of the same n, and it bounds the scan's tail.
     """
     if family.is_projective:
         raise UnsupportedFamily("tail limit applies to hyperbolic families only")
-    if r < 2:
-        raise InvalidOrder(f"order r must be >= 2, got {r}")
-    spec = curvature_spectrum(family, None if family.tag is FamilyTag.CH_A0 else 1)
-    limit = CurvatureSpectrum(alpha=mp.mpf(2), branches=tuple((mp.mpf(1), m) for _, m in spec.branches))
-    tr = trace_shape(limit)
-    tr2 = trace_shape_squared(limit)
-    return _residual_value(family.space_form_sign, family.n, r, tr, tr2, limit.alpha)
+    return residual(HypersurfaceFamily(FamilyTag.CH_A0, family.n), None, r).residual

@@ -89,15 +89,15 @@ class TestLambdaMin:
 class TestFirstEigenvalueBound:
     def test_simple_values(self):
         spec = curvature_spectrum(F(CP.CH_A0, 2))  # trace 4
-        assert first_eigenvalue_bound(2, spec) == 1
+        assert first_eigenvalue_bound(2, trace_shape(spec)) == 1
         minimal = curvature_spectrum(F(CP.CP_A1, 2), mp.pi / 6)  # trace 0
-        assert abs(first_eigenvalue_bound(2, minimal) - 3) < 1e-30
+        assert abs(first_eigenvalue_bound(2, trace_shape(minimal)) - 3) < 1e-30
 
     def test_consistent_with_trace_at_plus_radius(self):
         tube = biharmonic_radii(2, 1)[0]
         spec = curvature_spectrum(tube_family(2, 1), tube.t)
         expected = 3 - abs(trace_shape(spec)) / 2
-        assert abs(first_eigenvalue_bound(2, spec) - expected) < 1e-30
+        assert abs(first_eigenvalue_bound(2, trace_shape(spec)) - expected) < 1e-30
 
 
 class TestStability:

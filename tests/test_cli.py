@@ -206,6 +206,11 @@ class TestContract:
             ("verify", "--suite", "ch-nonexistence", "--r-max", "1"),
             ("verify", "--suite", "ch-nonexistence", "--r-max", "0"),
             ("verify", "--r-max", "-3"),
+            ("solve", "--type", "A1", "--n", "2"),
+            ("probes", "--type", "D"),
+            ("scan", "--type", "A1", "--n", "2"),
+            ("solve", "--n", "2", "--r", "2"),
+            ("verify", "--suite", "nope"),
         ],
     )
     def test_usage_errors_exit_2(self, capsys, argv):
