@@ -20,6 +20,7 @@ from .errors import (  # noqa: E402
     HopfError,
     InvalidFamily,
     InvalidOrder,
+    InvalidRootSearch,
     InvalidTolerance,
     NoBiharmonicTube,
     NoExactCountGuarantee,

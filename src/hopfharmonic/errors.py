@@ -32,6 +32,10 @@ class InvalidTolerance(HopfError, ValueError):
     """Tolerance must be a finite positive number."""
 
 
+class InvalidRootSearch(HopfError, ValueError):
+    """A root count or isolation needs a nonzero polynomial and finite ends lo < hi."""
+
+
 class DegenerateLeadingCoefficient(HopfError):
     """Quartic operation requires a nonzero leading coefficient."""
 

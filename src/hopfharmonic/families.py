@@ -26,6 +26,7 @@ from .errors import (
     ExcludedRadius,
     InvalidFamily,
     RadiusOutOfDomain,
+    RootOutOfRange,
     UnsupportedFamily,
 )
 
@@ -314,11 +315,13 @@ def r_independent_x(family: HypersurfaceFamily) -> Fraction:
 
 
 def radius_from_x(family: HypersurfaceFamily, x):
-    """Tube radius t recovering x under the family's substitution."""
+    """Tube radius t recovering x under the family's substitution; x must lie in (0, 1)."""
     x = to_mpf(x)
     sub = family.substitution
     if sub is None:
         raise UnsupportedFamily(f"{family.tag.value} has no algebraic radius variable")
+    if not 0 < x < 1:
+        raise RootOutOfRange(f"x = {mp.nstr(x, 12)} does not give a non-degenerate tube")
     root = mp.sqrt(x)
     if sub is Substitution.SIN2_T:
         return mp.asin(root)
@@ -328,11 +331,11 @@ def radius_from_x(family: HypersurfaceFamily, x):
 
 
 def x_from_radius(family: HypersurfaceFamily, t):
-    """Value of the family's substitution variable at radius t."""
-    t = to_mpf(t)
+    """Value of the family's substitution variable at a radius t of its domain."""
     sub = family.substitution
     if sub is None:
         raise UnsupportedFamily(f"{family.tag.value} has no algebraic radius variable")
+    t = _check_radius(family, t)
     if sub is Substitution.SIN2_T:
         return mp.sin(t) ** 2
     if sub is Substitution.COS2_T:

@@ -4,10 +4,11 @@ The exact layer runs on integers.  A quartic's rational coefficients are
 cleared to integers once; its square-free part and Sturm chain come from a
 primitive pseudo-remainder sequence, and every sign is the sign of an
 integer den^deg * P(num/den).  Isolation halves intervals and evaluates the
-chain once per split.  Refinement carries its interval as two integer
-numerators over one shared denominator: it jumps down bisection's dyadic
-grid by secant steps verified with two signs, then finishes by bisection,
-so each interval it returns is the one plain bisection returns.  Root
+chain once per split.  Refinement is one loop over one cell of bisection's
+dyadic grid, two integer numerators over a shared denominator: while the
+width test cannot pass yet, a secant step verified with two signs jumps
+several levels down, and otherwise one halving step moves one level, so
+each interval it returns is the one plain bisection returns.  Root
 multiplicity is handled by counting on the square-free part.  Only the
 final trigonometric back-substitution from a certified root to a tube
 radius is numerical.
@@ -20,12 +21,10 @@ from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 
-from mpmath import mp
-
 from ._rational import to_fraction, to_mpf
 from .errors import (
     DegenerateLeadingCoefficient,
-    RootOutOfRange,
+    InvalidRootSearch,
     ToleranceNotReached,
     UnsupportedFamily,
     check_order,
@@ -141,6 +140,7 @@ class _SturmChain:
                     break
                 chain.append(_primitive([-c for c in rem]))
         self._chain = chain
+        self.sf = square_free
 
     def variations(self, x: Fraction) -> int:
         num, den = x.numerator, x.denominator
@@ -305,14 +305,17 @@ def _prepare(poly: QuarticPoly, lo, hi):
     so P = ints / lcm.  The ends may be roots: the chain counts (lo, hi]
     exactly, and the callers drop a root at hi to count the open interval.
     """
-    lo, hi = to_fraction(lo), to_fraction(hi)
+    try:
+        lo, hi = to_fraction(lo), to_fraction(hi)
+    except (TypeError, ValueError, OverflowError):
+        raise InvalidRootSearch(f"interval ends must be finite numbers, got {lo!r}, {hi!r}") from None
     if not lo < hi:
-        raise ValueError(f"need lo < hi, got {lo} >= {hi}")
+        raise InvalidRootSearch(f"need lo < hi, got {lo} >= {hi}")
     ints, lcm = poly._cleared
     if not ints:
-        raise ValueError("the zero polynomial has no isolated roots")
-    sf = _square_free(ints)
-    return ints, lcm, sf, _SturmChain(sf), lo, hi
+        raise InvalidRootSearch("the zero polynomial has no isolated roots")
+    chain = _SturmChain(_square_free(ints))
+    return ints, lcm, chain.sf, chain, lo, hi
 
 
 def count_real_roots(poly: QuarticPoly, lo, hi) -> int:
@@ -351,7 +354,7 @@ def isolate_and_refine(poly: QuarticPoly, lo, hi, tol) -> list:
     family, the tube radius and its residual report are filled in.
     """
     tol_frac = to_fraction(check_tol(tol))
-    ints, lcm, sf, chain, lo, hi = _prepare(poly, lo, hi)
+    _, _, sf, chain, lo, hi = _prepare(poly, lo, hi)
     # Midpoints and exact-root windows are tested for roots, so only the
     # caller's ends can be roots, and of the right ends only hi.
     end_roots = tuple(x for x in (lo, hi) if _is_root(sf, x))
@@ -379,7 +382,17 @@ def isolate_and_refine(poly: QuarticPoly, lo, hi, tol) -> list:
             stack.append((a, m, va, vm, depth + 1))
             stack.append((m, b, vm, vb, depth + 1))
 
-    return [_refine(poly, ints, lcm, sf, chain, a, b, tol_frac) for a, b in sorted(intervals)]
+    certs = []
+    for a, b in sorted(intervals):
+        a, b = _refine(poly, chain, a, b, tol_frac)
+        mid = (a + b) / 2
+        root = to_mpf(mid)
+        radius = report = None
+        if poly.family is not None and poly.r is not None and 0 < mid < 1:
+            radius = root_to_radius(poly.family, root)
+            report = residual(poly.family, radius, poly.r)
+        certs.append(RootCertificate((a, b), root, radius=radius, residual_report=report))
+    return certs
 
 
 def _first_stop_level(width: int, den: int, tol: Fraction) -> int:
@@ -392,95 +405,61 @@ def _first_stop_level(width: int, den: int, tol: Fraction) -> int:
     return j if have << j > need else j + 1
 
 
-def _jump(sf, lo: int, hi: int, den: int, cap: int):
-    """Follow bisection's cells toward the root in (lo/den, hi/den), at most cap levels down.
+def _refine(poly: QuarticPoly, chain: _SturmChain, a: Fraction, b: Fraction, tol: Fraction):
+    """Refine (a, b) to the interval plain bisection returns: narrower than tol, |P(mid)| <= tol.
 
-    At level j bisection holds the cell (lo 2^j + i w, lo 2^j + (i+1) w) / (den 2^j),
-    w = hi - lo, that contains the root.  A secant step on the integer values
-    of sf picks one of the 2^e sub-cells, and the signs at its two ends
-    verify it: on a hit e doubles, on a miss one plain halving is made and e
-    halves.  Every cell kept has strict opposite signs at its ends, so the
-    root is inside and on no grid point of a coarser level: it is the cell
-    bisection reaches, having met no exact root on the way.  A zero at a
-    probe stops the jumps, and bisection goes on from the last cell kept.
-    Returns that cell, its level and the sign of sf at its left end.
+    One loop walks bisection's dyadic grid with one cell (lo/den, hi/den),
+    f_lo and f_hi being the values of the square-free part sf at its ends
+    scaled by den^deg; its width w = hi - lo stays fixed as each level
+    doubles den.  Below ``cap``, the first level where the width test can
+    pass, a turn tries a secant step: it picks one of 2^e sub-cells, and
+    strict opposite signs at both ends make it bisection's cell e levels
+    down, so no coarser grid point on the way was a root (a hit doubles e).
+    A miss, or a turn at or past cap, makes the one halving step, which
+    holds both stop tests (cross-multiplied, P = ints / lcm) and the
+    exact-root window.  A zero at a secant probe sets cap to the level.
+    Every level counts against ``_MAX_STEPS``.
     """
-    shift = len(sf) - 1  # den^deg scaling: doubling den multiplies a value by 2^shift
+    ints, lcm = poly._cleared
+    sf = chain.sf
+    deg, shift = len(ints) - 1, len(sf) - 1  # doubling den multiplies an sf value by 2^shift
+    den = math.lcm(a.denominator, b.denominator)
+    lo, hi = a.numerator * (den // a.denominator), b.numerator * (den // b.denominator)
     f_lo, f_hi = _int_value(sf, lo, den), _int_value(sf, hi, den)
-    w, level, e = hi - lo, 0, 1
-    while level < cap:
-        e = min(e, cap - level)
-        k = (f_lo << e) // (f_lo - f_hi)  # secant root in sub-cell k of 2^e
-        den_e = den << e
-        a = (lo << e) + k * w
-        fa, fb = _int_value(sf, a, den_e), _int_value(sf, a + w, den_e)
-        if fa == 0 or fb == 0:
-            break
-        if (fa > 0) == (f_lo > 0) and (fb > 0) == (f_hi > 0):
-            lo, hi, den, f_lo, f_hi = a, a + w, den_e, fa, fb
-            level, e = level + e, 2 * e
-            continue
-        mid = lo + hi
-        fm = _int_value(sf, mid, 2 * den)
+    w, tol_num, tol_den = hi - lo, tol.numerator, tol.denominator
+    cap = min(_first_stop_level(w, den, tol), _MAX_STEPS)
+    level, e = 0, 1
+    while level < _MAX_STEPS:
+        if level < cap:
+            e = min(e, cap - level)
+            k = (f_lo << e) // (f_lo - f_hi)  # secant root in sub-cell k of 2^e
+            den_e = den << e
+            sub = (lo << e) + k * w
+            fa, fb = _int_value(sf, sub, den_e), _int_value(sf, sub + w, den_e)
+            if fa == 0 or fb == 0:
+                cap = level
+            elif (fa > 0) == (f_lo > 0) and (fb > 0) == (f_hi > 0):
+                lo, hi, den, f_lo, f_hi = sub, sub + w, den_e, fa, fb
+                level, e = level + e, 2 * e
+                continue
+            else:
+                e = max(e // 2, 1)
+        mid, mid_den = lo + hi, 2 * den
+        if w * tol_den < tol_num * den and (
+            abs(_int_value(ints, mid, mid_den)) * tol_den <= tol_num * lcm * mid_den**deg
+        ):
+            return Fraction(lo, den), Fraction(hi, den)
+        fm = _int_value(sf, mid, mid_den)
         if fm == 0:
-            break
-        den *= 2
+            return _isolate_exact_root(chain, sf, Fraction(mid, mid_den), Fraction(w, mid_den), tol)
         if (fm > 0) == (f_lo > 0):
             lo, hi, f_lo, f_hi = mid, 2 * hi, fm, f_hi << shift
         else:
             lo, hi, f_lo, f_hi = 2 * lo, mid, f_lo << shift, fm
-        level, e = level + 1, max(e // 2, 1)
-    return lo, hi, den, level, _sign(f_lo)
-
-
-def _refine(poly, ints, lcm, sf, chain, a: Fraction, b: Fraction, tol: Fraction):
-    """Refine (a, b) to the interval plain bisection returns: narrower than tol, |P(mid)| <= tol.
-
-    The interval is (lo/den, hi/den) in integers: the midpoint is
-    (lo + hi) / 2den, and each step doubles all three and moves one end
-    to lo + hi.  Both stopping tests are cross-multiplied, with P = ints / lcm.
-    Below the first level where the width test can pass, ``_jump`` reaches
-    bisection's cell by quadratic steps on the same grid; bisection
-    finishes from there, and the jump levels count against its budget.
-    """
-    den = math.lcm(a.denominator, b.denominator)
-    lo, hi = a.numerator * (den // a.denominator), b.numerator * (den // b.denominator)
-    tol_num, tol_den = tol.numerator, tol.denominator
-    deg = len(ints) - 1
-    cap = min(_first_stop_level(hi - lo, den, tol), _MAX_STEPS)
-    lo, hi, den, levels, sign_lo = _jump(sf, lo, hi, den, cap)
-    for _ in range(_MAX_STEPS - levels):
-        mid, mid_den = lo + hi, 2 * den
-        if (hi - lo) * tol_den < tol_num * den and (
-            abs(_int_value(ints, mid, mid_den)) * tol_den <= tol_num * lcm * mid_den**deg
-        ):
-            a, b = Fraction(lo, den), Fraction(hi, den)
-            break
-        s = _sign(_int_value(sf, mid, mid_den))
-        if s == 0:
-            m, half = Fraction(mid, mid_den), Fraction(hi - lo, mid_den)  # m - lo/den = hi/den - m
-            a, b = _isolate_exact_root(chain, sf, m, half, tol)
-            break
-        if s == sign_lo:
-            lo, hi = mid, 2 * hi
-        else:
-            lo, hi = 2 * lo, mid
-        den = mid_den
-    else:
-        raise ToleranceNotReached(f"bisection did not reach the requested tolerance in {_MAX_STEPS} steps")
-
-    mid = (a + b) / 2
-    root = to_mpf(mid)
-    radius = report = None
-    if poly.family is not None and poly.r is not None and 0 < mid < 1:
-        radius = root_to_radius(poly.family, root)
-        report = residual(poly.family, radius, poly.r)
-    return RootCertificate(isolating_interval=(a, b), refined_root=root, radius=radius, residual_report=report)
+        den, level = mid_den, level + 1
+    raise ToleranceNotReached(f"bisection did not reach the requested tolerance in {_MAX_STEPS} steps")
 
 
 def root_to_radius(family: HypersurfaceFamily, x):
     """Tube radius for a root of the family's quartic; x must lie in (0, 1)."""
-    xf = to_mpf(x)
-    if not 0 < xf < 1:
-        raise RootOutOfRange(f"x = {mp.nstr(xf, 12)} does not give a non-degenerate tube")
-    return radius_from_x(family, xf)
+    return radius_from_x(family, x)
