@@ -97,6 +97,10 @@ class AsymptoticErrors:
 
 def tube_family(n: int, p: int) -> HypersurfaceFamily:
     """Family hosting the tube over CP^(n-p): A1 for p = 1, A2 with k = n-p else."""
+    try:
+        n, p = operator.index(n), operator.index(p)
+    except TypeError:
+        raise InvalidFamily(f"n and p must be integers, got n={n!r}, p={p!r}") from None
     if n < 2 or not 1 <= p <= n - 1:
         raise InvalidFamily(f"need n >= 2 and 1 <= p <= n-1, got n={n}, p={p}")
     if p == 1:

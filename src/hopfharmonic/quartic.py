@@ -1,17 +1,17 @@
 """Exact quartic construction and certified real-root isolation.
 
 The exact layer runs on integers.  A quartic's rational coefficients are
-cleared to integers once; its square-free part and Sturm chain come from a
-primitive pseudo-remainder sequence, and every sign is the sign of an
-integer den^deg * P(num/den).  Isolation halves intervals and evaluates the
-chain once per split.  Refinement is one loop over one cell of bisection's
-dyadic grid, two integer numerators over a shared denominator: while the
-width test cannot pass yet, a secant step verified with two signs jumps
-several levels down, and otherwise one halving step moves one level, so
-each interval it returns is the one plain bisection returns.  Root
-multiplicity is handled by counting on the square-free part.  Only the
-final trigonometric back-substitution from a certified root to a tube
-radius is numerical.
+cleared to integers once, and every sign is the sign of an integer
+den^deg * P(num/den).  One primitive pseudo-remainder sequence of P is its
+Sturm chain; only when roots repeat does its last element, gcd(P, P'),
+give the square-free part, whose own sequence is then the chain.
+Isolation halves intervals and evaluates the chain once per split.
+Refinement is one loop over one cell of bisection's dyadic grid, two
+integer numerators over a shared denominator: while the width test cannot
+pass yet, a secant step verified with two signs jumps several levels down,
+and otherwise one halving step moves one level, so each interval it
+returns is the one plain bisection returns.  Only the final trigonometric
+back-substitution from a certified root to a tube radius is numerical.
 """
 
 from __future__ import annotations
@@ -105,42 +105,34 @@ def _pseudo_divmod(a, b):
     return q, a
 
 
-def _square_free(ip):
-    """Primitive square-free part of a nonzero integer polynomial.
+def _sturm_sequence(p):
+    """Primitive Sturm sequence of a primitive integer polynomial p.
 
-    Its leading coefficient has the sign of ip's, so it is a positive
-    multiple of ip divided by the monic gcd(ip, ip').
+    Each element is a positive multiple of the element the rational
+    Euclidean chain would hold, and the last is gcd(p, p') up to a factor.
     """
-    g, d = ip, _derivative(ip)
-    while d:
-        g, d = d, _pseudo_divmod(g, d)[1]
-        if d:
-            d = _primitive(d)
-    if len(g) == 1:
-        return _primitive(ip)
-    quotient = _pseudo_divmod(ip, g if g[-1] > 0 else [-c for c in g])[0]
-    return _primitive(quotient)
+    seq = [p, _primitive(_derivative(p))] if len(p) > 1 else [p]
+    while len(seq[-1]) > 1 and (rem := _pseudo_divmod(seq[-2], seq[-1])[1]):
+        seq.append(_primitive([-c for c in rem]))
+    return seq
 
 
 class _SturmChain:
-    """Sturm chain of a square-free integer polynomial.
+    """Sturm chain of the square-free part of a nonzero integer polynomial P.
 
-    Each element is a positive multiple of the element the rational
-    Euclidean chain would hold, so every sign variation is the same.
+    The sequence of P's primitive part is the chain when it ends in a
+    constant; otherwise it ends in g = gcd(P, P'), and the chain is the
+    sequence of the primitive part of P / g.  ``sf``, the chain's first
+    element, has the sign of P's leading coefficient.
     """
 
-    def __init__(self, square_free):
-        chain = [square_free]
-        d = _derivative(square_free)
-        if d:
-            chain.append(_primitive(d))
-            while len(chain[-1]) > 1:
-                rem = _pseudo_divmod(chain[-2], chain[-1])[1]
-                if not rem:
-                    break
-                chain.append(_primitive([-c for c in rem]))
+    def __init__(self, ints):
+        chain = _sturm_sequence(_primitive(ints))
+        g = chain[-1]
+        if len(g) > 1:
+            chain = _sturm_sequence(_primitive(_pseudo_divmod(chain[0], g if g[-1] > 0 else [-c for c in g])[0]))
         self._chain = chain
-        self.sf = square_free
+        self.sf = chain[0]
 
     def variations(self, x: Fraction) -> int:
         num, den = x.numerator, x.denominator
@@ -314,7 +306,7 @@ def _prepare(poly: QuarticPoly, lo, hi):
     ints, lcm = poly._cleared
     if not ints:
         raise InvalidRootSearch("the zero polynomial has no isolated roots")
-    chain = _SturmChain(_square_free(ints))
+    chain = _SturmChain(ints)
     return ints, lcm, chain.sf, chain, lo, hi
 
 

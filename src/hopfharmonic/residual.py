@@ -71,9 +71,12 @@ def is_proper_r_harmonic(family: HypersurfaceFamily, t, r: int, tol: float) -> b
 
 
 def residual_grid(family: HypersurfaceFamily, r: int, ts) -> np.ndarray:
-    """Vectorised float64 residual over an array of radii (sign-scan lane)."""
+    """Vectorised float64 residual over finite radii in the family's open domain (sign-scan lane)."""
     r = check_order(r)
     ts = np.asarray(ts, dtype=float)
+    domain = family.radius_domain()  # a NaN radius makes both extremes NaN and fails the test
+    if domain is not None and ts.size and not float(domain[0]) < ts.min() <= ts.max() < float(domain[1]):
+        raise RadiusOutOfDomain(f"{family.tag.value} grid radii must be finite and inside its open domain")
     alpha, branches = spectrum_arrays(family, ts)
     trace = alpha + sum(m * lam for lam, m in branches)
     trace_sq = alpha**2 + sum(m * lam**2 for lam, m in branches)
@@ -83,18 +86,17 @@ def residual_grid(family: HypersurfaceFamily, r: int, ts) -> np.ndarray:
 def chn_scan(family: HypersurfaceFamily, r: int, grid) -> float:
     """Maximum residual of a hyperbolic family over a radius grid.
 
-    The scan passes when the maximum is strictly negative.  The grid must stay
-    inside the open domain and avoid the CH_B forbidden radius.
+    The scan passes when the maximum is strictly negative.  The grid must be
+    nonempty, stay inside the open domain and avoid the CH_B forbidden radius.
     """
     if family.is_projective:
         raise UnsupportedFamily("the non-existence scan applies to hyperbolic families only")
     ts = np.asarray(grid, dtype=float)
-    if family.tag is not FamilyTag.CH_A0:
-        if ts.size == 0 or np.any(ts <= 0):
-            raise RadiusOutOfDomain("grid points must be positive radii")
-        excl = family.excluded_radius
-        if excl is not None and np.any(np.abs(ts - float(excl)) < 1e-15):
-            raise ExcludedRadius("grid hits the CH_B forbidden radius")
+    if ts.size == 0:
+        raise RadiusOutOfDomain("the grid holds no radius")
+    excl = family.excluded_radius
+    if excl is not None and np.any(np.abs(ts - float(excl)) < 1e-15):
+        raise ExcludedRadius("grid hits the CH_B forbidden radius")
     return float(np.max(residual_grid(family, r, ts)))
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import math
 from fractions import Fraction
 
@@ -11,6 +12,7 @@ from hopfharmonic import (
     NotApplicable,
     ProbesCollide,
     a1_offset_probe_poly,
+    admissible_families,
     a2_closed_form,
     a2_k_thresholds,
     build_quartic,
@@ -220,6 +222,17 @@ class TestCertifyRadii:
             assert len(certs) == count_solutions(fam, r)
             for cert in certs:
                 assert cert.residual_report == residual(fam, cert.radius, r)
+
+    def test_counts_and_intervals_keep_their_digest(self):
+        # SHA-256 of the count and the isolating intervals of every CP family
+        # with n <= 12, and of D and E: a pin on the exact layer's output
+        fams = [f for tag in (CP.CP_A1, CP.CP_A2, CP.CP_B, CP.CP_C) for f in admissible_families(tag, 12)]
+        digest = hashlib.sha256()
+        for fam in fams + [F(CP.CP_D, 9), F(CP.CP_E, 15)]:
+            for r in (2, 7, 30, 89):
+                intervals = [c.isolating_interval for c in certify_radii(fam, r, Fraction(1, 10**24))]
+                digest.update(f"{fam.tag.value} {fam.n} {fam.k} {r} {count_solutions(fam, r)} {intervals}\n".encode())
+        assert digest.hexdigest() == "de893a8c73e2c02afc3b2b924f7f6f02d995bfab5bce844b6309f5e10631dd2d"
 
     def test_minimal_root_of_the_curve_is_dropped(self):
         fam, half = F(CP.CP_A1, 1), Fraction(1, 2)

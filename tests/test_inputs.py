@@ -32,6 +32,7 @@ from hopfharmonic import (
     residual_grid,
     stability_condition,
     tail_residual,
+    tube_family,
     x_from_radius,
 )
 
@@ -78,10 +79,12 @@ def test_integer_like_order_gives_the_same_result(entry):
         lambda: a2_k_thresholds(3.5),
         lambda: a2_closed_form(5.0, 3),
         lambda: a2_closed_form("5", 3),
+        lambda: tube_family(None, 1),
+        lambda: stability_condition(5, 1.0, "plus"),
     ],
     ids=[
         "scan-p-float", "scan-n_max-float", "scan-p-str", "branch", "k-thresholds-n2",
-        "k-thresholds-n-float", "closed-form-n-float", "closed-form-n-str",
+        "k-thresholds-n-float", "closed-form-n-float", "closed-form-n-str", "tube-n-none", "stability-p-float",
     ],
 )
 def test_biharmonic_and_window_inputs_raise_invalid_family(call):
@@ -113,12 +116,15 @@ def test_x_outside_the_unit_interval_gives_no_radius(x):
 
 @pytest.mark.parametrize(
     "family,t",
-    [(A1, 5), (A1, 0), (A1, -0.3), (A1, float("nan")), (F(CP.CP_D, 9), 1.0)],
-    ids=["A1-5", "A1-0", "A1-negative", "A1-nan", "D-beyond-quarter-turn"],
+    [(A1, 5), (A1, 0), (A1, -0.3), (A1, float("nan")), (F(CP.CP_D, 9), 1.0), (A1, 2.0), (A1, float("inf"))],
+    ids=["A1-5", "A1-0", "A1-negative", "A1-nan", "D-beyond-quarter-turn", "A1-2", "A1-inf"],
 )
 def test_radius_outside_the_domain_gives_no_x(family, t):
+    # the float lane rejects the same radii, also next to a valid one
     with pytest.raises(RadiusOutOfDomain):
         x_from_radius(family, t)
+    with pytest.raises(RadiusOutOfDomain):
+        residual_grid(family, 2, [0.3, t])
 
 
 ZERO = QuarticPoly(0, 0, 0, 0, 0)

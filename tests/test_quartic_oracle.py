@@ -88,6 +88,10 @@ def test_counts_and_certificates_match_sympy(data):
     expected -= sum(sqf.eval(_rational(end)) == 0 for end in (lo, hi))
 
     poly = QuarticPoly(*reversed(low_to_high + [0] * (5 - len(low_to_high))))
+    # sympy's square-free part is primitive with a positive leading coefficient;
+    # the chain's has the sign of the polynomial's
+    sign = 1 if low_to_high[-1] > 0 else -1
+    assert _prepare(poly, lo, hi)[2] == [sign * int(c) for c in reversed(sqf.all_coeffs())]
     assert count_real_roots(poly, lo, hi) == expected
     certs = isolate_and_refine(poly, lo, hi, Fraction(1, 10**6))
     assert len(certs) == expected

@@ -112,6 +112,8 @@ class TestHyperbolicScan:
     def test_horosphere_scan_is_constant(self):
         value = chn_scan(F(CP.CH_A0, 2), 2, np.linspace(0.1, 5, 50))
         assert value == pytest.approx(-72.0, abs=1e-9)
+        with pytest.raises(RadiusOutOfDomain):
+            chn_scan(F(CP.CH_A0, 2), 2, [])
 
     def test_geodesic_tube_scan(self):
         value = chn_scan(F(CP.CH_A1_GEODESIC, 3), 4, np.linspace(0.01, 5, 1000))
@@ -129,10 +131,14 @@ class TestHyperbolicScan:
         with pytest.raises(ExcludedRadius):
             chn_scan(fam, 2, [0.5, float(fam.excluded_radius)])
 
-    @pytest.mark.parametrize("grid", [[], [0.0, 0.5], [-1.0]])
+    @pytest.mark.parametrize("grid", [[], [0.0, 0.5], [-1.0], [0.5, float("nan")], [0.5, float("inf")]])
     def test_grid_outside_domain_rejected(self, grid):
         with pytest.raises(RadiusOutOfDomain):
             chn_scan(F(CP.CH_A1_POINT, 2), 2, grid)
+        # residual_grid holds the domain check; only the empty grid is chn_scan's own
+        if grid:
+            with pytest.raises(RadiusOutOfDomain):
+                residual_grid(F(CP.CH_B, 3), 2, grid)
 
     def test_projective_family_rejected(self):
         with pytest.raises(UnsupportedFamily):
