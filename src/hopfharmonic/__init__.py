@@ -22,7 +22,6 @@ from .errors import (  # noqa: E402
     InvalidOrder,
     InvalidRootSearch,
     InvalidTolerance,
-    NoBiharmonicTube,
     NoExactCountGuarantee,
     NotApplicable,
     ProbesCollide,

@@ -5,7 +5,8 @@ admissible radii are the two branches
 
     cos^2 t_(+/-) = (3(n+1) - 2p +/- sqrt(n^2 + 6n - 4(n+1)p + 4p^2 + 5)) / (4(n+1))
 
-for the tube over a codimension-p totally geodesic complex subspace.  The
+for the tube over a codimension-p totally geodesic complex subspace; the
+discriminant is (2p - n - 1)^2 + 4(n+1) > 0, so both are real.  The
 spectrum at a tube comes from cos^2 t by square roots alone, cos t = sqrt(c)
 and sin t = sqrt(1 - c); only the reported radius t uses acos.  Every
 such tube is unstable (constant variations are negative directions); the
@@ -19,13 +20,12 @@ first-eigenvalue bound mu_1 >= (n+1) - |tr S|/2.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from enum import Enum
 
 from mpmath import mp
 
-from .errors import DegenerateTube, InvalidFamily, NoBiharmonicTube
+from .errors import DegenerateTube, InvalidFamily, check_integer
 from .families import (
     CurvatureSpectrum,
     FamilyTag,
@@ -97,10 +97,7 @@ class AsymptoticErrors:
 
 def tube_family(n: int, p: int) -> HypersurfaceFamily:
     """Family hosting the tube over CP^(n-p): A1 for p = 1, A2 with k = n-p else."""
-    try:
-        n, p = operator.index(n), operator.index(p)
-    except TypeError:
-        raise InvalidFamily(f"n and p must be integers, got n={n!r}, p={p!r}") from None
+    n, p = check_integer(n, "n"), check_integer(p, "p")
     if n < 2 or not 1 <= p <= n - 1:
         raise InvalidFamily(f"need n >= 2 and 1 <= p <= n-1, got n={n}, p={p}")
     if p == 1:
@@ -108,12 +105,13 @@ def tube_family(n: int, p: int) -> HypersurfaceFamily:
     return HypersurfaceFamily(FamilyTag.CP_A2, n, n - p)
 
 
+def _discriminant(n: int, p: int) -> int:
+    return n * n + 6 * n - 4 * (n + 1) * p + 4 * p * p + 5
+
+
 def _tube(n: int, p: int, branch: str):
     """The tube of one branch and its cos t, or None when cos^2 t is outside (0, 1)."""
-    disc = n * n + 6 * n - 4 * (n + 1) * p + 4 * p * p + 5
-    if disc < 0:
-        raise NoBiharmonicTube(f"negative discriminant for n={n}, p={p}")
-    sqrt_disc = mp.sqrt(disc)
+    sqrt_disc = mp.sqrt(_discriminant(n, p))
     base = 3 * (n + 1) - 2 * p
     cs = (base + sqrt_disc if branch == "plus" else base - sqrt_disc) / (4 * (n + 1))
     if not 0 < cs < 1:
@@ -188,10 +186,7 @@ def stability_condition(n: int, p: int, branch: str) -> StabilityReport:
 def index_threshold_scan(p: int, n_max: int) -> ThresholdScan:
     """Smallest n in (p+1, n_max] whose plus branch satisfies the condition,
     together with whether it keeps holding up to n_max."""
-    try:
-        p, n_max = operator.index(p), operator.index(n_max)
-    except TypeError:
-        raise InvalidFamily(f"p and n_max must be integers, got p={p!r}, n_max={n_max!r}") from None
+    p, n_max = check_integer(p, "p"), check_integer(n_max, "n_max")
     if p < 1 or n_max <= p + 1:
         raise InvalidFamily(f"need p >= 1 and n_max > p+1, got p={p}, n_max={n_max}")
     threshold = None

@@ -154,7 +154,7 @@ def cmd_biharmonic(args):
             "condition_holds": rep.condition_holds,
             "index_claim": rep.index_claim.value,
         })
-    ok = all(float(row.get("constant_witness", "1")) > 0 for row in rows if not row["degenerate"])
+    ok = all(float(row["constant_witness"]) > 0 for row in rows if not row["degenerate"])
     return {"rows": rows}, ok
 
 
@@ -417,14 +417,8 @@ _HANDLERS = {
 
 
 def _config_dict(args) -> dict:
-    keys = ("command", "type", "n", "k", "p", "r", "r_range", "suite", "r_max",
-            "scan_threshold", "n_max", "precision", "tol", "format")
-    config = {}
-    for key in keys:
-        if hasattr(args, key):
-            value = getattr(args, key)
-            config[key] = list(value) if isinstance(value, tuple) else value
-    return config
+    return {key: list(value) if isinstance(value, tuple) else value
+            for key, value in vars(args).items() if key != "out"}
 
 
 def main(argv=None) -> int:

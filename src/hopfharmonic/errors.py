@@ -64,8 +64,12 @@ class DegenerateTube(HopfError):
     """Requested branch does not define a tube with radius in the open domain."""
 
 
-class NoBiharmonicTube(HopfError):
-    """No real biharmonic radius exists for these parameters."""
+def check_integer(value, name: str) -> int:
+    """value as an int; ``InvalidFamily`` unless it is an integer."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise InvalidFamily(f"{name} must be an integer, got {value!r}") from None
 
 
 def check_order(r) -> int:

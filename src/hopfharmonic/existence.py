@@ -8,14 +8,13 @@ every probe value evaluated in exact arithmetic.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
 from mpmath import mp
 
-from .errors import InvalidFamily, NoExactCountGuarantee, NotApplicable, ProbesCollide, UnsupportedFamily, check_order
+from .errors import InvalidFamily, NoExactCountGuarantee, NotApplicable, ProbesCollide, UnsupportedFamily, check_integer, check_order
 from .families import FamilyTag, HypersurfaceFamily, minimal_x, r_independent_x
 from .quartic import build_quartic, count_real_roots, isolate_and_refine
 
@@ -143,14 +142,6 @@ class BalancedTubeRoots:
     cos_4t: object
 
 
-def _dimension(n) -> int:
-    """n as an int; ``InvalidFamily`` unless it is an integer."""
-    try:
-        return operator.index(n)
-    except TypeError:
-        raise InvalidFamily(f"dimension n must be an integer, got {n!r}") from None
-
-
 def a2_closed_form(n: int, r: int) -> BalancedTubeRoots:
     """Both proper radii of the balanced A2 family, in closed form.
 
@@ -159,7 +150,7 @@ def a2_closed_form(n: int, r: int) -> BalancedTubeRoots:
     x_(+/-) = 1/2 +/- (1/2) [2n(n+3)r - 4(n-1)]^(-1/2) [n(n+3)r - 4(n^2+n-1) + n sqrt(w)]^(1/2)
     with w = (n+3)^2 r^2 - 8n(n+3) r + 16 (n^2 + 2n - 2).
     """
-    n = _dimension(n)
+    n = check_integer(n, "n")
     if n < 3 or n % 2 == 0:
         raise NotApplicable(f"closed form needs odd n >= 3, got n={n}")
     r = check_order(r)
@@ -186,7 +177,7 @@ def _k_discriminant(n: int) -> int:
 
 def a2_k_thresholds(n: int) -> KWindow:
     """Numeric k1, k2 bracketing the A2 k-window for ambient dimension n."""
-    n = _dimension(n)
+    n = check_integer(n, "n")
     if n < 3:
         raise InvalidFamily(f"need n >= 3, got {n}")
     sqrt_d = mp.sqrt(_k_discriminant(n))

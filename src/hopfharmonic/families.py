@@ -11,7 +11,6 @@ family's own algebraic variable.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -28,6 +27,7 @@ from .errors import (
     RadiusOutOfDomain,
     RootOutOfRange,
     UnsupportedFamily,
+    check_integer,
 )
 
 
@@ -98,15 +98,17 @@ class HypersurfaceFamily:
     k: int | None = None
 
     def __post_init__(self):
-        tag, n, k = self.tag, self.n, self.k
-        try:
-            if not isinstance(tag, FamilyTag):
+        tag = self.tag
+        if not isinstance(tag, FamilyTag):
+            try:
                 tag = FamilyTag(tag)
-                object.__setattr__(self, "tag", tag)
-            n = operator.index(n)
-            k = None if k is None else operator.index(k)
-        except (TypeError, ValueError):
-            raise InvalidFamily(f"not a family: tag={tag!r}, n={n!r}, k={k!r}") from None
+            except ValueError:
+                raise InvalidFamily(f"not a family tag: {tag!r}") from None
+            object.__setattr__(self, "tag", tag)
+        n = check_integer(self.n, "n")
+        k = None if self.k is None else check_integer(self.k, "k")
+        object.__setattr__(self, "n", n)  # an np.int64 n would overflow the exact lane
+        object.__setattr__(self, "k", k)
         n_min, step, takes_k = _ADMISSIBLE[tag]
         if not (n == n_min if step == 0 else n >= n_min and (n - n_min) % step == 0):
             need = f"n = {n_min}, {n_min + step}, ..." if step else f"n = {n_min}"
@@ -372,8 +374,8 @@ def scaled_curvature_spectrum(family: HypersurfaceFamily, t, c) -> CurvatureSpec
     are unchanged.
     """
     c = to_mpf(c)
-    if c == 0 or (c > 0) != family.is_projective:
-        raise UnsupportedFamily(f"curvature sign of c={mp.nstr(c, 8)} does not match {family.tag.value}")
+    if not mp.isfinite(c) or c == 0 or (c > 0) != family.is_projective:
+        raise UnsupportedFamily(f"c={mp.nstr(c, 8)} is not a finite curvature of {family.tag.value}'s sign")
     s = mp.sqrt(abs(c)) / 2
     base = curvature_spectrum(family, None if family.tag is FamilyTag.CH_A0 else s * to_mpf(t))
     return CurvatureSpectrum(
@@ -387,9 +389,17 @@ def spectrum_arrays(family: HypersurfaceFamily, ts: np.ndarray):
 
     Returns (alpha, [(lambda_i, m_i), ...]) with numpy arrays.  This is the
     fast lane used for sign-level grid scans; certified quantities always go
-    through the mpmath path.
+    through the mpmath path.  Every radius must pass ``_check_radius``'s
+    tests: inside the open domain, NaN and +/-inf excluded, and off CH_B's
+    excluded radius.
     """
     ts = np.asarray(ts, dtype=float)
+    domain = family.radius_domain()  # a NaN radius makes both extremes NaN and fails the test
+    if domain is not None and ts.size and not float(domain[0]) < ts.min() <= ts.max() < float(domain[1]):
+        raise RadiusOutOfDomain(f"{family.tag.value} grid radii must be finite and inside its open domain")
+    excl = family.excluded_radius
+    if excl is not None and np.any(np.abs(ts - float(excl)) < 1e-15):
+        raise ExcludedRadius("grid hits the CH_B forbidden radius")
     return _spectrum(family, ts, _FLOAT64, np.ones_like(ts))
 
 

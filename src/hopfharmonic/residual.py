@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ExcludedRadius, RadiusOutOfDomain, UnsupportedFamily, check_order, check_tol
+from .errors import RadiusOutOfDomain, UnsupportedFamily, check_order, check_tol
 from .families import (
     FamilyTag,
     HypersurfaceFamily,
@@ -26,8 +26,6 @@ from .families import (
     trace_shape,
     trace_shape_squared,
 )
-
-DEFAULT_MINIMAL_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -39,7 +37,6 @@ class ResidualReport:
     trace_sq: object
     alpha: object
     r: int
-    is_minimal: bool
 
 
 def _residual_value(sign: int, n: int, r: int, trace, trace_sq, alpha):
@@ -59,7 +56,6 @@ def residual(family: HypersurfaceFamily, t=None, r: int = 2) -> ResidualReport:
         trace_sq=tr2,
         alpha=spec.alpha,
         r=r,
-        is_minimal=abs(tr) <= DEFAULT_MINIMAL_TOL,
     )
 
 
@@ -71,12 +67,8 @@ def is_proper_r_harmonic(family: HypersurfaceFamily, t, r: int, tol: float) -> b
 
 
 def residual_grid(family: HypersurfaceFamily, r: int, ts) -> np.ndarray:
-    """Vectorised float64 residual over finite radii in the family's open domain (sign-scan lane)."""
+    """Vectorised float64 residual over radii that ``spectrum_arrays`` accepts (sign-scan lane)."""
     r = check_order(r)
-    ts = np.asarray(ts, dtype=float)
-    domain = family.radius_domain()  # a NaN radius makes both extremes NaN and fails the test
-    if domain is not None and ts.size and not float(domain[0]) < ts.min() <= ts.max() < float(domain[1]):
-        raise RadiusOutOfDomain(f"{family.tag.value} grid radii must be finite and inside its open domain")
     alpha, branches = spectrum_arrays(family, ts)
     trace = alpha + sum(m * lam for lam, m in branches)
     trace_sq = alpha**2 + sum(m * lam**2 for lam, m in branches)
@@ -94,9 +86,6 @@ def chn_scan(family: HypersurfaceFamily, r: int, grid) -> float:
     ts = np.asarray(grid, dtype=float)
     if ts.size == 0:
         raise RadiusOutOfDomain("the grid holds no radius")
-    excl = family.excluded_radius
-    if excl is not None and np.any(np.abs(ts - float(excl)) < 1e-15):
-        raise ExcludedRadius("grid hits the CH_B forbidden radius")
     return float(np.max(residual_grid(family, r, ts)))
 
 

@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 import pytest
+import sympy
 from mpmath import mp
 
 from hopfharmonic import (
@@ -22,6 +23,7 @@ from hopfharmonic import (
     x_from_radius,
 )
 from hopfharmonic._rational import to_fraction
+from hopfharmonic.biharmonic import _discriminant
 
 F = HypersurfaceFamily
 CP = FamilyTag
@@ -34,6 +36,11 @@ class TestRadii:
         sqrt13 = mp.sqrt(13)
         assert abs(tubes[0].cos_sq_t - (7 + sqrt13) / 12) < 1e-30
         assert abs(tubes[1].cos_sq_t - (7 - sqrt13) / 12) < 1e-30
+
+    def test_discriminant_is_positive_for_every_dimension(self):
+        # (2p - n - 1)^2 + 4(n + 1) > 0 for n >= 0, so cos^2 t is always real
+        n, p = sympy.symbols("n p")
+        assert sympy.expand(_discriminant(n, p) - ((2 * p - n - 1) ** 2 + 4 * (n + 1))) == 0
 
     def test_n3_p2_both_branches_interior(self):
         # oracle: trace identity tr S^2 = 2(n+1) = 8 becomes 16x^2 - 16x + 3 = 0

@@ -5,7 +5,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import hopfharmonic
 from hopfharmonic import (
+    DegenerateLeadingCoefficient,
+    DegenerateTube,
+    ExcludedRadius,
     FamilyTag,
     HopfError,
     HypersurfaceFamily,
@@ -13,12 +17,18 @@ from hopfharmonic import (
     InvalidOrder,
     InvalidRootSearch,
     InvalidTolerance,
+    NoExactCountGuarantee,
+    NotApplicable,
+    ProbesCollide,
     QuarticPoly,
     RadiusOutOfDomain,
     RootOutOfRange,
+    ToleranceNotReached,
+    UnsupportedFamily,
     a2_closed_form,
     a2_k_thresholds,
     build_quartic,
+    cauchy_bound,
     certify_radii,
     chn_scan,
     count_real_roots,
@@ -30,6 +40,8 @@ from hopfharmonic import (
     radius_from_x,
     residual,
     residual_grid,
+    scaled_curvature_spectrum,
+    spectrum_arrays,
     stability_condition,
     tail_residual,
     tube_family,
@@ -127,6 +139,39 @@ def test_radius_outside_the_domain_gives_no_x(family, t):
         residual_grid(family, 2, [0.3, t])
 
 
+def test_family_keeps_its_dimension_as_an_int():
+    # numpy integers reached the exact lane and overflowed it; n = 3 raised TypeError
+    for n in (3, 10**5):
+        family = F(CP.CP_A1, np.int64(n))
+        assert type(family.n) is int
+        assert count_solutions(family, 2) == count_solutions(F(CP.CP_A1, n), 2)
+    assert type(F(CP.CP_A2, np.int64(5), np.int64(2)).k) is int
+
+
+@pytest.mark.parametrize("t", [2.0, 0.0, float("nan")], ids=repr)
+def test_spectrum_arrays_checks_its_radii(t):
+    # the float lane's one radius check: 0 divided by zero, 2.0 gave a value
+    with pytest.raises(RadiusOutOfDomain):
+        spectrum_arrays(A1, [0.3, t])
+
+
+def test_grid_at_the_excluded_radius_is_rejected():
+    ch_b = F(CP.CH_B, 3)
+    with pytest.raises(ExcludedRadius):
+        residual_grid(ch_b, 2, [0.3, float(ch_b.excluded_radius)])
+
+
+@pytest.mark.parametrize(
+    "family,c",
+    [(F(CP.CH_A0, 3), float("nan")), (F(CP.CH_B, 3), float("-inf")), (A1, float("inf"))],
+    ids=["CH_A0-nan", "CH_B-minus-inf", "CP_A1-inf"],
+)
+def test_non_finite_curvature_is_rejected(family, c):
+    # each c passes the sign check; a NaN c gave a NaN spectrum
+    with pytest.raises(UnsupportedFamily):
+        scaled_curvature_spectrum(family, 0.3, c)
+
+
 ZERO = QuarticPoly(0, 0, 0, 0, 0)
 
 
@@ -152,3 +197,35 @@ def test_input_errors_are_hopf_and_value_errors():
     for error in (InvalidFamily, InvalidTolerance, InvalidRootSearch):
         assert issubclass(error, HopfError) and issubclass(error, ValueError)
     assert issubclass(InvalidOrder, HopfError)
+
+
+# One input per exported error class that raises exactly that class; a class
+# nothing can raise has no entry, and the key check below fails for it.
+ERROR_TRIGGERS = {
+    DegenerateLeadingCoefficient: lambda: cauchy_bound(QuarticPoly(0, 1, 1, 1, 1)),
+    DegenerateTube: lambda: stability_condition(10**60, 1, "plus"),  # cos^2 t rounds to 1
+    ExcludedRadius: lambda: residual(F(CP.CH_B, 3), F(CP.CH_B, 3).excluded_radius),
+    InvalidFamily: lambda: F(CP.CP_A1, 0),
+    InvalidOrder: lambda: residual(A1, 0.3, 1),
+    InvalidRootSearch: lambda: count_real_roots(ZERO, 0, 1),
+    InvalidTolerance: lambda: is_proper_r_harmonic(A1, 0.3, 3, 0),
+    NoExactCountGuarantee: lambda: probe_values(F(CP.CP_A2, 10, 4), 100),
+    NotApplicable: lambda: a2_closed_form(4, 3),
+    ProbesCollide: lambda: probe_values(F(CP.CP_B, 2), 2),
+    RadiusOutOfDomain: lambda: spectrum_arrays(A1, [2.0]),
+    RootOutOfRange: lambda: radius_from_x(A1, 2),
+    ToleranceNotReached: lambda: isolate_and_refine(QuarticPoly(0, 0, 1, 0, -2), 1, 2, Fraction(1, 2**4100)),
+    UnsupportedFamily: lambda: chn_scan(A1, 2, [0.3]),
+}
+EXPORTED_ERRORS = {
+    obj for obj in vars(hopfharmonic).values()
+    if isinstance(obj, type) and issubclass(obj, HopfError) and obj is not HopfError
+}
+
+
+@pytest.mark.parametrize("error", sorted(EXPORTED_ERRORS, key=lambda cls: cls.__name__), ids=lambda cls: cls.__name__)
+def test_every_exported_error_has_a_trigger(error):
+    assert set(ERROR_TRIGGERS) == EXPORTED_ERRORS
+    with pytest.raises(error) as info:
+        ERROR_TRIGGERS[error]()
+    assert info.type is error

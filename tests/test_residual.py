@@ -41,7 +41,6 @@ class TestResidualValues:
         fam = F(CP.CP_A2, 3, 1)
         rep = residual(fam, mp.pi / 6, 2)
         assert abs(rep.residual) < 1e-30
-        assert not rep.is_minimal
         assert is_proper_r_harmonic(fam, mp.pi / 6, 2, 1e-10)
 
     def test_horosphere_constant(self):
@@ -51,8 +50,7 @@ class TestResidualValues:
 
     def test_minimal_radius_is_not_proper(self):
         fam = F(CP.CP_A1, 2)
-        rep = residual(fam, mp.pi / 6, 5)
-        assert rep.is_minimal
+        assert abs(residual(fam, mp.pi / 6, 5).trace) < 1e-30
         assert not is_proper_r_harmonic(fam, mp.pi / 6, 5, 1e-10)
 
     def test_generic_radius_is_not_proper(self):
@@ -135,7 +133,7 @@ class TestHyperbolicScan:
     def test_grid_outside_domain_rejected(self, grid):
         with pytest.raises(RadiusOutOfDomain):
             chn_scan(F(CP.CH_A1_POINT, 2), 2, grid)
-        # residual_grid holds the domain check; only the empty grid is chn_scan's own
+        # spectrum_arrays holds the radius checks that residual_grid runs; only the empty grid is chn_scan's own
         if grid:
             with pytest.raises(RadiusOutOfDomain):
                 residual_grid(F(CP.CH_B, 3), 2, grid)
