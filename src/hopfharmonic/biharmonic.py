@@ -209,10 +209,8 @@ def asymptotic_check(p: int, n: int) -> AsymptoticErrors:
 
     all from c = cos^2 t: tan^2 t = (1-c)/c and 4 cot^2 2t = (2c-1)^2/(c(1-c)).
     """
-    family = tube_family(n, p)
-    tube, cos_t = _tube(n, p, "plus")
-    c = tube.cos_sq_t
-    tr = trace_shape(angle_spectrum(family, cos_t, mp.sqrt(1 - c)))
+    report = stability_condition(n, p, "plus")
+    c, tr = report.cos_sq_t, report.trace
     lead = mp.mpf(2 * n) / (2 * p - 1)
     return AsymptoticErrors(
         cot2_2t=abs((2 * c - 1) ** 2 / (c * (1 - c)) - lead) / n,

@@ -65,11 +65,13 @@ class DegenerateTube(HopfError):
 
 
 def check_integer(value, name: str) -> int:
-    """value as an int; ``InvalidFamily`` unless it is an integer."""
+    """value as an int; ``InvalidFamily`` unless it is an integer other than a bool."""
     try:
-        return operator.index(value)
+        if not isinstance(value, bool):
+            return operator.index(value)
     except TypeError:
-        raise InvalidFamily(f"{name} must be an integer, got {value!r}") from None
+        pass
+    raise InvalidFamily(f"{name} must be an integer, got {value!r}")
 
 
 def check_order(r) -> int:

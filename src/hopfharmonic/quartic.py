@@ -1,10 +1,10 @@
-"""Exact quartic construction and certified real-root isolation.
+"""Exact polynomials of any degree and certified real-root isolation.
 
-The exact layer runs on integers.  A quartic's rational coefficients are
-cleared to integers once, and every sign is the sign of an integer
-den^deg * P(num/den).  One primitive pseudo-remainder sequence of P is its
-Sturm chain; only when roots repeat does its last element, gcd(P, P'),
-give the square-free part, whose own sequence is then the chain.
+A polynomial is held once, as integer coefficients over one positive scale,
+so every sign is the sign of an integer den^deg * P(num/den); the family
+quartics are built with scale 1.  One primitive pseudo-remainder sequence
+of P is its Sturm chain; only when roots repeat does its last element,
+gcd(P, P'), give the square-free part, whose own sequence is then the chain.
 Isolation halves intervals and evaluates the chain once per split.
 Refinement is one loop over one cell of bisection's dyadic grid, two
 integer numerators over a shared denominator: while the width test cannot
@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from fractions import Fraction
 
 from ._rational import to_fraction, to_mpf
@@ -49,12 +48,6 @@ def _trim(p):
 
 def _derivative(p):
     return [i * c for i, c in enumerate(p)][1:]
-
-
-def _clear_to_ints(p):
-    """Scale by the positive lcm of denominators; sign pattern is preserved."""
-    lcm = math.lcm(*(c.denominator for c in p))
-    return [c.numerator * (lcm // c.denominator) for c in p], lcm
 
 
 def _int_value(ip, num: int, den: int) -> int:
@@ -153,48 +146,44 @@ class _SturmChain:
 
 
 # ---------------------------------------------------------------------------
-# public quartic types
+# public polynomial types
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class QuarticPoly:
-    """Quartic with exact rational coefficients, highest degree first.
+    """Exact polynomial of any degree, P = sum(ints[i] x^i) / scale.
 
-    ``family`` and ``r`` tie a polynomial to the tube radii it certifies;
-    they are None for free-standing polynomials.
+    ``QuarticPoly(*coeffs)`` takes the coefficients highest degree first and
+    clears them to integers once: ``ints`` holds them low to high, at the
+    length given, and ``scale`` is the positive lcm of their denominators
+    (1 for integer coefficients).  ``family`` and ``r`` tie a polynomial to
+    the tube radii it certifies; they are None for free-standing polynomials.
     """
 
-    a4: Fraction
-    a3: Fraction
-    a2: Fraction
-    a1: Fraction
-    a0: Fraction
-    family: HypersurfaceFamily | None = None
-    r: int | None = None
+    ints: tuple
+    scale: int
+    family: HypersurfaceFamily | None
+    r: int | None
 
-    def __post_init__(self):
-        for name in ("a4", "a3", "a2", "a1", "a0"):
-            object.__setattr__(self, name, to_fraction(getattr(self, name)))
+    def __init__(self, *coeffs, family=None, r=None):
+        if not coeffs:
+            raise InvalidRootSearch("a polynomial needs at least one coefficient")
+        ints, scale = coeffs[::-1], 1
+        if not all(type(c) is int for c in ints):
+            fracs = [to_fraction(c) for c in ints]
+            scale = math.lcm(*(c.denominator for c in fracs))
+            ints = tuple(c.numerator * (scale // c.denominator) for c in fracs)
+        for name, value in (("ints", ints), ("scale", scale), ("family", family), ("r", r)):
+            object.__setattr__(self, name, value)
 
     def coefficients(self) -> tuple:
-        return (self.a4, self.a3, self.a2, self.a1, self.a0)
-
-    def _low_to_high(self):
-        return _trim([self.a0, self.a1, self.a2, self.a3, self.a4])
-
-    @cached_property
-    def _cleared(self):
-        """Low-to-high coefficients cleared to integers, and their positive scale."""
-        ints, lcm = _clear_to_ints(self._low_to_high())
-        return tuple(ints), lcm
+        """Exact coefficients, highest degree first."""
+        return tuple(Fraction(c, self.scale) for c in reversed(self.ints))
 
     def evaluate(self, x) -> Fraction:
         """Exact value at a rational (or binary-float) point, by integer Horner."""
         x = to_fraction(x)
-        ints, lcm = self._cleared
-        if not ints:
-            return Fraction(0)
-        return Fraction(_int_value(ints, x.numerator, x.denominator), lcm * x.denominator ** (len(ints) - 1))
+        return Fraction(_int_value(self.ints, x.numerator, x.denominator), self.scale * x.denominator ** (len(self.ints) - 1))
 
 
 @dataclass(frozen=True)
@@ -276,14 +265,15 @@ def build_quartic(family: HypersurfaceFamily, r: int) -> QuarticPoly:
     else:
         coeffs = (135 * r - 14, -234 * r + 100, 117 * r + 184, -(18 * r + 180), 72)
 
-    return QuarticPoly(*map(Fraction, coeffs), family=family, r=r)
+    return QuarticPoly(*coeffs, family=family, r=r)
 
 
 def cauchy_bound(poly: QuarticPoly) -> Fraction:
-    """1 + max |a_i / a4|: every root, real or complex, has modulus below it."""
-    if poly.a4 == 0:
-        raise DegenerateLeadingCoefficient("Cauchy bound needs a4 != 0")
-    return 1 + max(abs(c / poly.a4) for c in (poly.a3, poly.a2, poly.a1, poly.a0))
+    """1 + max |a_i / a_n| over the leading a_n: every root, real or complex, has modulus below it."""
+    *rest, lead = poly.ints
+    if lead == 0:
+        raise DegenerateLeadingCoefficient("Cauchy bound needs a nonzero leading coefficient")
+    return 1 + max((Fraction(abs(c), abs(lead)) for c in rest), default=Fraction(0))
 
 
 # ---------------------------------------------------------------------------
@@ -293,9 +283,10 @@ def cauchy_bound(poly: QuarticPoly) -> Fraction:
 def _prepare(poly: QuarticPoly, lo, hi):
     """Checked interval, integer coefficients, square-free part and its Sturm chain.
 
-    Returns the coefficients cleared to integers with their positive scale,
-    so P = ints / lcm.  The ends may be roots: the chain counts (lo, hi]
-    exactly, and the callers drop a root at hi to count the open interval.
+    Returns the integer coefficients, trimmed of leading zeros, with their
+    positive scale, so P = ints / lcm.  The ends may be roots: the chain
+    counts (lo, hi] exactly, and the callers drop a root at hi to count the
+    open interval.
     """
     try:
         lo, hi = to_fraction(lo), to_fraction(hi)
@@ -303,11 +294,11 @@ def _prepare(poly: QuarticPoly, lo, hi):
         raise InvalidRootSearch(f"interval ends must be finite numbers, got {lo!r}, {hi!r}") from None
     if not lo < hi:
         raise InvalidRootSearch(f"need lo < hi, got {lo} >= {hi}")
-    ints, lcm = poly._cleared
+    ints = _trim(list(poly.ints))
     if not ints:
         raise InvalidRootSearch("the zero polynomial has no isolated roots")
     chain = _SturmChain(ints)
-    return ints, lcm, chain.sf, chain, lo, hi
+    return ints, poly.scale, chain.sf, chain, lo, hi
 
 
 def count_real_roots(poly: QuarticPoly, lo, hi) -> int:
@@ -346,7 +337,7 @@ def isolate_and_refine(poly: QuarticPoly, lo, hi, tol) -> list:
     family, the tube radius and its residual report are filled in.
     """
     tol_frac = to_fraction(check_tol(tol))
-    _, _, sf, chain, lo, hi = _prepare(poly, lo, hi)
+    ints, lcm, sf, chain, lo, hi = _prepare(poly, lo, hi)
     # Midpoints and exact-root windows are tested for roots, so only the
     # caller's ends can be roots, and of the right ends only hi.
     end_roots = tuple(x for x in (lo, hi) if _is_root(sf, x))
@@ -376,7 +367,7 @@ def isolate_and_refine(poly: QuarticPoly, lo, hi, tol) -> list:
 
     certs = []
     for a, b in sorted(intervals):
-        a, b = _refine(poly, chain, a, b, tol_frac)
+        a, b = _refine(ints, lcm, chain, a, b, tol_frac)
         mid = (a + b) / 2
         root = to_mpf(mid)
         radius = report = None
@@ -397,7 +388,7 @@ def _first_stop_level(width: int, den: int, tol: Fraction) -> int:
     return j if have << j > need else j + 1
 
 
-def _refine(poly: QuarticPoly, chain: _SturmChain, a: Fraction, b: Fraction, tol: Fraction):
+def _refine(ints, lcm: int, chain: _SturmChain, a: Fraction, b: Fraction, tol: Fraction):
     """Refine (a, b) to the interval plain bisection returns: narrower than tol, |P(mid)| <= tol.
 
     One loop walks bisection's dyadic grid with one cell (lo/den, hi/den),
@@ -412,7 +403,6 @@ def _refine(poly: QuarticPoly, chain: _SturmChain, a: Fraction, b: Fraction, tol
     exact-root window.  A zero at a secant probe sets cap to the level.
     Every level counts against ``_MAX_STEPS``.
     """
-    ints, lcm = poly._cleared
     sf = chain.sf
     deg, shift = len(ints) - 1, len(sf) - 1  # doubling den multiplies an sf value by 2^shift
     den = math.lcm(a.denominator, b.denominator)

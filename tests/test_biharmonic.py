@@ -5,6 +5,7 @@ import sympy
 from mpmath import mp
 
 from hopfharmonic import (
+    DegenerateTube,
     FamilyTag,
     HypersurfaceFamily,
     IndexClaim,
@@ -203,3 +204,8 @@ class TestAsymptotics:
         large = asymptotic_check(1, 16 * 10**4)
         for field in ("cot2_2t", "cot2_t", "tan2_t", "trace"):
             assert getattr(small, field) / getattr(large, field) >= 2
+
+    def test_degenerate_plus_branch_raises(self):
+        # at 40 digits cos^2 t rounds to 1; the check once unpacked None
+        with pytest.raises(DegenerateTube):
+            asymptotic_check(1, 10**60)

@@ -93,10 +93,14 @@ def test_integer_like_order_gives_the_same_result(entry):
         lambda: a2_closed_form("5", 3),
         lambda: tube_family(None, 1),
         lambda: stability_condition(5, 1.0, "plus"),
+        lambda: tube_family(3, True),
+        lambda: F(CP.CP_A1, True),
+        lambda: index_threshold_scan(True, 50),
     ],
     ids=[
         "scan-p-float", "scan-n_max-float", "scan-p-str", "branch", "k-thresholds-n2",
         "k-thresholds-n-float", "closed-form-n-float", "closed-form-n-str", "tube-n-none", "stability-p-float",
+        "tube-p-true", "family-n-true", "scan-p-true",
     ],
 )
 def test_biharmonic_and_window_inputs_raise_invalid_family(call):
@@ -185,8 +189,9 @@ ZERO = QuarticPoly(0, 0, 0, 0, 0)
         lambda: count_real_roots(build_quartic(A1, 3), None, 1),
         lambda: count_real_roots(ZERO, 0, 1),
         lambda: isolate_and_refine(ZERO, 0, 1, 1e-10),
+        lambda: QuarticPoly(),
     ],
-    ids=["lo-above-hi", "empty", "nan-end", "inf-end", "none-end", "zero-count", "zero-isolate"],
+    ids=["lo-above-hi", "empty", "nan-end", "inf-end", "none-end", "zero-count", "zero-isolate", "no-coefficients"],
 )
 def test_exact_layer_rejects_interval_and_polynomial(call):
     with pytest.raises(InvalidRootSearch):

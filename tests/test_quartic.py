@@ -80,7 +80,7 @@ class TestBuild:
         for fam in (F(CP.CP_A1, 1), F(CP.CP_A1, 30), F(CP.CP_A2, 12, 5), F(CP.CP_B, 2),
                     F(CP.CP_C, 7), F(CP.CP_D, 9), F(CP.CP_E, 15)):
             for r in (2, 5, 1000):
-                assert build_quartic(fam, r).a4 > 0
+                assert build_quartic(fam, r).coefficients()[0] > 0
 
 
 class TestCauchyBound:

@@ -1,7 +1,7 @@
 """Sturm counts and certificates checked against two oracles.
 
 sympy shares no code with the integer Sturm chain, so agreement on random
-quartics with repeated factors checks the square-free part, the chain and
+polynomials of degree up to 4, and up to 7, with repeated factors checks the square-free part, the chain and
 the isolation together.  The counts are exact on the open interval whatever
 its ends, so some ends are drawn on a root, 2^-33 from one, or beyond one.
 
@@ -40,13 +40,13 @@ def _mul(p, q):
 
 
 @st.composite
-def factored_quartics(draw):
-    """Integer coefficients, low -> high, of a product of factors of degree <= 4,
+def factored_quartics(draw, max_degree=4):
+    """Integer coefficients, low -> high, of a product of factors of degree <= max_degree,
     and the roots of its linear factors."""
     poly, roots = [draw(st.sampled_from([-3, -1, 1, 2]))], []
-    for factor, times in draw(st.lists(st.tuples(_FACTOR, st.integers(1, 3)), min_size=1, max_size=4)):
+    for factor, times in draw(st.lists(st.tuples(_FACTOR, st.integers(1, 3)), min_size=1, max_size=max_degree)):
         for _ in range(times):
-            if len(poly) + len(factor) - 2 <= 4:
+            if len(poly) + len(factor) - 2 <= max_degree:
                 poly = _mul(poly, factor)
                 if len(factor) == 2:
                     roots.append(Fraction(-factor[0], factor[1]))
@@ -76,10 +76,12 @@ def _rational(x: Fraction):
     return Rational(x.numerator, x.denominator)
 
 
+@pytest.mark.parametrize("max_degree", [4, 7])
 @settings(max_examples=200)
-@given(st.data())
-def test_counts_and_certificates_match_sympy(data):
-    low_to_high, roots = data.draw(factored_quartics())
+@given(data=st.data())
+def test_counts_and_certificates_match_sympy(max_degree, data):
+    # degree 7 is the largest degree of the resultant Res(P, P') as a polynomial in r
+    low_to_high, roots = data.draw(factored_quartics(max_degree))
     lo, hi = data.draw(intervals(roots))
     sym = Poly(list(reversed(low_to_high)), Symbol("x"))
     sqf = sym.sqf_part()
@@ -87,7 +89,7 @@ def test_counts_and_certificates_match_sympy(data):
     expected = sqf.count_roots(_rational(lo), _rational(hi))
     expected -= sum(sqf.eval(_rational(end)) == 0 for end in (lo, hi))
 
-    poly = QuarticPoly(*reversed(low_to_high + [0] * (5 - len(low_to_high))))
+    poly = QuarticPoly(*reversed(low_to_high))
     # sympy's square-free part is primitive with a positive leading coefficient;
     # the chain's has the sign of the polynomial's
     sign = 1 if low_to_high[-1] > 0 else -1
