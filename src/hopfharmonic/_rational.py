@@ -15,11 +15,13 @@ def to_mpf(value):
 
 
 def to_fraction(value) -> Fraction:
-    """Exact rational value of an int/float/Fraction/mpf (all binary-exact)."""
+    """Exact rational value of an int/float/Fraction/mpf (all binary-exact); not a str."""
     if isinstance(value, Fraction):
         return value
     if isinstance(value, (int, float)):
         return Fraction(value)
+    if isinstance(value, str):  # mp.mpf would round it to the working precision
+        raise TypeError(f"a string is not an exact number: {value!r}")
     x = mp.mpf(value)
     sign, man, exp, _ = x._mpf_
     if man == 0:

@@ -35,8 +35,7 @@ from .families import FamilyTag, HypersurfaceFamily, admissible_families, fixed_
 from .quartic import build_quartic
 from .residual import chn_scan, residual_grid
 
-_CP_TYPES = {"A1": FamilyTag.CP_A1, "A2": FamilyTag.CP_A2, "B": FamilyTag.CP_B,
-             "C": FamilyTag.CP_C, "D": FamilyTag.CP_D, "E": FamilyTag.CP_E}
+_CP_TYPES = {tag.value[3:]: tag for tag in FamilyTag if tag.value.startswith("CP_")}  # --type A1 is CP_A1
 _CH_TAGS = [tag for tag in FamilyTag if tag not in _CP_TYPES.values()]
 _TRIG_SEED = 0x5EED
 _ROOT_TOL = Fraction(1, 10**24)

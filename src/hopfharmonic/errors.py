@@ -33,7 +33,7 @@ class InvalidTolerance(HopfError, ValueError):
 
 
 class InvalidRootSearch(HopfError, ValueError):
-    """A root count or isolation needs a nonzero polynomial and finite ends lo < hi."""
+    """Exact-lane input is not a finite number, or a root search lacks a nonzero polynomial or lo < hi."""
 
 
 class DegenerateLeadingCoefficient(HopfError):

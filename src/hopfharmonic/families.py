@@ -4,9 +4,10 @@ Each family is a one-parameter family of tubes in CP^n(4) or CH^n(-4); the
 spectrum of the shape operator at radius t consists of the Hopf curvature
 alpha together with a short list of (principal curvature, multiplicity)
 branches.  All numeric evaluation goes through mpmath so that downstream
-residual tolerances of 1e-12 keep ample headroom; the distinguished radii
-(minimal tubes, order-independent tubes) are exact rationals in the
-family's own algebraic variable.
+residual tolerances of 1e-12 keep ample headroom.  One table, ``_FAMILIES``,
+holds a row per family tag: its admissible (n, k) and, for a projective
+family, its radius variable x and the exact rational x of its minimal and
+order-independent tubes.
 """
 
 from __future__ import annotations
@@ -48,40 +49,59 @@ class FamilyTag(str, Enum):
 
 
 class Substitution(str, Enum):
-    """Algebraic variable x in which a projective family's radii are rational."""
+    """Algebraic variable x = trig(s t)^2 in which a projective family's radii are rational.
 
-    SIN2_T = "sin^2(t)"
-    COS2_T = "cos^2(t)"
-    COS2_2T = "cos^2(2t)"
+    The radius is t = inverse(sqrt x) / s, on the domain (0, pi / (2 s)).
+    """
 
+    SIN2_T = "sin^2(t)", mp.sin, mp.asin, 1
+    COS2_T = "cos^2(t)", mp.cos, mp.acos, 1
+    COS2_2T = "cos^2(2t)", mp.cos, mp.acos, 2
 
-# The projective families, each with its radius variable; the cos^2(2t)
-# families live on the quarter domain (0, pi/4).
-_SUBSTITUTION = {
-    FamilyTag.CP_A1: Substitution.SIN2_T,
-    FamilyTag.CP_A2: Substitution.COS2_T,
-    FamilyTag.CP_B: Substitution.COS2_2T,
-    FamilyTag.CP_C: Substitution.COS2_2T,
-    FamilyTag.CP_D: Substitution.COS2_2T,
-    FamilyTag.CP_E: Substitution.COS2_2T,
-}
+    def __new__(cls, value, trig, inverse, s):
+        member = str.__new__(cls, value)
+        member._value_ = value
+        member.trig, member.inverse, member.s = trig, inverse, s
+        return member
 
 
-# Admissible parameters per family: (least n, step between admissible n with
-# 0 for a single n, whether k is taken with 1 <= k <= n - 2).  Takagi's list
-# for CP^n (n = 1 is the curve case of A1) and Berndt's classification for CH^n.
-_ADMISSIBLE = {
-    FamilyTag.CH_A0: (2, 1, False),
-    FamilyTag.CH_A1_GEODESIC: (2, 1, False),
-    FamilyTag.CH_A1_POINT: (2, 1, False),
-    FamilyTag.CH_A2: (3, 1, True),
-    FamilyTag.CH_B: (2, 1, False),
-    FamilyTag.CP_A1: (1, 1, False),
-    FamilyTag.CP_A2: (3, 1, True),
-    FamilyTag.CP_B: (2, 1, False),
-    FamilyTag.CP_C: (5, 2, False),
-    FamilyTag.CP_D: (9, 0, False),
-    FamilyTag.CP_E: (15, 0, False),
+class _Family(NamedTuple):
+    """One family's row: admissible (n, k) and, if projective, exact tube points.
+
+    n runs over n_min, n_min + step, ... (step 0: n_min only), and k, if
+    taken, over 1 <= k <= n - 2.  A projective row holds its radius variable
+    and, as functions of (n, k), x at the minimal tube (trace = 0) and at the
+    order-independent tube (trace + 3 alpha = 0).
+    """
+
+    n_min: int
+    step: int
+    takes_k: bool
+    substitution: Substitution | None = None
+    minimal_x: object = None
+    r_independent_x: object = None
+
+
+# Takagi's list for CP^n (n = 1 is the curve case of A1) and Berndt's
+# classification for CH^n.
+_FAMILIES = {
+    FamilyTag.CH_A0: _Family(2, 1, False),
+    FamilyTag.CH_A1_GEODESIC: _Family(2, 1, False),
+    FamilyTag.CH_A1_POINT: _Family(2, 1, False),
+    FamilyTag.CH_A2: _Family(3, 1, True),
+    FamilyTag.CH_B: _Family(2, 1, False),
+    FamilyTag.CP_A1: _Family(1, 1, False, Substitution.SIN2_T,
+                             lambda n, k: Fraction(1, 2 * n), lambda n, k: Fraction(2, n + 3)),
+    FamilyTag.CP_A2: _Family(3, 1, True, Substitution.COS2_T,
+                             lambda n, k: Fraction(2 * k + 1, 2 * n), lambda n, k: Fraction(k + 2, n + 3)),
+    FamilyTag.CP_B: _Family(2, 1, False, Substitution.COS2_2T,
+                            lambda n, k: Fraction(1, n), lambda n, k: Fraction(4, n + 3)),
+    FamilyTag.CP_C: _Family(5, 2, False, Substitution.COS2_2T,
+                            lambda n, k: Fraction(2, n), lambda n, k: Fraction(2, n + 3)),
+    FamilyTag.CP_D: _Family(9, 0, False, Substitution.COS2_2T,
+                            lambda n, k: Fraction(4, 9), lambda n, k: Fraction(1, 3)),
+    FamilyTag.CP_E: _Family(15, 0, False, Substitution.COS2_2T,
+                            lambda n, k: Fraction(2, 5), lambda n, k: Fraction(1, 3)),
 }
 
 
@@ -109,7 +129,8 @@ class HypersurfaceFamily:
         k = None if self.k is None else check_integer(self.k, "k")
         object.__setattr__(self, "n", n)  # an np.int64 n would overflow the exact lane
         object.__setattr__(self, "k", k)
-        n_min, step, takes_k = _ADMISSIBLE[tag]
+        row = _FAMILIES[tag]
+        n_min, step, takes_k = row.n_min, row.step, row.takes_k
         if not (n == n_min if step == 0 else n >= n_min and (n - n_min) % step == 0):
             need = f"n = {n_min}, {n_min + step}, ..." if step else f"n = {n_min}"
             raise InvalidFamily(f"{tag.value} needs {need}, got n={n}")
@@ -119,7 +140,7 @@ class HypersurfaceFamily:
 
     @property
     def is_projective(self) -> bool:
-        return self.tag in _SUBSTITUTION
+        return self.substitution is not None
 
     @property
     def space_form_sign(self) -> int:
@@ -128,17 +149,14 @@ class HypersurfaceFamily:
 
     @property
     def substitution(self) -> Substitution | None:
-        return _SUBSTITUTION.get(self.tag)
+        return _FAMILIES[self.tag].substitution
 
     def radius_domain(self):
         """Open interval of admissible radii as mpf bounds, or None (horosphere)."""
-        if self.tag is FamilyTag.CH_A0:
-            return None
-        if not self.is_projective:
-            return (mp.mpf(0), mp.inf)
-        if self.substitution is Substitution.COS2_2T:
-            return (mp.mpf(0), mp.pi / 4)
-        return (mp.mpf(0), mp.pi / 2)
+        sub = self.substitution
+        if sub is not None:
+            return (mp.mpf(0), mp.pi / (2 * sub.s))
+        return None if self.tag is FamilyTag.CH_A0 else (mp.mpf(0), mp.inf)
 
     @property
     def excluded_radius(self):
@@ -150,15 +168,16 @@ class HypersurfaceFamily:
 
 def fixed_dimension(tag: FamilyTag) -> int | None:
     """The one admissible n of a family that exists in a single dimension (D, E)."""
-    n_min, step, _ = _ADMISSIBLE[tag]
-    return n_min if step == 0 else None
+    row = _FAMILIES[tag]
+    return row.n_min if row.step == 0 else None
 
 
 def admissible_families(tag: FamilyTag, n_max: int):
     """Every family of one tag with n <= n_max, in increasing (n, k)."""
-    n_min, step, takes_k = _ADMISSIBLE[tag]
+    row = _FAMILIES[tag]
+    n_min, step = row.n_min, row.step
     for n in range(n_min, (n_max if step else min(n_max, n_min)) + 1, step or 1):
-        for k in range(1, n - 1) if takes_k else (None,):
+        for k in range(1, n - 1) if row.takes_k else (None,):
             yield HypersurfaceFamily(tag, n, k)
 
 
@@ -284,65 +303,28 @@ def trace_shape_squared(spectrum: CurvatureSpectrum):
 
 def minimal_x(family: HypersurfaceFamily) -> Fraction:
     """Exact value of the substitution variable at the minimal tube (trace = 0)."""
-    _require_projective(family)
-    n, k = family.n, family.k
-    tag = family.tag
-    if tag is FamilyTag.CP_A1:
-        return Fraction(1, 2 * n)
-    if tag is FamilyTag.CP_A2:
-        return Fraction(2 * k + 1, 2 * n)
-    if tag is FamilyTag.CP_B:
-        return Fraction(1, n)
-    if tag is FamilyTag.CP_C:
-        return Fraction(2, n)
-    if tag is FamilyTag.CP_D:
-        return Fraction(4, 9)
-    return Fraction(2, 5)
+    return _require_projective(family).minimal_x(family.n, family.k)
 
 
 def r_independent_x(family: HypersurfaceFamily) -> Fraction:
     """Exact x at the radius where trace + 3*alpha = 0 (order-independent tube)."""
-    _require_projective(family)
-    n, k = family.n, family.k
-    tag = family.tag
-    if tag is FamilyTag.CP_A1:
-        return Fraction(2, n + 3)
-    if tag is FamilyTag.CP_A2:
-        return Fraction(k + 2, n + 3)
-    if tag is FamilyTag.CP_B:
-        return Fraction(4, n + 3)
-    if tag is FamilyTag.CP_C:
-        return Fraction(2, n + 3)
-    return Fraction(1, 3)
+    return _require_projective(family).r_independent_x(family.n, family.k)
 
 
 def radius_from_x(family: HypersurfaceFamily, x):
     """Tube radius t recovering x under the family's substitution; x must lie in (0, 1)."""
     x = to_mpf(x)
-    sub = family.substitution
-    if sub is None:
-        raise UnsupportedFamily(f"{family.tag.value} has no algebraic radius variable")
+    sub = _require_projective(family).substitution
     if not 0 < x < 1:
         raise RootOutOfRange(f"x = {mp.nstr(x, 12)} does not give a non-degenerate tube")
-    root = mp.sqrt(x)
-    if sub is Substitution.SIN2_T:
-        return mp.asin(root)
-    if sub is Substitution.COS2_T:
-        return mp.acos(root)
-    return mp.acos(root) / 2
+    return sub.inverse(mp.sqrt(x)) / sub.s
 
 
 def x_from_radius(family: HypersurfaceFamily, t):
     """Value of the family's substitution variable at a radius t of its domain."""
-    sub = family.substitution
-    if sub is None:
-        raise UnsupportedFamily(f"{family.tag.value} has no algebraic radius variable")
+    sub = _require_projective(family).substitution
     t = _check_radius(family, t)
-    if sub is Substitution.SIN2_T:
-        return mp.sin(t) ** 2
-    if sub is Substitution.COS2_T:
-        return mp.cos(t) ** 2
-    return mp.cos(2 * t) ** 2
+    return sub.trig(sub.s * t) ** 2
 
 
 @dataclass(frozen=True)
@@ -403,6 +385,9 @@ def spectrum_arrays(family: HypersurfaceFamily, ts: np.ndarray):
     return _spectrum(family, ts, _FLOAT64, np.ones_like(ts))
 
 
-def _require_projective(family: HypersurfaceFamily):
-    if not family.is_projective:
+def _require_projective(family: HypersurfaceFamily) -> _Family:
+    """The family's row, which must be projective."""
+    row = _FAMILIES[family.tag]
+    if row.substitution is None:
         raise UnsupportedFamily(f"{family.tag.value} is a hyperbolic family")
+    return row

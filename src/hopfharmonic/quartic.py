@@ -149,6 +149,14 @@ class _SturmChain:
 # public polynomial types
 # ---------------------------------------------------------------------------
 
+def _exact(value) -> Fraction:
+    """``to_fraction`` for the exact lane: a non-number or non-finite value is ``InvalidRootSearch``."""
+    try:
+        return to_fraction(value)
+    except (TypeError, ValueError, OverflowError):
+        raise InvalidRootSearch(f"not a finite number: {value!r}") from None
+
+
 @dataclass(frozen=True, init=False)
 class QuarticPoly:
     """Exact polynomial of any degree, P = sum(ints[i] x^i) / scale.
@@ -170,7 +178,7 @@ class QuarticPoly:
             raise InvalidRootSearch("a polynomial needs at least one coefficient")
         ints, scale = coeffs[::-1], 1
         if not all(type(c) is int for c in ints):
-            fracs = [to_fraction(c) for c in ints]
+            fracs = [_exact(c) for c in ints]
             scale = math.lcm(*(c.denominator for c in fracs))
             ints = tuple(c.numerator * (scale // c.denominator) for c in fracs)
         for name, value in (("ints", ints), ("scale", scale), ("family", family), ("r", r)):
@@ -182,7 +190,7 @@ class QuarticPoly:
 
     def evaluate(self, x) -> Fraction:
         """Exact value at a rational (or binary-float) point, by integer Horner."""
-        x = to_fraction(x)
+        x = _exact(x)
         return Fraction(_int_value(self.ints, x.numerator, x.denominator), self.scale * x.denominator ** (len(self.ints) - 1))
 
 
@@ -288,10 +296,7 @@ def _prepare(poly: QuarticPoly, lo, hi):
     counts (lo, hi] exactly, and the callers drop a root at hi to count the
     open interval.
     """
-    try:
-        lo, hi = to_fraction(lo), to_fraction(hi)
-    except (TypeError, ValueError, OverflowError):
-        raise InvalidRootSearch(f"interval ends must be finite numbers, got {lo!r}, {hi!r}") from None
+    lo, hi = _exact(lo), _exact(hi)
     if not lo < hi:
         raise InvalidRootSearch(f"need lo < hi, got {lo} >= {hi}")
     ints = _trim(list(poly.ints))

@@ -157,6 +157,21 @@ class TestVerify:
         assert code == 0
         assert all(check["passed"] for check in doc["checks"])
 
+    def test_exact_suite_walks_the_projective_types_in_order(self, capsys, monkeypatch):
+        cli = importlib.import_module("hopfharmonic.cli")
+        walked = []
+        enumerate_families = cli.admissible_families
+
+        def recording(tag, n_max):
+            walked.append(tag.value)
+            return enumerate_families(tag, n_max)
+
+        monkeypatch.setattr(cli, "admissible_families", recording)
+        code, _ = run_json(capsys, "verify", "--suite", "exact")
+        assert code == 0
+        # the boundary-value check runs first and walks every projective type
+        assert walked[:6] == ["CP_A1", "CP_A2", "CP_B", "CP_C", "CP_D", "CP_E"]
+
     def test_text_format_lists_checks(self, capsys):
         code, out = run(capsys, "verify", "--suite", "exact", "--format", "text")
         assert code == 0
@@ -184,6 +199,12 @@ class TestContract:
         monkeypatch.setenv("HOPF_PRECISION", "42")
         _, with_env = run(capsys, *argv)
         assert with_env == plain
+
+    def test_unknown_type_lists_the_projective_types(self, capsys):
+        with pytest.raises(SystemExit) as err:
+            main(["solve", "--type", "Z", "--n", "2", "--r", "2"])
+        assert err.value.code == 2
+        assert "(choose from ['A1', 'A2', 'B', 'C', 'D', 'E'])" in capsys.readouterr().err
 
     def test_precision_flag_is_echoed(self, capsys):
         _, doc = run_json(capsys, "solve", "--type", "A1", "--n", "2", "--r", "2", "--precision", "35")

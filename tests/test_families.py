@@ -1,4 +1,6 @@
+import hashlib
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given
@@ -225,21 +227,28 @@ class TestSpecialRadii:
         spec_ind = curvature_spectrum(fam, radii.t_r_independent)
         assert abs(trace_shape(spec_ind) + 3 * spec_ind.alpha) < 1e-12
 
-    def test_minimal_trace_zero_up_to_n_50(self):
+    @pytest.mark.parametrize(
+        "special_x,alpha_weight", [(minimal_x, 0), (r_independent_x, 3)], ids=["minimal", "r-independent"]
+    )
+    def test_special_trace_equations_up_to_n_50(self, special_x, alpha_weight):
+        # minimal_x solves trace = 0, r_independent_x solves trace + 3 alpha = 0
         fams = [F(CP.CP_A1, n) for n in range(2, 51)]
         fams += [F(CP.CP_B, n) for n in range(2, 51)]
         fams += [F(CP.CP_A2, n, k) for n in range(3, 51) for k in range(1, n - 1)]
         fams += [F(CP.CP_C, n) for n in range(5, 51, 2)]
         fams += [F(CP.CP_D, 9), F(CP.CP_E, 15)]
         for fam in fams:
-            t0 = radius_from_x(fam, minimal_x(fam))
-            assert abs(trace_shape(curvature_spectrum(fam, t0))) < 1e-12
+            spec = curvature_spectrum(fam, radius_from_x(fam, special_x(fam)))
+            assert abs(trace_shape(spec) + alpha_weight * spec.alpha) < 1e-12
 
     def test_hyperbolic_families_unsupported(self):
         with pytest.raises(UnsupportedFamily):
             special_radii(F(CP.CH_A0, 2))
         with pytest.raises(UnsupportedFamily):
             minimal_x(F(CP.CH_B, 3))
+        for call in (r_independent_x, lambda f: radius_from_x(f, 0.5), lambda f: x_from_radius(f, 0.3)):
+            with pytest.raises(UnsupportedFamily):
+                call(F(CP.CH_A2, 5, 2))
 
 
 class TestConversions:
@@ -256,6 +265,34 @@ class TestConversions:
         assert r_independent_x(F(CP.CP_A1, 2)) == pytest.approx(0.4)
         assert minimal_x(F(CP.CP_D, 9)) * 9 == 4
         assert minimal_x(F(CP.CP_E, 15)) * 5 == 2
+
+
+# SHA-256 of every admissible family's table values with n <= 30 (flags,
+# radius variable, domain, excluded radius, the two exact special x, their
+# radii and radius/x round trips), as exact reprs at 30 and at 50 digits.
+FAMILY_TABLE_DIGEST = "3f58bb390bb2f7a417c058ad045a7b21aa12963a46956cbd1eb2acc86ba123de"
+
+
+def _family_table_lines():
+    for dps in (30, 50):
+        with mp.workdps(dps):
+            for tag in CP:
+                yield repr((dps, tag, fixed_dimension(tag)))
+                for fam in admissible_families(tag, 30):
+                    row = [fam.is_projective, fam.space_form_sign, fam.substitution, fam.excluded_radius,
+                           fam.radius_domain()]
+                    if fam.is_projective:
+                        specials = (minimal_x(fam), r_independent_x(fam))
+                        row += [*specials, special_radii(fam)]
+                        for x in (*specials, Fraction(1, 7), Fraction(1, 2), Fraction(6, 7)):
+                            t = radius_from_x(fam, x)
+                            row += [t, x_from_radius(fam, t)]
+                    yield repr((fam, row))
+
+
+def test_family_table_values_keep_their_digest():
+    text = "\n".join(_family_table_lines())
+    assert hashlib.sha256(text.encode()).hexdigest() == FAMILY_TABLE_DIGEST
 
 
 class TestScaling:

@@ -190,8 +190,16 @@ ZERO = QuarticPoly(0, 0, 0, 0, 0)
         lambda: count_real_roots(ZERO, 0, 1),
         lambda: isolate_and_refine(ZERO, 0, 1, 1e-10),
         lambda: QuarticPoly(),
+        lambda: QuarticPoly(1, float("nan")),
+        lambda: QuarticPoly(1, float("inf")),
+        lambda: QuarticPoly(1, None),
+        lambda: QuarticPoly(1, "0.5"),
+        # a string end went through mp.mpf: a binary number near 1/10 that depends on mp.dps
+        lambda: count_real_roots(QuarticPoly(10, -1), "0.1", 1),
+        lambda: QuarticPoly(1, 0).evaluate(float("nan")),
     ],
-    ids=["lo-above-hi", "empty", "nan-end", "inf-end", "none-end", "zero-count", "zero-isolate", "no-coefficients"],
+    ids=["lo-above-hi", "empty", "nan-end", "inf-end", "none-end", "zero-count", "zero-isolate", "no-coefficients",
+         "nan-coefficient", "inf-coefficient", "none-coefficient", "str-coefficient", "str-end", "nan-evaluate"],
 )
 def test_exact_layer_rejects_interval_and_polynomial(call):
     with pytest.raises(InvalidRootSearch):
