@@ -69,7 +69,7 @@ def _solve_rows(family: HypersurfaceFamily, r: int):
     for cert in certify_radii(family, r, _ROOT_TOL):
         lo, hi = cert.isolating_interval
         if family.tag is FamilyTag.CP_A1 and family.n == 1 and hi > Fraction(1, 2):
-            continue  # n = 1: the roots pair up as x <-> 1-x (congruent circles), keep x < 1/2
+            continue  # n = 1 is self-dual (k = 0 = n-1-k): roots pair up as x <-> 1-x, keep x < 1/2
         rep = cert.residual_report
         rows.append({
             "x": fmt(cert.refined_root),
@@ -162,15 +162,15 @@ def cmd_biharmonic(args):
 # ---------------------------------------------------------------------------
 
 def _boundary_targets(family: HypersurfaceFamily):
-    n, k = family.n, family.k
-    return {
-        FamilyTag.CP_A1: (Fraction(1), Fraction((2 * n - 1) ** 2)),
-        FamilyTag.CP_A2: (Fraction((2 * k + 1) ** 2 if k else 0), Fraction((2 * k - 2 * n + 1) ** 2 if k else 0)),
-        FamilyTag.CP_B: (Fraction(4), Fraction(4 * (n - 1) ** 2)),
-        FamilyTag.CP_C: (Fraction(16), Fraction(4 * (n - 2) ** 2)),
-        FamilyTag.CP_D: (Fraction(16), Fraction(25)),
-        FamilyTag.CP_E: (Fraction(72), Fraction(162)),
-    }[family.tag]
+    """The exact (P(0), P(1)) of the family quartic; A1 is the A2 pair at k = 0."""
+    n, k, tag = family.n, family.k or 0, family.tag
+    if tag in (FamilyTag.CP_A1, FamilyTag.CP_A2):
+        return (2 * k + 1) ** 2, (2 * k - 2 * n + 1) ** 2
+    if tag is FamilyTag.CP_B:
+        return 4, 4 * (n - 1) ** 2
+    if tag is FamilyTag.CP_C:
+        return 16, 4 * (n - 2) ** 2
+    return (16, 25) if tag is FamilyTag.CP_D else (72, 162)
 
 
 def _check_boundary_values(n_max=25, orders=(2, 17)):
@@ -187,18 +187,17 @@ def _check_probe_identities(n_max=25, orders=(2, 17)):
     for r in orders:
         for family in admissible_families(FamilyTag.CP_A1, n_max):
             n, pa1 = family.n, build_quartic(family, r)
-            if 2 * n**4 * pa1.evaluate(Fraction(1, 2 * n)) != -(n - 1) * (2 * n - 1) ** 2:
-                return False, f"A1 trace-zero probe failed at n={n}"
             if (n + 3) ** 4 * pa1.evaluate(Fraction(2, n + 3)) != -(3 * n * n + 2 * n + 11) * (n + 7) * (n - 1):
                 return False, f"A1 order-free probe failed at n={n}"
         for family in admissible_families(FamilyTag.CP_B, n_max):
             n, pb = family.n, build_quartic(family, r)
             if n**4 * pb.evaluate(Fraction(1, n)) != 2 * (3 * n - 1) * (n - 1) ** 3:
                 return False, f"B minimal probe failed at n={n}"
-        for family in admissible_families(FamilyTag.CP_A2, n_max):
-            n, k, pa2 = family.n, family.k, build_quartic(family, r)
+        a_types = (FamilyTag.CP_A1, FamilyTag.CP_A2)  # A1's trace-zero probe is A2's minimal probe at k = 0
+        for family in (f for tag in a_types for f in admissible_families(tag, n_max)):
+            n, k, pa2 = family.n, family.k or 0, build_quartic(family, r)
             if 2 * n**4 * pa2.evaluate(Fraction(2 * k + 1, 2 * n)) != -(n - 1) * (2 * n - 2 * k - 1) ** 2 * (2 * k + 1) ** 2:
-                return False, f"A2 minimal probe failed at n={n}, k={k}"
+                return False, f"{family.tag.value} minimal probe failed at n={n}, k={family.k}"
         for family in admissible_families(FamilyTag.CP_C, n_max):
             n, pc = family.n, build_quartic(family, r)
             if n**4 * pc.evaluate(Fraction(2, n)) != 8 * (3 * n - 1) * (n - 1) * (n - 2) ** 2:

@@ -3,7 +3,11 @@
 Root counts are certified by exact Sturm counts in (0, 1) and the proper
 radii by ``certify_radii``; the rational probe points used by the
 intermediate-value arguments are retained as a secondary witness, with
-every probe value evaluated in exact arithmetic.
+every probe value evaluated in exact arithmetic.  The A2 tube of radius t
+over CP^k is the tube of radius pi/2 - t over CP^(n-1-k) (Takagi's list;
+Cecil & Ryan, *Geometry of Hypersurfaces*, 2015): P_{n,k}(x) =
+P_{n,n-1-k}(1 - x), and A1 is A2 at k = 0.  So k > k2 exactly when
+n-1-k < k1; that side's test, eta2, k2 and probes are the dual's k < k1 ones.
 """
 
 from __future__ import annotations
@@ -40,10 +44,8 @@ class ProbeReport:
 class ThresholdPair(NamedTuple):
     """Orders guaranteeing at least two, and exactly four, proper tubes.
 
-    ``r_four`` is None for the balanced A2 families (2k = n-1), whose quartic
-    collapses to a biquadratic with exactly two real roots for every order,
-    and for the A1 curve (n = 1), which has exactly two proper radii for
-    every order.
+    ``r_four`` is None for the self-dual families, k = n-1-k (balanced A2 and
+    the A1 curve n = 1): P(x) = P(1 - x) has two proper roots for every order.
     """
 
     r_two: int
@@ -60,12 +62,12 @@ def _probe_triple(family: HypersurfaceFamily, r: int):
     if tag is FamilyTag.CP_A1:
         return x_min, x_min + Fraction(1, n * r), r_independent_x(family)
     if tag is FamilyTag.CP_A2:
-        # the probe layout depends on which side of the k-window we are on
-        if k_below_k1(n, k):
-            return x_min, x_min + Fraction(1, r), 1 - Fraction(1, r)
-        if k_above_k2(n, k):
-            return Fraction(1, r), x_min - Fraction(1, r), x_min
-        raise NoExactCountGuarantee(f"no probe layout for CP_A2 with n={n}, k={k} inside the k-window")
+        above = k_above_k2(n, k)  # then: the layout of the dual (n, n-1-k), whose x_min is 1 - x_min, under x -> 1 - x
+        if not (above or k_below_k1(n, k)):
+            raise NoExactCountGuarantee(f"no probe layout for CP_A2 with n={n}, k={k} inside the k-window")
+        x_low = 1 - x_min if above else x_min
+        triple = x_low, x_low + Fraction(1, r), 1 - Fraction(1, r)
+        return tuple(1 - x for x in reversed(triple)) if above else triple
     a, b = _OUTER_PROBES[tag]
     return Fraction(a, r), x_min, 1 - Fraction(b, r)
 
@@ -77,8 +79,7 @@ def probe_values(family: HypersurfaceFamily, r: int) -> ProbeReport:
     + - + - + across (0, x0, x1, x2, 1), which forces four roots.
     """
     poly = build_quartic(family, r)
-    x0, x1, x2 = _probe_triple(family, r)
-    points = (Fraction(0), x0, x1, x2, Fraction(1))
+    points = (Fraction(0), *_probe_triple(family, r), Fraction(1))
     if not all(a < b for a, b in zip(points, points[1:])):
         raise ProbesCollide(f"probe points {points[1:4]} not strictly ordered in (0, 1) at r={r}")
     values = tuple(poly.evaluate(x) for x in points)
@@ -182,8 +183,7 @@ def a2_k_thresholds(n: int) -> KWindow:
         raise InvalidFamily(f"need n >= 3, got {n}")
     sqrt_d = mp.sqrt(_k_discriminant(n))
     k1 = (5 * n * n - 4 * n + 2 - n * sqrt_d) / (4 * (n - 1))
-    k2 = (n * sqrt_d - n * n - 4 * n + 2) / (4 * (n - 1))
-    return KWindow(k1=k1, k2=k2)
+    return KWindow(k1=k1, k2=n - 1 - k1)
 
 
 def k_below_k1(n: int, k: int) -> bool:
@@ -193,9 +193,8 @@ def k_below_k1(n: int, k: int) -> bool:
 
 
 def k_above_k2(n: int, k: int) -> bool:
-    """Exact integer test for k > k2."""
-    lhs = 4 * (n - 1) * k + n * n + 4 * n - 2
-    return lhs * lhs > n * n * _k_discriminant(n)
+    """Exact integer test for k > k2, that is n-1-k < k1."""
+    return k_below_k1(n, n - 1 - k)
 
 
 def eta1(n: int, k: int) -> int:
@@ -204,8 +203,8 @@ def eta1(n: int, k: int) -> int:
 
 
 def eta2(n: int, k: int) -> int:
-    """Positivity witness for the upper A2 branch (positive iff k > k2 side)."""
-    return 4 * (n - 1) * k * k + 2 * (n * n + 4 * n - 2) * k - 3 * n**3 + n * n + 3 * n - 1
+    """Positivity witness for the upper A2 branch (positive iff k > k2 side): eta1 of the dual."""
+    return eta1(n, n - 1 - k)
 
 
 def a1_offset_probe_poly(n: int) -> tuple:

@@ -189,13 +189,21 @@ class CurvatureSpectrum:
     branches: tuple
 
 
+def _number(value, convert, error):
+    """``convert(value)``, raising ``error`` for a value that is not a real number or an array of them."""
+    try:
+        return convert(value)
+    except (TypeError, ValueError, OverflowError):
+        raise error(f"not a real number: {value!r}") from None
+
+
 def _check_radius(family: HypersurfaceFamily, t):
     domain = family.radius_domain()
     if domain is None:
         return None
     if t is None:
         raise RadiusOutOfDomain(f"{family.tag.value} requires a radius t")
-    t = to_mpf(t)
+    t = _number(t, to_mpf, RadiusOutOfDomain)
     lo, hi = domain
     if not lo < t < hi:
         raise RadiusOutOfDomain(f"radius {mp.nstr(t, 12)} outside open interval (0, {mp.nstr(hi, 12)})")
@@ -313,7 +321,7 @@ def r_independent_x(family: HypersurfaceFamily) -> Fraction:
 
 def radius_from_x(family: HypersurfaceFamily, x):
     """Tube radius t recovering x under the family's substitution; x must lie in (0, 1)."""
-    x = to_mpf(x)
+    x = _number(x, to_mpf, RootOutOfRange)
     sub = _require_projective(family).substitution
     if not 0 < x < 1:
         raise RootOutOfRange(f"x = {mp.nstr(x, 12)} does not give a non-degenerate tube")
@@ -355,11 +363,12 @@ def scaled_curvature_spectrum(family: HypersurfaceFamily, t, c) -> CurvatureSpec
     of c must match the family's space form.  Branch order and multiplicities
     are unchanged.
     """
-    c = to_mpf(c)
+    c = _number(c, to_mpf, UnsupportedFamily)
     if not mp.isfinite(c) or c == 0 or (c > 0) != family.is_projective:
         raise UnsupportedFamily(f"c={mp.nstr(c, 8)} is not a finite curvature of {family.tag.value}'s sign")
     s = mp.sqrt(abs(c)) / 2
-    base = curvature_spectrum(family, None if family.tag is FamilyTag.CH_A0 else s * to_mpf(t))
+    t = None if family.tag is FamilyTag.CH_A0 else s * _number(t, to_mpf, RadiusOutOfDomain)
+    base = curvature_spectrum(family, t)
     return CurvatureSpectrum(
         alpha=s * base.alpha,
         branches=tuple((s * lam, m) for lam, m in base.branches),
@@ -375,7 +384,7 @@ def spectrum_arrays(family: HypersurfaceFamily, ts: np.ndarray):
     tests: inside the open domain, NaN and +/-inf excluded, and off CH_B's
     excluded radius.
     """
-    ts = np.asarray(ts, dtype=float)
+    ts = _number(ts, lambda v: np.asarray(v, dtype=float), RadiusOutOfDomain)
     domain = family.radius_domain()  # a NaN radius makes both extremes NaN and fails the test
     if domain is not None and ts.size and not float(domain[0]) < ts.min() <= ts.max() < float(domain[1]):
         raise RadiusOutOfDomain(f"{family.tag.value} grid radii must be finite and inside its open domain")

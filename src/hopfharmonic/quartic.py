@@ -234,17 +234,9 @@ def build_quartic(family: HypersurfaceFamily, r: int) -> QuarticPoly:
     if not family.is_projective:
         raise UnsupportedFamily(f"{family.tag.value} admits no proper polyharmonic tubes")
     r = check_order(r)
-    n, k, tag = family.n, family.k, family.tag
+    n, k, tag = family.n, family.k or 0, family.tag
 
-    if tag is FamilyTag.CP_A1:
-        coeffs = (
-            4 * (n * n + 3 * n) * r - 8 * (n - 1),
-            -2 * (2 * n * n + 11 * n + 3) * r + 4 * (n * n + 3 * n - 4),
-            10 * (n + 1) * r - 2 * (3 * n - 5),
-            -4 * r - 2 * (n + 1),
-            1,
-        )
-    elif tag is FamilyTag.CP_A2:
+    if tag in (FamilyTag.CP_A1, FamilyTag.CP_A2):  # A1 is the A2 row at k = 0, the tube over a point
         coeffs = (
             4 * (n * n + 3 * n) * r - 8 * (n - 1),
             -2 * (2 * n * n + (4 * k + 11) * n + 6 * k + 3) * r + 4 * (n * n - (2 * k - 3) * n - 4),

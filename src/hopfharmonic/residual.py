@@ -83,10 +83,10 @@ def chn_scan(family: HypersurfaceFamily, r: int, grid) -> float:
     """
     if family.is_projective:
         raise UnsupportedFamily("the non-existence scan applies to hyperbolic families only")
-    ts = np.asarray(grid, dtype=float)
-    if ts.size == 0:
+    values = residual_grid(family, r, grid)
+    if values.size == 0:
         raise RadiusOutOfDomain("the grid holds no radius")
-    return float(np.max(residual_grid(family, r, ts)))
+    return float(np.max(values))
 
 
 def tail_residual(family: HypersurfaceFamily, r: int):

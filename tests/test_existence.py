@@ -3,6 +3,7 @@ import math
 from fractions import Fraction
 
 import pytest
+import sympy
 from mpmath import mp
 
 from hopfharmonic import (
@@ -96,6 +97,20 @@ class TestProbeValues:
         for order in (r, r + 1, r + 37):
             report = probe_values(fam, order)
             assert report.points == (Fraction(0), *expected(fam.n, fam.k, order), Fraction(1))
+
+    def test_above_k2_is_the_dual_below_k1_mirrored(self):
+        # every A2 family with n <= 40 past k2, at its paper threshold and far beyond
+        for fam in admissible_families(CP.CP_A2, 40):
+            n, k = fam.n, fam.k
+            if not k_above_k2(n, k):
+                continue
+            dual = F(CP.CP_A2, n, n - 1 - k)
+            r_four = guaranteed_thresholds(fam).r_four
+            for r in (r_four, r_four + 1, 10**6 + 7):
+                report, mirror = probe_values(fam, r), probe_values(dual, r)
+                assert report.points == tuple(1 - x for x in reversed(mirror.points))
+                assert report.values == mirror.values[::-1]
+                assert count_solutions(fam, r) == count_solutions(dual, r)
 
     def test_probes_collide_for_small_orders(self):
         with pytest.raises(ProbesCollide):
@@ -289,6 +304,22 @@ class TestKWindow:
         sqrt97 = mp.sqrt(97)
         assert abs(window.k1 - (35 - 3 * sqrt97) / 8) < 1e-30
         assert abs(window.k2 - (3 * sqrt97 - 19) / 8) < 1e-30
+
+    def test_upper_side_is_the_dual_lower_side(self):
+        # the paper's own k > k2 expressions, now derived from k < k1 at n-1-k
+        n, k = sympy.symbols("n k")
+        paper_eta2 = 4 * (n - 1) * k * k + 2 * (n * n + 4 * n - 2) * k - 3 * n**3 + n * n + 3 * n - 1
+        assert sympy.expand(eta2(n, k) - paper_eta2) == 0
+        sqrt_d = sympy.sqrt(13 * n * n - 8 * n + 4)
+        paper_k1 = (5 * n * n - 4 * n + 2 - n * sqrt_d) / (4 * (n - 1))
+        paper_k2 = (n * sqrt_d - n * n - 4 * n + 2) / (4 * (n - 1))
+        assert sympy.cancel(n - 1 - paper_k1 - paper_k2) == 0
+        for m in (3, 10, 41, 399):
+            assert abs(a2_k_thresholds(m).k2 - mp.mpf(sympy.N(paper_k2.subs(n, m), 40))) < 1e-28
+        for m in range(3, 201):
+            for j in range(1, m - 1):
+                lhs = 4 * (m - 1) * j + m * m + 4 * m - 2
+                assert k_above_k2(m, j) == (lhs * lhs > m * m * (13 * m * m - 8 * m + 4))
 
     def test_exact_comparators_agree_with_numeric(self):
         for n in range(3, 60):

@@ -33,6 +33,7 @@ from hopfharmonic import (
     chn_scan,
     count_real_roots,
     count_solutions,
+    curvature_spectrum,
     index_threshold_scan,
     is_proper_r_harmonic,
     isolate_and_refine,
@@ -123,24 +124,34 @@ def test_is_proper_r_harmonic_rejects_tolerance(tol):
         is_proper_r_harmonic(A1, 0.3, 3, tol)
 
 
-@pytest.mark.parametrize("x", [2, 0, 1, -0.5, float("nan")], ids=repr)
+@pytest.mark.parametrize("x", [2, 0, 1, -0.5, float("nan"), None, "abc"], ids=repr)
 def test_x_outside_the_unit_interval_gives_no_radius(x):
-    # without the check, radius_from_x(A1, 2) is the complex asin(sqrt(2))
+    # without the check, radius_from_x(A1, 2) is the complex asin(sqrt(2));
+    # None and "abc" raised a bare TypeError and ValueError
     with pytest.raises(RootOutOfRange):
         radius_from_x(A1, x)
 
 
 @pytest.mark.parametrize(
     "family,t",
-    [(A1, 5), (A1, 0), (A1, -0.3), (A1, float("nan")), (F(CP.CP_D, 9), 1.0), (A1, 2.0), (A1, float("inf"))],
-    ids=["A1-5", "A1-0", "A1-negative", "A1-nan", "D-beyond-quarter-turn", "A1-2", "A1-inf"],
+    [(A1, 5), (A1, 0), (A1, -0.3), (A1, float("nan")), (F(CP.CP_D, 9), 1.0), (A1, 2.0), (A1, float("inf")),
+     (A1, "abc"), (A1, "zz"), (A1, "a")],
+    ids=["A1-5", "A1-0", "A1-negative", "A1-nan", "D-beyond-quarter-turn", "A1-2", "A1-inf",
+         "A1-str-abc", "A1-str-zz", "A1-str-a"],
 )
 def test_radius_outside_the_domain_gives_no_x(family, t):
-    # the float lane rejects the same radii, also next to a valid one
-    with pytest.raises(RadiusOutOfDomain):
-        x_from_radius(family, t)
-    with pytest.raises(RadiusOutOfDomain):
-        residual_grid(family, 2, [0.3, t])
+    # the mp lane and the float lane reject the same radii, the float lane also
+    # alone and next to a valid one; a non-number raised a bare TypeError or ValueError
+    for call in (
+        lambda: x_from_radius(family, t),
+        lambda: curvature_spectrum(family, t),
+        lambda: residual(family, t, 3),
+        lambda: residual_grid(family, 2, [t]),
+        lambda: residual_grid(family, 2, [0.3, t]),
+        lambda: scaled_curvature_spectrum(family, t, 4),
+    ):
+        with pytest.raises(RadiusOutOfDomain):
+            call()
 
 
 def test_family_keeps_its_dimension_as_an_int():
@@ -159,6 +170,17 @@ def test_spectrum_arrays_checks_its_radii(t):
         spectrum_arrays(A1, [0.3, t])
 
 
+@pytest.mark.parametrize(
+    "call",
+    [lambda: curvature_spectrum(A1, [1]), lambda: chn_scan(F(CP.CH_B, 3), 2, [0.3, "a"])],
+    ids=["spectrum-list", "chn-scan-str"],
+)
+def test_a_non_number_radius_is_rejected(call):
+    # a list radius raised a bare TypeError; chn_scan converted the grid itself, with a bare ValueError
+    with pytest.raises(RadiusOutOfDomain):
+        call()
+
+
 def test_grid_at_the_excluded_radius_is_rejected():
     ch_b = F(CP.CH_B, 3)
     with pytest.raises(ExcludedRadius):
@@ -167,11 +189,11 @@ def test_grid_at_the_excluded_radius_is_rejected():
 
 @pytest.mark.parametrize(
     "family,c",
-    [(F(CP.CH_A0, 3), float("nan")), (F(CP.CH_B, 3), float("-inf")), (A1, float("inf"))],
-    ids=["CH_A0-nan", "CH_B-minus-inf", "CP_A1-inf"],
+    [(F(CP.CH_A0, 3), float("nan")), (F(CP.CH_B, 3), float("-inf")), (A1, float("inf")), (A1, "x"), (A1, None)],
+    ids=["CH_A0-nan", "CH_B-minus-inf", "CP_A1-inf", "CP_A1-str", "CP_A1-none"],
 )
 def test_non_finite_curvature_is_rejected(family, c):
-    # each c passes the sign check; a NaN c gave a NaN spectrum
+    # each c passes the sign check; a NaN c gave a NaN spectrum, a str or None a bare ValueError or TypeError
     with pytest.raises(UnsupportedFamily):
         scaled_curvature_spectrum(family, 0.3, c)
 

@@ -83,6 +83,44 @@ class TestBuild:
                 assert build_quartic(fam, r).coefficients()[0] > 0
 
 
+class TestDuality:
+    """The A2 quartic is the one source of A1 and of both sides of the k-window.
+
+    Each coefficient of P_{n,k}(x) - P_{n,n-1-k}(1 - x), as a polynomial in
+    x of degree <= 4, is affine in r and of total degree <= 2 in (n, k).  Five
+    x at which the difference vanishes make each coefficient vanish; one that
+    vanishes at r = 2 and 3 on the 3 x 3 grid n in {7, 8, 9}, k in {1, 2, 3}
+    is zero as a polynomial, so the identity holds for every (n, k, r).  The
+    same argument in (n, r), with three n, pins the A1 row.
+    """
+
+    XS = (Fraction(0), Fraction(1, 3), Fraction(1, 2), Fraction(5, 7), Fraction(2))
+
+    def test_a2_tube_over_cp_k_is_the_dual_tube_at_one_minus_x(self):
+        for n in (7, 8, 9):
+            for k in (1, 2, 3):
+                for r in (2, 3):
+                    poly = build_quartic(F(CP.CP_A2, n, k), r)
+                    dual = build_quartic(F(CP.CP_A2, n, n - 1 - k), r)
+                    assert [poly.evaluate(x) for x in self.XS] == [dual.evaluate(1 - x) for x in self.XS]
+
+    def test_a1_is_the_paper_a1_quartic(self):
+        # the paper's A1 coefficients, highest degree first; build_quartic
+        # takes A1 from the A2 row at k = 0
+        def paper_a1(n, r):
+            return (
+                4 * (n * n + 3 * n) * r - 8 * (n - 1),
+                -2 * (2 * n * n + 11 * n + 3) * r + 4 * (n * n + 3 * n - 4),
+                10 * (n + 1) * r - 2 * (3 * n - 5),
+                -4 * r - 2 * (n + 1),
+                1,
+            )
+
+        for n in (1, 2, 3):
+            for r in (2, 3):
+                assert build_quartic(F(CP.CP_A1, n), r).coefficients() == paper_a1(n, r)
+
+
 class TestCauchyBound:
     def test_examples(self):
         assert cauchy_bound(quartic(72, -108, 58, -14, 1)) == Fraction(5, 2)
