@@ -20,9 +20,8 @@ import numpy as np
 from mpmath import mp
 
 from . import __version__
-from ._rational import to_fraction
 from .biharmonic import BRANCHES, index_threshold_scan, stability_condition
-from .errors import DegenerateTube, HopfError, NoExactCountGuarantee, ProbesCollide
+from .errors import DegenerateTube, HopfError, NoExactCountGuarantee, ProbesCollide, to_fraction
 from .existence import (
     a1_offset_probe_poly,
     a2_closed_form,

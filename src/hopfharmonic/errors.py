@@ -1,7 +1,14 @@
-"""Exception types raised by the hopfharmonic package, and the input checks that raise them."""
+"""Exception types of the hopfharmonic package and the one input gate: the checks and
+conversions that turn a number from outside into an int, Fraction, mpf or float64
+array, or raise the ``HopfError`` the caller names.  A str is refused, never rounded.
+"""
 
 import math
 import operator
+from fractions import Fraction
+
+import numpy as np
+from mpmath import mp
 
 
 class HopfError(Exception):
@@ -92,3 +99,42 @@ def check_tol(tol):
     except TypeError:
         pass
     raise InvalidTolerance(f"tolerance must be a finite positive number, got {tol!r}")
+
+
+def to_fraction(value, error=InvalidRootSearch) -> Fraction:
+    """Exact value of an int, float, Fraction or mpf (all binary-exact); ``error`` if not one or not finite."""
+    try:
+        if isinstance(value, Fraction):
+            return value
+        if isinstance(value, (int, float)):
+            return Fraction(value)
+        if not isinstance(value, str) and mp.isfinite(x := mp.mpf(value)):
+            sign, man, exp, _ = x._mpf_
+            frac = Fraction(man << exp) if exp >= 0 else Fraction(man, 1 << -exp)
+            return -frac if sign else frac
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise error(f"not a finite number: {value!r}")
+
+
+def to_mpf(value, error):
+    """An int, float, Fraction or mpf as an mpf at the working precision; ``error`` otherwise."""
+    try:
+        if isinstance(value, Fraction):
+            return mp.mpf(value.numerator) / mp.mpf(value.denominator)
+        if not isinstance(value, str):
+            return mp.mpf(value)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise error(f"not a real number: {value!r}")
+
+
+def to_floats(values, error):
+    """Real numbers, or nested lists or an array of them, as a float64 array; ``error`` otherwise."""
+    try:
+        arr = np.asarray(values)  # float() would read a str or bytes element of an object array
+        if arr.dtype.kind not in "USc" and not (arr.dtype == object and any(isinstance(v, (str, bytes)) for v in arr.flat)):
+            return arr.astype(float, copy=False)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise error(f"not real numbers: {values!r}")

@@ -18,8 +18,8 @@ from typing import NamedTuple
 
 from mpmath import mp
 
-from .errors import InvalidFamily, NoExactCountGuarantee, NotApplicable, ProbesCollide, UnsupportedFamily, check_integer, check_order
-from .families import FamilyTag, HypersurfaceFamily, minimal_x, r_independent_x
+from .errors import InvalidFamily, NoExactCountGuarantee, NotApplicable, ProbesCollide, check_integer, check_order
+from .families import FamilyTag, HypersurfaceFamily, check_family, minimal_x, r_independent_x
 from .quartic import build_quartic, count_real_roots, isolate_and_refine
 
 
@@ -88,8 +88,7 @@ def probe_values(family: HypersurfaceFamily, r: int) -> ProbeReport:
 
 def guaranteed_thresholds(family: HypersurfaceFamily) -> ThresholdPair:
     """Orders past which the family certifiably has >= 2, resp. exactly 4, tubes."""
-    if not family.is_projective:
-        raise UnsupportedFamily("hyperbolic families admit no proper polyharmonic tubes")
+    check_family(family, projective=True)
     n, k, tag = family.n, family.k, family.tag
     if tag is FamilyTag.CP_A1:
         return ThresholdPair(2, None if n == 1 else 2 * n + 13)

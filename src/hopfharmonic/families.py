@@ -21,7 +21,6 @@ from typing import NamedTuple
 import numpy as np
 from mpmath import mp
 
-from ._rational import to_mpf
 from .errors import (
     ExcludedRadius,
     InvalidFamily,
@@ -29,6 +28,8 @@ from .errors import (
     RootOutOfRange,
     UnsupportedFamily,
     check_integer,
+    to_floats,
+    to_mpf,
 )
 
 
@@ -82,6 +83,8 @@ class _Family(NamedTuple):
     r_independent_x: object = None
 
 
+_TAGS = {tag.value: tag for tag in FamilyTag}  # a member hashes as its value
+
 # Takagi's list for CP^n (n = 1 is the curve case of A1) and Berndt's
 # classification for CH^n.
 _FAMILIES = {
@@ -118,17 +121,13 @@ class HypersurfaceFamily:
     k: int | None = None
 
     def __post_init__(self):
-        tag = self.tag
-        if not isinstance(tag, FamilyTag):
-            try:
-                tag = FamilyTag(tag)
-            except ValueError:
-                raise InvalidFamily(f"not a family tag: {tag!r}") from None
-            object.__setattr__(self, "tag", tag)
-        n = check_integer(self.n, "n")
+        tag = _TAGS.get(self.tag) if isinstance(self.tag, str) else None
+        if tag is None:
+            raise InvalidFamily(f"not a family tag: {self.tag!r}")
+        n = check_integer(self.n, "n")  # an np.int64 n would overflow the exact lane
         k = None if self.k is None else check_integer(self.k, "k")
-        object.__setattr__(self, "n", n)  # an np.int64 n would overflow the exact lane
-        object.__setattr__(self, "k", k)
+        for name, value in (("tag", tag), ("n", n), ("k", k)):
+            object.__setattr__(self, name, value)
         row = _FAMILIES[tag]
         n_min, step, takes_k = row.n_min, row.step, row.takes_k
         if not (n == n_min if step == 0 else n >= n_min and (n - n_min) % step == 0):
@@ -189,21 +188,21 @@ class CurvatureSpectrum:
     branches: tuple
 
 
-def _number(value, convert, error):
-    """``convert(value)``, raising ``error`` for a value that is not a real number or an array of them."""
-    try:
-        return convert(value)
-    except (TypeError, ValueError, OverflowError):
-        raise error(f"not a real number: {value!r}") from None
+def check_family(family, projective: bool | None = None) -> HypersurfaceFamily:
+    """family itself; ``InvalidFamily`` unless it is a ``HypersurfaceFamily``, and
+    ``UnsupportedFamily`` if ``projective`` is given and its space form is the other one."""
+    if not isinstance(family, HypersurfaceFamily):
+        raise InvalidFamily(f"not a HypersurfaceFamily: {family!r}")
+    if projective is not None and family.is_projective != projective:
+        raise UnsupportedFamily(f"{family.tag.value} is a {'hyperbolic' if projective else 'projective'} family")
+    return family
 
 
 def _check_radius(family: HypersurfaceFamily, t):
-    domain = family.radius_domain()
+    domain = check_family(family).radius_domain()
     if domain is None:
         return None
-    if t is None:
-        raise RadiusOutOfDomain(f"{family.tag.value} requires a radius t")
-    t = _number(t, to_mpf, RadiusOutOfDomain)
+    t = to_mpf(t, RadiusOutOfDomain)
     lo, hi = domain
     if not lo < t < hi:
         raise RadiusOutOfDomain(f"radius {mp.nstr(t, 12)} outside open interval (0, {mp.nstr(hi, 12)})")
@@ -311,18 +310,18 @@ def trace_shape_squared(spectrum: CurvatureSpectrum):
 
 def minimal_x(family: HypersurfaceFamily) -> Fraction:
     """Exact value of the substitution variable at the minimal tube (trace = 0)."""
-    return _require_projective(family).minimal_x(family.n, family.k)
+    return _FAMILIES[check_family(family, projective=True).tag].minimal_x(family.n, family.k)
 
 
 def r_independent_x(family: HypersurfaceFamily) -> Fraction:
     """Exact x at the radius where trace + 3*alpha = 0 (order-independent tube)."""
-    return _require_projective(family).r_independent_x(family.n, family.k)
+    return _FAMILIES[check_family(family, projective=True).tag].r_independent_x(family.n, family.k)
 
 
 def radius_from_x(family: HypersurfaceFamily, x):
     """Tube radius t recovering x under the family's substitution; x must lie in (0, 1)."""
-    x = _number(x, to_mpf, RootOutOfRange)
-    sub = _require_projective(family).substitution
+    x = to_mpf(x, RootOutOfRange)
+    sub = check_family(family, projective=True).substitution
     if not 0 < x < 1:
         raise RootOutOfRange(f"x = {mp.nstr(x, 12)} does not give a non-degenerate tube")
     return sub.inverse(mp.sqrt(x)) / sub.s
@@ -330,7 +329,7 @@ def radius_from_x(family: HypersurfaceFamily, x):
 
 def x_from_radius(family: HypersurfaceFamily, t):
     """Value of the family's substitution variable at a radius t of its domain."""
-    sub = _require_projective(family).substitution
+    sub = check_family(family, projective=True).substitution
     t = _check_radius(family, t)
     return sub.trig(sub.s * t) ** 2
 
@@ -363,11 +362,11 @@ def scaled_curvature_spectrum(family: HypersurfaceFamily, t, c) -> CurvatureSpec
     of c must match the family's space form.  Branch order and multiplicities
     are unchanged.
     """
-    c = _number(c, to_mpf, UnsupportedFamily)
+    family, c = check_family(family), to_mpf(c, UnsupportedFamily)
     if not mp.isfinite(c) or c == 0 or (c > 0) != family.is_projective:
         raise UnsupportedFamily(f"c={mp.nstr(c, 8)} is not a finite curvature of {family.tag.value}'s sign")
     s = mp.sqrt(abs(c)) / 2
-    t = None if family.tag is FamilyTag.CH_A0 else s * _number(t, to_mpf, RadiusOutOfDomain)
+    t = None if family.tag is FamilyTag.CH_A0 else s * to_mpf(t, RadiusOutOfDomain)
     base = curvature_spectrum(family, t)
     return CurvatureSpectrum(
         alpha=s * base.alpha,
@@ -384,19 +383,11 @@ def spectrum_arrays(family: HypersurfaceFamily, ts: np.ndarray):
     tests: inside the open domain, NaN and +/-inf excluded, and off CH_B's
     excluded radius.
     """
-    ts = _number(ts, lambda v: np.asarray(v, dtype=float), RadiusOutOfDomain)
-    domain = family.radius_domain()  # a NaN radius makes both extremes NaN and fails the test
+    ts = to_floats(ts, RadiusOutOfDomain)
+    domain = check_family(family).radius_domain()  # a NaN radius makes both extremes NaN and fails the test
     if domain is not None and ts.size and not float(domain[0]) < ts.min() <= ts.max() < float(domain[1]):
         raise RadiusOutOfDomain(f"{family.tag.value} grid radii must be finite and inside its open domain")
     excl = family.excluded_radius
     if excl is not None and np.any(np.abs(ts - float(excl)) < 1e-15):
         raise ExcludedRadius("grid hits the CH_B forbidden radius")
     return _spectrum(family, ts, _FLOAT64, np.ones_like(ts))
-
-
-def _require_projective(family: HypersurfaceFamily) -> _Family:
-    """The family's row, which must be projective."""
-    row = _FAMILIES[family.tag]
-    if row.substitution is None:
-        raise UnsupportedFamily(f"{family.tag.value} is a hyperbolic family")
-    return row

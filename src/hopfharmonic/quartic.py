@@ -20,16 +20,17 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from ._rational import to_fraction, to_mpf
 from .errors import (
     DegenerateLeadingCoefficient,
     InvalidRootSearch,
+    InvalidTolerance,
     ToleranceNotReached,
-    UnsupportedFamily,
     check_order,
     check_tol,
+    to_fraction,
+    to_mpf,
 )
-from .families import FamilyTag, HypersurfaceFamily, radius_from_x
+from .families import FamilyTag, HypersurfaceFamily, check_family, radius_from_x
 from .residual import residual
 
 # Bound on the halvings of one isolation path, one refinement or one exact-root window.
@@ -149,14 +150,6 @@ class _SturmChain:
 # public polynomial types
 # ---------------------------------------------------------------------------
 
-def _exact(value) -> Fraction:
-    """``to_fraction`` for the exact lane: a non-number or non-finite value is ``InvalidRootSearch``."""
-    try:
-        return to_fraction(value)
-    except (TypeError, ValueError, OverflowError):
-        raise InvalidRootSearch(f"not a finite number: {value!r}") from None
-
-
 @dataclass(frozen=True, init=False)
 class QuarticPoly:
     """Exact polynomial of any degree, P = sum(ints[i] x^i) / scale.
@@ -178,7 +171,7 @@ class QuarticPoly:
             raise InvalidRootSearch("a polynomial needs at least one coefficient")
         ints, scale = coeffs[::-1], 1
         if not all(type(c) is int for c in ints):
-            fracs = [_exact(c) for c in ints]
+            fracs = [to_fraction(c) for c in ints]
             scale = math.lcm(*(c.denominator for c in fracs))
             ints = tuple(c.numerator * (scale // c.denominator) for c in fracs)
         for name, value in (("ints", ints), ("scale", scale), ("family", family), ("r", r)):
@@ -190,7 +183,7 @@ class QuarticPoly:
 
     def evaluate(self, x) -> Fraction:
         """Exact value at a rational (or binary-float) point, by integer Horner."""
-        x = _exact(x)
+        x = to_fraction(x)
         return Fraction(_int_value(self.ints, x.numerator, x.denominator), self.scale * x.denominator ** (len(self.ints) - 1))
 
 
@@ -231,8 +224,7 @@ def build_quartic(family: HypersurfaceFamily, r: int) -> QuarticPoly:
     is -(4r + 44), which is what the curvature data yields and what the exact
     boundary value P_D(1) = 25 requires.
     """
-    if not family.is_projective:
-        raise UnsupportedFamily(f"{family.tag.value} admits no proper polyharmonic tubes")
+    check_family(family, projective=True)  # only CP^n has proper polyharmonic tubes
     r = check_order(r)
     n, k, tag = family.n, family.k or 0, family.tag
 
@@ -270,6 +262,8 @@ def build_quartic(family: HypersurfaceFamily, r: int) -> QuarticPoly:
 
 def cauchy_bound(poly: QuarticPoly) -> Fraction:
     """1 + max |a_i / a_n| over the leading a_n: every root, real or complex, has modulus below it."""
+    if not isinstance(poly, QuarticPoly):
+        raise InvalidRootSearch(f"not a QuarticPoly: {poly!r}")
     *rest, lead = poly.ints
     if lead == 0:
         raise DegenerateLeadingCoefficient("Cauchy bound needs a nonzero leading coefficient")
@@ -288,9 +282,11 @@ def _prepare(poly: QuarticPoly, lo, hi):
     counts (lo, hi] exactly, and the callers drop a root at hi to count the
     open interval.
     """
-    lo, hi = _exact(lo), _exact(hi)
+    lo, hi = to_fraction(lo), to_fraction(hi)
     if not lo < hi:
         raise InvalidRootSearch(f"need lo < hi, got {lo} >= {hi}")
+    if not isinstance(poly, QuarticPoly):
+        raise InvalidRootSearch(f"not a QuarticPoly: {poly!r}")
     ints = _trim(list(poly.ints))
     if not ints:
         raise InvalidRootSearch("the zero polynomial has no isolated roots")
@@ -333,7 +329,7 @@ def isolate_and_refine(poly: QuarticPoly, lo, hi, tol) -> list:
     its midpoint at most tol.  When the certified polynomial carries a
     family, the tube radius and its residual report are filled in.
     """
-    tol_frac = to_fraction(check_tol(tol))
+    tol_frac = to_fraction(check_tol(tol), InvalidTolerance)
     ints, lcm, sf, chain, lo, hi = _prepare(poly, lo, hi)
     # Midpoints and exact-root windows are tested for roots, so only the
     # caller's ends can be roots, and of the right ends only hi.
@@ -366,7 +362,7 @@ def isolate_and_refine(poly: QuarticPoly, lo, hi, tol) -> list:
     for a, b in sorted(intervals):
         a, b = _refine(ints, lcm, chain, a, b, tol_frac)
         mid = (a + b) / 2
-        root = to_mpf(mid)
+        root = to_mpf(mid, InvalidRootSearch)
         radius = report = None
         if poly.family is not None and poly.r is not None and 0 < mid < 1:
             radius = root_to_radius(poly.family, root)

@@ -17,10 +17,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import RadiusOutOfDomain, UnsupportedFamily, check_order, check_tol
+from .errors import InvalidTolerance, RadiusOutOfDomain, check_order, check_tol, to_mpf
 from .families import (
     FamilyTag,
     HypersurfaceFamily,
+    check_family,
     curvature_spectrum,
     spectrum_arrays,
     trace_shape,
@@ -61,7 +62,7 @@ def residual(family: HypersurfaceFamily, t=None, r: int = 2) -> ResidualReport:
 
 def is_proper_r_harmonic(family: HypersurfaceFamily, t, r: int, tol: float) -> bool:
     """True iff the residual vanishes within tol while the trace does not."""
-    check_tol(tol)
+    tol = to_mpf(check_tol(tol), InvalidTolerance)
     report = residual(family, t, r)
     return abs(report.residual) <= tol and abs(report.trace) > tol
 
@@ -81,8 +82,7 @@ def chn_scan(family: HypersurfaceFamily, r: int, grid) -> float:
     The scan passes when the maximum is strictly negative.  The grid must be
     nonempty, stay inside the open domain and avoid the CH_B forbidden radius.
     """
-    if family.is_projective:
-        raise UnsupportedFamily("the non-existence scan applies to hyperbolic families only")
+    check_family(family, projective=False)
     values = residual_grid(family, r, grid)
     if values.size == 0:
         raise RadiusOutOfDomain("the grid holds no radius")
@@ -96,6 +96,5 @@ def tail_residual(family: HypersurfaceFamily, r: int):
     branch curvatures -> 1), so the limit is the residual of the horosphere
     CH_A0 of the same n, and it bounds the scan's tail.
     """
-    if family.is_projective:
-        raise UnsupportedFamily("tail limit applies to hyperbolic families only")
+    check_family(family, projective=False)
     return residual(HypersurfaceFamily(FamilyTag.CH_A0, family.n), None, r).residual

@@ -30,7 +30,7 @@ from hopfharmonic import (
     tube_family,
     x_from_radius,
 )
-from hopfharmonic._rational import to_fraction
+from hopfharmonic.errors import to_fraction
 
 F = HypersurfaceFamily
 CP = FamilyTag

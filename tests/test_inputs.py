@@ -1,9 +1,13 @@
 """Rejected inputs: every library entry point raises a HopfError for them."""
 
+import math
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import hopfharmonic
 from hopfharmonic import (
@@ -27,6 +31,8 @@ from hopfharmonic import (
     UnsupportedFamily,
     a2_closed_form,
     a2_k_thresholds,
+    admissible_families,
+    biharmonic_radii,
     build_quartic,
     cauchy_bound,
     certify_radii,
@@ -34,14 +40,19 @@ from hopfharmonic import (
     count_real_roots,
     count_solutions,
     curvature_spectrum,
+    guaranteed_thresholds,
     index_threshold_scan,
     is_proper_r_harmonic,
     isolate_and_refine,
+    minimal_x,
     probe_values,
+    r_independent_x,
     radius_from_x,
     residual,
     residual_grid,
+    root_to_radius,
     scaled_curvature_spectrum,
+    special_radii,
     spectrum_arrays,
     stability_condition,
     tail_residual,
@@ -109,7 +120,8 @@ def test_biharmonic_and_window_inputs_raise_invalid_family(call):
         call()
 
 
-BAD_TOLERANCES = [0, -1e-10, float("nan"), float("inf"), "1e-10", None]
+# a Decimal passed the positivity test, then raised a bare TypeError in the conversion or comparison
+BAD_TOLERANCES = [0, -1e-10, float("nan"), float("inf"), "1e-10", None, Decimal("1e-10")]
 
 
 @pytest.mark.parametrize("tol", BAD_TOLERANCES, ids=repr)
@@ -124,10 +136,10 @@ def test_is_proper_r_harmonic_rejects_tolerance(tol):
         is_proper_r_harmonic(A1, 0.3, 3, tol)
 
 
-@pytest.mark.parametrize("x", [2, 0, 1, -0.5, float("nan"), None, "abc"], ids=repr)
+@pytest.mark.parametrize("x", [2, 0, 1, -0.5, float("nan"), None, "abc", "0.25"], ids=repr)
 def test_x_outside_the_unit_interval_gives_no_radius(x):
     # without the check, radius_from_x(A1, 2) is the complex asin(sqrt(2));
-    # None and "abc" raised a bare TypeError and ValueError
+    # None and "abc" raised a bare TypeError and ValueError, and "0.25" gave pi/6
     with pytest.raises(RootOutOfRange):
         radius_from_x(A1, x)
 
@@ -172,11 +184,17 @@ def test_spectrum_arrays_checks_its_radii(t):
 
 @pytest.mark.parametrize(
     "call",
-    [lambda: curvature_spectrum(A1, [1]), lambda: chn_scan(F(CP.CH_B, 3), 2, [0.3, "a"])],
-    ids=["spectrum-list", "chn-scan-str"],
+    [
+        lambda: curvature_spectrum(A1, [1]),
+        lambda: chn_scan(F(CP.CH_B, 3), 2, [0.3, "a"]),
+        lambda: residual(A1, "0.3", 3),
+        lambda: residual_grid(A1, 2, ["0.3"]),
+    ],
+    ids=["spectrum-list", "chn-scan-str", "residual-numeric-str", "grid-numeric-str"],
 )
 def test_a_non_number_radius_is_rejected(call):
-    # a list radius raised a bare TypeError; chn_scan converted the grid itself, with a bare ValueError
+    # a list radius raised a bare TypeError; chn_scan converted the grid itself, with a bare ValueError;
+    # a numeric str was read by mp.mpf or numpy at their own precision
     with pytest.raises(RadiusOutOfDomain):
         call()
 
@@ -219,13 +237,50 @@ ZERO = QuarticPoly(0, 0, 0, 0, 0)
         # a string end went through mp.mpf: a binary number near 1/10 that depends on mp.dps
         lambda: count_real_roots(QuarticPoly(10, -1), "0.1", 1),
         lambda: QuarticPoly(1, 0).evaluate(float("nan")),
+        # a non-polynomial raised a bare AttributeError
+        lambda: count_real_roots("x", 0, 1),
+        lambda: isolate_and_refine([1, 2], 0, 1, 1e-3),
+        lambda: cauchy_bound("x"),
     ],
     ids=["lo-above-hi", "empty", "nan-end", "inf-end", "none-end", "zero-count", "zero-isolate", "no-coefficients",
-         "nan-coefficient", "inf-coefficient", "none-coefficient", "str-coefficient", "str-end", "nan-evaluate"],
+         "nan-coefficient", "inf-coefficient", "none-coefficient", "str-coefficient", "str-end", "nan-evaluate",
+         "str-poly-count", "list-poly-isolate", "str-poly-cauchy"],
 )
 def test_exact_layer_rejects_interval_and_polynomial(call):
     with pytest.raises(InvalidRootSearch):
         call()
+
+
+# Every entry point that takes a family, with valid other arguments.
+FAMILY_ENTRY_POINTS = {
+    "build_quartic": lambda f: build_quartic(f, 3),
+    "count_solutions": lambda f: count_solutions(f, 3),
+    "certify_radii": lambda f: certify_radii(f, 3, 1e-10),
+    "probe_values": lambda f: probe_values(f, 3),
+    "guaranteed_thresholds": guaranteed_thresholds,
+    "curvature_spectrum": lambda f: curvature_spectrum(f, 0.3),
+    "residual": lambda f: residual(f, 0.3, 3),
+    "is_proper_r_harmonic": lambda f: is_proper_r_harmonic(f, 0.3, 3, 1e-10),
+    "spectrum_arrays": lambda f: spectrum_arrays(f, [0.3]),
+    "residual_grid": lambda f: residual_grid(f, 2, [0.3]),
+    "chn_scan": lambda f: chn_scan(f, 2, [0.3]),
+    "tail_residual": lambda f: tail_residual(f, 2),
+    "minimal_x": minimal_x,
+    "r_independent_x": r_independent_x,
+    "radius_from_x": lambda f: radius_from_x(f, 0.25),
+    "root_to_radius": lambda f: root_to_radius(f, 0.25),
+    "x_from_radius": lambda f: x_from_radius(f, 0.3),
+    "special_radii": special_radii,
+    "scaled_curvature_spectrum": lambda f: scaled_curvature_spectrum(f, 0.3, 4),
+}
+
+
+@pytest.mark.parametrize("family", ["CP_A1", None, 3], ids=repr)
+@pytest.mark.parametrize("entry", FAMILY_ENTRY_POINTS)
+def test_a_non_family_raises_invalid_family(entry, family):
+    # each raised a bare AttributeError at its first read of a family attribute
+    with pytest.raises(InvalidFamily):
+        FAMILY_ENTRY_POINTS[entry](family)
 
 
 def test_input_errors_are_hopf_and_value_errors():
@@ -264,3 +319,118 @@ def test_every_exported_error_has_a_trigger(error):
     with pytest.raises(error) as info:
         ERROR_TRIGGERS[error]()
     assert info.type is error
+
+
+# -- closure: whatever the arguments, a call returns a value or raises a HopfError --
+
+# Families of every tag, up to n = 16 (CP_E exists only at 15), and some at n = 60.
+FAMILIES = [f for tag in CP for f in admissible_families(tag, 16)] + [
+    F(CP.CP_A1, 60), F(CP.CP_A2, 60, 30), F(CP.CP_B, 60), F(CP.CP_C, 59), F(CP.CH_A2, 60, 1), F(CP.CH_B, 60)
+]
+HOSTILE = st.one_of(
+    st.none(),
+    st.text(max_size=4),
+    st.sampled_from(["0.3", "3", "nan", "CP_A1"]),
+    st.booleans(),
+    st.sampled_from([math.nan, math.inf, -math.inf]),
+    st.sampled_from([np.float64(0.3), np.float32(0.5), np.int64(3), np.int8(-2), np.bool_(True), np.str_("0.3")]),
+    st.lists(st.floats(-3, 3), max_size=3),
+    st.fractions(min_value=-4, max_value=4, max_denominator=64),
+    st.sampled_from(FAMILIES),
+)
+# The well-typed values of each kind of argument, huge ints among the real
+# numbers.  Sizes stay bounded so that no call runs long: n, p, k <= 60,
+# r <= 10^6 and tol >= 2^-200.
+DIM = st.integers(-2, 60)
+ORDER = st.one_of(st.integers(2, 60), st.sampled_from([1000, 10**6]))
+REAL = st.one_of(
+    st.floats(0, 1),
+    st.floats(-3, 3),
+    st.floats(),
+    st.fractions(max_denominator=10**6),
+    st.sampled_from([2**64, 10**400, -(10**400)]),
+)
+TOL = st.one_of(st.sampled_from([1e-3, 1e-12, Fraction(1, 2**200)]), st.floats(2**-200, 1))
+RADII = st.one_of(st.lists(REAL, max_size=4), st.just(np.linspace(0.05, 1.5, 7)))
+FAMILY = st.sampled_from(FAMILIES)
+COEFFS = st.lists(st.one_of(st.integers(-20, 20), st.fractions(-5, 5, max_denominator=16)), min_size=1, max_size=5)
+POLY = st.one_of(
+    st.builds(lambda c, family, r: QuarticPoly(*c, family=family, r=r), COEFFS, st.none() | FAMILY, st.none() | ORDER),
+    st.builds(build_quartic, st.sampled_from([f for f in FAMILIES if f.is_projective]), ORDER),
+)
+
+# name -> (callable, one well-typed strategy per argument)
+CLOSED = {
+    "build_quartic": (build_quartic, (FAMILY, ORDER)),
+    "count_solutions": (count_solutions, (FAMILY, ORDER)),
+    "certify_radii": (certify_radii, (FAMILY, ORDER, TOL)),
+    "probe_values": (probe_values, (FAMILY, ORDER)),
+    "guaranteed_thresholds": (guaranteed_thresholds, (FAMILY,)),
+    "curvature_spectrum": (curvature_spectrum, (FAMILY, REAL)),
+    "residual": (residual, (FAMILY, REAL, ORDER)),
+    "is_proper_r_harmonic": (is_proper_r_harmonic, (FAMILY, REAL, ORDER, TOL)),
+    "spectrum_arrays": (spectrum_arrays, (FAMILY, RADII)),
+    "residual_grid": (residual_grid, (FAMILY, ORDER, RADII)),
+    "chn_scan": (chn_scan, (FAMILY, ORDER, RADII)),
+    "tail_residual": (tail_residual, (FAMILY, ORDER)),
+    "minimal_x": (minimal_x, (FAMILY,)),
+    "r_independent_x": (r_independent_x, (FAMILY,)),
+    "radius_from_x": (radius_from_x, (FAMILY, REAL)),
+    "root_to_radius": (root_to_radius, (FAMILY, REAL)),
+    "x_from_radius": (x_from_radius, (FAMILY, REAL)),
+    "special_radii": (special_radii, (FAMILY,)),
+    "scaled_curvature_spectrum": (scaled_curvature_spectrum, (FAMILY, REAL, REAL)),
+    "count_real_roots": (count_real_roots, (POLY, REAL, REAL)),
+    "isolate_and_refine": (isolate_and_refine, (POLY, REAL, REAL, TOL)),
+    "cauchy_bound": (cauchy_bound, (POLY,)),
+    "QuarticPoly": (lambda a, b, c, family, r: QuarticPoly(a, b, c, family=family, r=r),
+                    (REAL, REAL, REAL, st.none() | FAMILY, st.none() | ORDER)),
+    "HypersurfaceFamily": (F, (st.sampled_from([*CP, *(tag.value for tag in CP)]), DIM, st.none() | DIM)),
+    "stability_condition": (stability_condition, (DIM, DIM, st.sampled_from(["plus", "minus"]))),
+    "biharmonic_radii": (biharmonic_radii, (DIM, DIM)),
+    "tube_family": (tube_family, (DIM, DIM)),
+    "a2_closed_form": (a2_closed_form, (DIM, ORDER)),
+    "a2_k_thresholds": (a2_k_thresholds, (DIM,)),
+}
+
+
+@pytest.mark.parametrize("name", CLOSED)
+@settings(max_examples=30)  # keeps the 29 entries near 4 s together
+@given(data=st.data())
+def test_every_call_returns_or_raises_a_hopf_error(name, data):
+    # one argument hostile and the rest well-typed, so the bad one meets the
+    # check at whatever depth it is read; or all well-typed (twice as often); or any mix
+    call, strategies = CLOSED[name]
+    hostile = data.draw(st.sampled_from([-1, -1, -2, *range(len(strategies))]), label="hostile argument (-1 none, -2 any)")
+    args = []
+    for i, strategy in enumerate(strategies):
+        if hostile == -2:
+            strategy |= HOSTILE
+        elif hostile == i:
+            strategy = HOSTILE
+        args.append(data.draw(strategy, label=f"argument {i}"))
+    try:
+        call(*args)
+    except HopfError:
+        pass
+
+
+# Public functions the closure property leaves out: formulas of integers or
+# of a spectrum that check nothing, and index_threshold_scan, whose n_max
+# alone sets its running time.
+PURE_HELPERS = {
+    "eta1", "eta2", "k_below_k1", "k_above_k2", "a1_offset_probe_poly", "trace_shape", "trace_shape_squared",
+    "lambda_min_squared", "first_eigenvalue_bound", "admissible_families", "fixed_dimension", "asymptotic_check",
+    "index_threshold_scan",
+}
+
+
+def test_every_public_function_is_placed():
+    # a new public function fails here until it joins CLOSED or PURE_HELPERS;
+    # the public classes are error types, enums, records and the two constructors in CLOSED
+    public = {
+        name for name, obj in vars(hopfharmonic).items()
+        if not name.startswith("_") and callable(obj) and not isinstance(obj, type)
+    }
+    assert not CLOSED.keys() & PURE_HELPERS
+    assert public - PURE_HELPERS <= CLOSED.keys()

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -36,6 +38,7 @@ class TestResidualValues:
         t = mp.asin(1 / mp.sqrt(r)) / 2
         assert abs(residual(fam, t, r).residual) < 1e-30
         assert is_proper_r_harmonic(fam, t, r, 1e-12)
+        assert is_proper_r_harmonic(fam, t, r, Fraction(1, 10**12))  # mpf <= Fraction raised a bare TypeError
 
     def test_a2_exact_zero_at_pi_six(self):
         fam = F(CP.CP_A2, 3, 1)
