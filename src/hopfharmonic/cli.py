@@ -90,7 +90,10 @@ def cmd_solve(args):
 def cmd_scan(args):
     family = _family_from_args(args)
     lo, hi = args.r_range
-    thresholds = guaranteed_thresholds(family)
+    try:
+        r_two, r_four = guaranteed_thresholds(family)
+    except NoExactCountGuarantee:  # inside the A2 k-window the paper guarantees neither count
+        r_two = r_four = None
     rows = []
     for r in range(lo, hi + 1):
         try:
@@ -101,8 +104,8 @@ def cmd_scan(args):
             "r": r,
             "count": count_solutions(family, r),
             "pattern": pattern,
-            "ge_two_guaranteed": r >= thresholds.r_two,
-            "exactly_four_guaranteed": thresholds.r_four is not None and r >= thresholds.r_four,
+            "ge_two_guaranteed": r_two is not None and r >= r_two,
+            "exactly_four_guaranteed": r_four is not None and r >= r_four,
         })
     return {"rows": rows}, True
 

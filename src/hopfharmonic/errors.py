@@ -1,6 +1,6 @@
 """Exception types of the hopfharmonic package and the one input gate: the checks and
 conversions that turn a number from outside into an int, Fraction, mpf or float64
-array, or raise the ``HopfError`` the caller names.  A str is refused, never rounded.
+array, or raise the ``HopfError`` the caller names.  A str, or a tuple mpmath reads as (man, exp), is refused.
 """
 
 import math
@@ -108,7 +108,7 @@ def to_fraction(value, error=InvalidRootSearch) -> Fraction:
             return value
         if isinstance(value, (int, float)):
             return Fraction(value)
-        if not isinstance(value, str) and mp.isfinite(x := mp.mpf(value)):
+        if not isinstance(value, (str, tuple)) and mp.isfinite(x := mp.mpf(value)):
             sign, man, exp, _ = x._mpf_
             frac = Fraction(man << exp) if exp >= 0 else Fraction(man, 1 << -exp)
             return -frac if sign else frac
@@ -122,7 +122,7 @@ def to_mpf(value, error):
     try:
         if isinstance(value, Fraction):
             return mp.mpf(value.numerator) / mp.mpf(value.denominator)
-        if not isinstance(value, str):
+        if not isinstance(value, (str, tuple)):
             return mp.mpf(value)
     except (TypeError, ValueError, OverflowError):
         pass

@@ -6,8 +6,8 @@ alpha together with a short list of (principal curvature, multiplicity)
 branches.  All numeric evaluation goes through mpmath so that downstream
 residual tolerances of 1e-12 keep ample headroom.  One table, ``_FAMILIES``,
 holds a row per family tag: its admissible (n, k) and, for a projective
-family, its radius variable x and the exact rational x of its minimal and
-order-independent tubes.
+family, its radius variable x and, for B-E, the multiplicities of the
+quarter-turn pattern, from which its minimal and order-independent x follow.
 """
 
 from __future__ import annotations
@@ -67,20 +67,22 @@ class Substitution(str, Enum):
 
 
 class _Family(NamedTuple):
-    """One family's row: admissible (n, k) and, if projective, exact tube points.
+    """One family's row: admissible (n, k) and, if projective, its radius variable.
 
     n runs over n_min, n_min + step, ... (step 0: n_min only), and k, if
-    taken, over 1 <= k <= n - 2.  A projective row holds its radius variable
-    and, as functions of (n, k), x at the minimal tube (trace = 0) and at the
-    order-independent tube (trace + 3 alpha = 0).
+    taken, over 1 <= k <= n - 2.  A quarter-turn row (x = cos^2 2t) holds the
+    content d of its quartic (None on every other row), the multiplicity a of
+    cot(t - j pi/4), j = 1, 3 (None: n - 1), and ``mirror`` if it is the
+    pattern at pi/4 - t, x -> 1 - x.
     """
 
     n_min: int
     step: int
     takes_k: bool
     substitution: Substitution | None = None
-    minimal_x: object = None
-    r_independent_x: object = None
+    d: int | None = None
+    a: int | None = None
+    mirror: bool = False
 
 
 _TAGS = {tag.value: tag for tag in FamilyTag}  # a member hashes as its value
@@ -93,18 +95,12 @@ _FAMILIES = {
     FamilyTag.CH_A1_POINT: _Family(2, 1, False),
     FamilyTag.CH_A2: _Family(3, 1, True),
     FamilyTag.CH_B: _Family(2, 1, False),
-    FamilyTag.CP_A1: _Family(1, 1, False, Substitution.SIN2_T,
-                             lambda n, k: Fraction(1, 2 * n), lambda n, k: Fraction(2, n + 3)),
-    FamilyTag.CP_A2: _Family(3, 1, True, Substitution.COS2_T,
-                             lambda n, k: Fraction(2 * k + 1, 2 * n), lambda n, k: Fraction(k + 2, n + 3)),
-    FamilyTag.CP_B: _Family(2, 1, False, Substitution.COS2_2T,
-                            lambda n, k: Fraction(1, n), lambda n, k: Fraction(4, n + 3)),
-    FamilyTag.CP_C: _Family(5, 2, False, Substitution.COS2_2T,
-                            lambda n, k: Fraction(2, n), lambda n, k: Fraction(2, n + 3)),
-    FamilyTag.CP_D: _Family(9, 0, False, Substitution.COS2_2T,
-                            lambda n, k: Fraction(4, 9), lambda n, k: Fraction(1, 3)),
-    FamilyTag.CP_E: _Family(15, 0, False, Substitution.COS2_2T,
-                            lambda n, k: Fraction(2, 5), lambda n, k: Fraction(1, 3)),
+    FamilyTag.CP_A1: _Family(1, 1, False, Substitution.SIN2_T),
+    FamilyTag.CP_A2: _Family(3, 1, True, Substitution.COS2_T),
+    FamilyTag.CP_B: _Family(2, 1, False, Substitution.COS2_2T, d=1, mirror=True),
+    FamilyTag.CP_C: _Family(5, 2, False, Substitution.COS2_2T, d=1, a=2),
+    FamilyTag.CP_D: _Family(9, 0, False, Substitution.COS2_2T, d=4, a=4),
+    FamilyTag.CP_E: _Family(15, 0, False, Substitution.COS2_2T, d=2, a=6),
 }
 
 
@@ -180,6 +176,15 @@ def admissible_families(tag: FamilyTag, n_max: int):
             yield HypersurfaceFamily(tag, n, k)
 
 
+def quarter_turn(family: HypersurfaceFamily):
+    """(a, b, d, mirror) of a quarter-turn family (B-E), b = n - 1 - a; None for the others."""
+    row, n = _FAMILIES[family.tag], family.n
+    if row.d is None:
+        return None
+    a = n - 1 if row.a is None else row.a
+    return a, n - 1 - a, row.d, row.mirror
+
+
 @dataclass(frozen=True)
 class CurvatureSpectrum:
     """Hopf curvature alpha plus (principal curvature, multiplicity) branches."""
@@ -244,18 +249,14 @@ def _spectrum(family: HypersurfaceFamily, t, lib, one):
     elif tag is FamilyTag.CP_B:
         alpha = 2 * lib.tan(2 * t)
         branches = [(-lib.cot(t), n - 1), (lib.tan(t), n - 1)]
-    else:  # CP_C, CP_D, CP_E share the quarter-turn curvature pattern
+    else:  # CP_C, CP_D, CP_E: the quarter-turn pattern, multiplicities (a, a, b, b)
         alpha = 2 * lib.cot(2 * t)
-        lams = [lib.cot(t - j * lib.pi / 4) for j in (1, 3, 2, 0)]
-        if tag is FamilyTag.CP_C:
-            mults = (2, 2, n - 3, n - 3)
-        elif tag is FamilyTag.CP_D:
-            mults = (4, 4, 4, 4)
-        else:
-            mults = (6, 6, 8, 8)
-        branches = zip(lams, mults)
+        a, b, _, _ = quarter_turn(family)
+        branches = zip([lib.cot(t - j * lib.pi / 4) for j in (1, 3, 2, 0)], (a, a, b, b))
     return alpha, [(lam, m) for lam, m in branches if m > 0]
 
+
+_TINY = np.finfo(float).tiny  # the least normal float64; every radius domain starts at 0
 
 # cot and coth as reciprocals: 2 * (1 / tan(x)) has the bits of 2 / tan(x).
 _FLOAT64 = SimpleNamespace(
@@ -308,14 +309,24 @@ def trace_shape_squared(spectrum: CurvatureSpectrum):
     return spectrum.alpha**2 + mp.fsum(m * lam**2 for lam, m in spectrum.branches)
 
 
+def _tube_x(family: HypersurfaceFamily, s: int) -> Fraction:
+    """Exact x where trace + s alpha = 0: (2k + 1 + s) / (2n + 2s) for A2 and A1 (k = 0),
+    and a / (n + s) for the quarter-turn pattern, 1 minus it if mirrored."""
+    n, pattern = check_family(family, projective=True).n, quarter_turn(family)
+    if pattern is None:
+        return Fraction(2 * (family.k or 0) + 1 + s, 2 * (n + s))
+    a, _, _, mirror = pattern
+    return Fraction(n + s - a if mirror else a, n + s)
+
+
 def minimal_x(family: HypersurfaceFamily) -> Fraction:
     """Exact value of the substitution variable at the minimal tube (trace = 0)."""
-    return _FAMILIES[check_family(family, projective=True).tag].minimal_x(family.n, family.k)
+    return _tube_x(family, 0)
 
 
 def r_independent_x(family: HypersurfaceFamily) -> Fraction:
     """Exact x at the radius where trace + 3*alpha = 0 (order-independent tube)."""
-    return _FAMILIES[check_family(family, projective=True).tag].r_independent_x(family.n, family.k)
+    return _tube_x(family, 3)
 
 
 def radius_from_x(family: HypersurfaceFamily, x):
@@ -381,12 +392,13 @@ def spectrum_arrays(family: HypersurfaceFamily, ts: np.ndarray):
     fast lane used for sign-level grid scans; certified quantities always go
     through the mpmath path.  Every radius must pass ``_check_radius``'s
     tests: inside the open domain, NaN and +/-inf excluded, and off CH_B's
-    excluded radius.
+    excluded radius.  It must also be a normal float64, at least 2.2e-308,
+    so that every curvature, at most about 2 / t, is finite.
     """
     ts = to_floats(ts, RadiusOutOfDomain)
     domain = check_family(family).radius_domain()  # a NaN radius makes both extremes NaN and fails the test
-    if domain is not None and ts.size and not float(domain[0]) < ts.min() <= ts.max() < float(domain[1]):
-        raise RadiusOutOfDomain(f"{family.tag.value} grid radii must be finite and inside its open domain")
+    if domain is not None and ts.size and not _TINY <= ts.min() <= ts.max() < float(domain[1]):
+        raise RadiusOutOfDomain(f"{family.tag.value} grid radii must be finite, normal and inside its open domain")
     excl = family.excluded_radius
     if excl is not None and np.any(np.abs(ts - float(excl)) < 1e-15):
         raise ExcludedRadius("grid hits the CH_B forbidden radius")

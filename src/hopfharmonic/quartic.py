@@ -30,7 +30,7 @@ from .errors import (
     to_fraction,
     to_mpf,
 )
-from .families import FamilyTag, HypersurfaceFamily, check_family, radius_from_x
+from .families import HypersurfaceFamily, check_family, quarter_turn, radius_from_x
 from .residual import residual
 
 # Bound on the halvings of one isolation path, one refinement or one exact-root window.
@@ -220,15 +220,17 @@ def build_quartic(family: HypersurfaceFamily, r: int) -> QuarticPoly:
     """Integer-coefficient quartic whose roots in (0, 1) correspond to proper
     r-harmonic tube radii of a projective family.
 
-    Coefficients are polynomials in (n, k, r); the type-D linear coefficient
-    is -(4r + 44), which is what the curvature data yields and what the exact
-    boundary value P_D(1) = 25 requires.
+    x^2 (1 - x)^2 times the residual at the radius of x is w P(x), w > 0.  A2
+    (cot t and -tan t, multiplicities 2(n - 1 - k) and 2k, x = cos^2 t) has
+    w = 1, and A1 is its row at k = 0.  B-E share cot(t - j pi/4), j = 1, 3,
+    2, 0, multiplicities (a, a, b, b), x = cos^2 2t: one Q in (n, a, b, r) of
+    content d, w = 4d; B, the pattern with a = n - 1 at pi/4 - t, is Q(1 - x).
     """
     check_family(family, projective=True)  # only CP^n has proper polyharmonic tubes
     r = check_order(r)
-    n, k, tag = family.n, family.k or 0, family.tag
-
-    if tag in (FamilyTag.CP_A1, FamilyTag.CP_A2):  # A1 is the A2 row at k = 0, the tube over a point
+    n, pattern = family.n, quarter_turn(family)
+    if pattern is None:  # A1 is the A2 row at k = 0
+        k = family.k or 0
         coeffs = (
             4 * (n * n + 3 * n) * r - 8 * (n - 1),
             -2 * (2 * n * n + (4 * k + 11) * n + 6 * k + 3) * r + 4 * (n * n - (2 * k - 3) * n - 4),
@@ -236,27 +238,18 @@ def build_quartic(family: HypersurfaceFamily, r: int) -> QuarticPoly:
             -2 * (2 * k * k + 5 * k + 2) * r - 2 * ((2 * k + 1) * n + (2 * k + 1) ** 2),
             (2 * k + 1) ** 2,
         )
-    elif tag is FamilyTag.CP_B:
-        coeffs = (
-            n * (n + 3) * r - 2 * (n - 1),
-            -(n * n + 8 * n + 3) * r + 4 * n * n + 2 * n - 10,
-            (5 * n + 7) * r - 2 * (5 * n - 11),
-            -4 * r + 2 * (n - 7),
-            4,
-        )
-    elif tag is FamilyTag.CP_C:
-        coeffs = (
-            n * (n + 3) * r - 2 * (n - 1),
-            -(n * n + 7 * n + 6) * r + 4 * (n * n - 3 * n - 4),
-            2 * (2 * n + 5) * r - 2 * (3 * n - 41),
-            -4 * r + 4 * (n - 17),
-            16,
-        )
-    elif tag is FamilyTag.CP_D:
-        coeffs = (27 * r - 4, -48 * r + 11, 25 * r + 46, -(4 * r + 44), 16)
     else:
-        coeffs = (135 * r - 14, -234 * r + 100, 117 * r + 184, -(18 * r + 180), 72)
-
+        a, b, d, mirror = pattern
+        aa, ab, bb = a * a, a * b, b * b
+        q4 = n * (n + 3) * r - 2 * (n - 1)
+        q3 = -(3 * aa + 4 * ab + 10 * a + bb + 5 * b + 4) * r - 4 * aa - 2 * a + 4 * bb + 12 * b + 4
+        q2 = (3 * aa + 2 * ab + 5 * a) * r + 12 * aa - 2 * ab + 8 * a - 2 * b
+        q1 = -(aa * r + 12 * aa - 2 * ab + 4 * a)
+        q0 = 4 * aa
+        if mirror:  # Q(1 - x): its x^i coefficient is (-1)^i sum_j C(j, i) q_j
+            q0, q1 = q0 + q1 + q2 + q3 + q4, -(q1 + 2 * q2 + 3 * q3 + 4 * q4)
+            q2, q3 = q2 + 3 * q3 + 6 * q4, -(q3 + 4 * q4)
+        coeffs = (q4 // d, q3 // d, q2 // d, q1 // d, q0 // d)
     return QuarticPoly(*coeffs, family=family, r=r)
 
 

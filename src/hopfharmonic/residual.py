@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidTolerance, RadiusOutOfDomain, check_order, check_tol, to_mpf
+from .errors import InvalidFamily, InvalidOrder, InvalidTolerance, RadiusOutOfDomain, check_order, check_tol, to_floats, to_mpf
 from .families import (
     FamilyTag,
     HypersurfaceFamily,
@@ -67,13 +67,19 @@ def is_proper_r_harmonic(family: HypersurfaceFamily, t, r: int, tol: float) -> b
     return abs(report.residual) <= tol and abs(report.trace) > tol
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a value float64 cannot hold is refused below
 def residual_grid(family: HypersurfaceFamily, r: int, ts) -> np.ndarray:
     """Vectorised float64 residual over radii that ``spectrum_arrays`` accepts (sign-scan lane)."""
     r = check_order(r)
     alpha, branches = spectrum_arrays(family, ts)
+    to_floats(r, InvalidOrder)  # the lane's integers fit a float64: r, and 2(n + 1) bounds the multiplicities
+    to_floats(2 * (family.n + 1), InvalidFamily)
     trace = alpha + sum(m * lam for lam, m in branches)
     trace_sq = alpha**2 + sum(m * lam**2 for lam, m in branches)
-    return _residual_value(family.space_form_sign, family.n, r, trace, trace_sq, alpha)
+    values = _residual_value(family.space_form_sign, family.n, r, trace, trace_sq, alpha)
+    if not np.isfinite(values).all():
+        raise RadiusOutOfDomain(f"the {family.tag.value} residual overflows float64 on this grid")
+    return values
 
 
 def chn_scan(family: HypersurfaceFamily, r: int, grid) -> float:

@@ -1,5 +1,7 @@
+import contextlib
 import hashlib
 import importlib
+import io
 import json
 import math
 import re
@@ -7,8 +9,11 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from mpmath import mp
 
+from hopfharmonic import FamilyTag, HypersurfaceFamily, admissible_families, count_solutions
 from hopfharmonic.cli import main
 
 
@@ -103,6 +108,16 @@ class TestScan:
         assert all(row["count"] >= 2 for row in doc["rows"])
         _, doc = run_json(capsys, "scan", "--type", "E", "--r-range", "100..112")
         assert all(row["count"] == 4 and row["exactly_four_guaranteed"] for row in doc["rows"])
+
+    def test_inside_the_a2_k_window(self, capsys):
+        # the paper gives no threshold for (6, 2), and scan exited 2; the counts are certified all the same
+        code, doc = run_json(capsys, "scan", "--type", "A2", "--n", "6", "--k", "2", "--r-range", "2..4")
+        assert code == 0
+        assert [row["r"] for row in doc["rows"]] == [2, 3, 4]
+        for row in doc["rows"]:
+            assert row["count"] == count_solutions(HypersurfaceFamily(FamilyTag.CP_A2, 6, 2), row["r"])
+            assert row["ge_two_guaranteed"] is False
+            assert row["exactly_four_guaranteed"] is False
 
     def test_csv_shape(self, capsys):
         code, out = run(capsys, "scan", "--type", "B", "--n", "2", "--r-range", "2..6", "--format", "csv")
@@ -241,6 +256,68 @@ class TestContract:
         out, err_text = capsys.readouterr()
         assert out == ""
         assert err_text.count("error:") == 1
+
+
+# -- closure: whatever the argv, main returns 0 or 1 or exits 2, with no traceback --
+
+# Sizes stay bounded so that no call runs long: n <= 12, r <= 40, range
+# spans <= 5, --precision <= 50 and --n-max <= 40.
+CP_FAMILIES = st.sampled_from([f for tag in FamilyTag if tag.value.startswith("CP_")
+                               for f in admissible_families(tag, 12)])
+FAMILY_WORDS = CP_FAMILIES.map(
+    lambda f: ["--type", f.tag.value[3:], "--n", str(f.n), *(["--k", str(f.k)] if f.k else [])]
+)
+ORDER = st.integers(2, 40).map(str)
+COMMON_WORDS = st.tuples(
+    st.sampled_from([[], ["--tol", "1e-6"], ["--tol", "1e-30"]]),
+    st.sampled_from([[], ["--precision", "30"], ["--precision", "50"]]),
+    st.sampled_from([[], ["--format", "csv"], ["--format", "text"]]),
+).map(lambda parts: [word for part in parts for word in part])
+VALID_ARGV = st.one_of(
+    st.tuples(st.just(["solve"]), FAMILY_WORDS, ORDER.map(lambda r: ["--r", r]), COMMON_WORDS),
+    st.tuples(st.just(["probes"]), FAMILY_WORDS, ORDER.map(lambda r: ["--r", r]), COMMON_WORDS),
+    st.tuples(
+        st.just(["scan"]), FAMILY_WORDS,
+        st.integers(2, 40).flatmap(lambda lo: st.integers(lo, lo + 5).map(lambda hi: ["--r-range", f"{lo}..{hi}"])),
+        COMMON_WORDS,
+    ),
+    st.tuples(
+        st.just(["biharmonic"]),
+        st.integers(2, 12).flatmap(lambda n: st.integers(1, n - 1).map(lambda p: ["--n", str(n), "--p", str(p)])),
+        st.just([]), COMMON_WORDS,
+    ),
+    st.tuples(
+        st.just(["biharmonic", "--scan-threshold"]),
+        st.integers(1, 3).map(lambda p: ["--p", str(p)]),
+        st.integers(2, 40).map(lambda n_max: ["--n-max", str(n_max)]),
+        COMMON_WORDS,
+    ),
+).map(lambda parts: [word for part in parts for word in part])
+JUNK_WORD = st.one_of(
+    st.none(),  # the word is dropped
+    st.sampled_from(["", "x", "1.5", "nan", "inf", "-1", "0", "1", "7", "1e3", "1e-3", "25", "Z", "CH_B", "9..3",
+                     "0..4", "a..b", "--k", "--n", "--r", "xml"]),
+)
+
+
+@settings(max_examples=120)  # about 1 s
+@given(data=st.data())
+def test_every_argv_exits_0_1_or_2(data):
+    # a valid argv with one word replaced by junk or dropped, or unchanged (twice as often)
+    argv = data.draw(VALID_ARGV, label="valid argv")
+    spot = data.draw(st.sampled_from([None, None, *range(1, len(argv))]), label="junk position")
+    if spot is not None:
+        word = data.draw(JUNK_WORD, label="junk word")
+        argv[spot:spot + 1] = [] if word is None else [word]
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            assert exc.code == 2, argv
+        else:
+            assert code in (0, 1), argv
+    assert "Traceback" not in err.getvalue()
 
 
 # The README's commands and the SHA-256 of their stdout reports at the default precision.

@@ -136,10 +136,11 @@ def test_is_proper_r_harmonic_rejects_tolerance(tol):
         is_proper_r_harmonic(A1, 0.3, 3, tol)
 
 
-@pytest.mark.parametrize("x", [2, 0, 1, -0.5, float("nan"), None, "abc", "0.25"], ids=repr)
+@pytest.mark.parametrize("x", [2, 0, 1, -0.5, float("nan"), None, "abc", "0.25", (1, -2)], ids=repr)
 def test_x_outside_the_unit_interval_gives_no_radius(x):
     # without the check, radius_from_x(A1, 2) is the complex asin(sqrt(2));
-    # None and "abc" raised a bare TypeError and ValueError, and "0.25" gave pi/6
+    # None and "abc" raised a bare TypeError and ValueError, "0.25" gave pi/6,
+    # and (1, -2), read by mpmath as mantissa 1 and exponent -2, gave pi/6 too
     with pytest.raises(RootOutOfRange):
         radius_from_x(A1, x)
 
@@ -199,6 +200,28 @@ def test_a_non_number_radius_is_rejected(call):
         call()
 
 
+@pytest.mark.parametrize(
+    "call,error",
+    [
+        # a bare OverflowError where numpy converted the int to a float64
+        (lambda: residual_grid(A1, 10**400, [0.3]), InvalidOrder),
+        (lambda: residual_grid(F(CP.CP_A1, 2**1024), 2, [0.3]), InvalidFamily),
+        (lambda: residual_grid(F(CP.CP_A1, 2**1023), 2, [0.3]), InvalidFamily),  # its multiplicity 2n - 2 is past
+        (lambda: chn_scan(F(CP.CH_A0, 2**1024), 2, [0.3]), InvalidFamily),
+        # a RuntimeWarning for an overflow: 1 / t past float64, or a residual past it
+        (lambda: spectrum_arrays(A1, [0.3, 5e-324]), RadiusOutOfDomain),
+        (lambda: residual_grid(A1, 2, [5e-324]), RadiusOutOfDomain),
+        (lambda: chn_scan(F(CP.CH_A1_GEODESIC, 2), 2, [2.8e-306]), RadiusOutOfDomain),
+        (lambda: residual_grid(F(CP.CP_A1, 10**300), 2, [0.3]), RadiusOutOfDomain),
+    ],
+    ids=["order-10^400", "n-2^1024", "n-2^1023", "chn-scan-n-2^1024", "spectrum-subnormal-radius", "grid-subnormal-radius",
+         "chn-scan-radius-near-0", "grid-n-10^300"],
+)
+def test_float64_lane_refuses_what_it_cannot_hold(call, error):
+    with pytest.raises(error):
+        call()
+
+
 def test_grid_at_the_excluded_radius_is_rejected():
     ch_b = F(CP.CH_B, 3)
     with pytest.raises(ExcludedRadius):
@@ -241,10 +264,13 @@ ZERO = QuarticPoly(0, 0, 0, 0, 0)
         lambda: count_real_roots("x", 0, 1),
         lambda: isolate_and_refine([1, 2], 0, 1, 1e-3),
         lambda: cauchy_bound("x"),
+        # mpmath reads a 2-tuple as (mantissa, exponent): the coefficient was 1/4, the end 0
+        lambda: QuarticPoly(1, (1, -2)),
+        lambda: count_real_roots(QuarticPoly(1, 0, -1), (0, 1), 1),
     ],
     ids=["lo-above-hi", "empty", "nan-end", "inf-end", "none-end", "zero-count", "zero-isolate", "no-coefficients",
          "nan-coefficient", "inf-coefficient", "none-coefficient", "str-coefficient", "str-end", "nan-evaluate",
-         "str-poly-count", "list-poly-isolate", "str-poly-cauchy"],
+         "str-poly-count", "list-poly-isolate", "str-poly-cauchy", "tuple-coefficient", "tuple-end"],
 )
 def test_exact_layer_rejects_interval_and_polynomial(call):
     with pytest.raises(InvalidRootSearch):
@@ -335,6 +361,7 @@ HOSTILE = st.one_of(
     st.sampled_from([math.nan, math.inf, -math.inf]),
     st.sampled_from([np.float64(0.3), np.float32(0.5), np.int64(3), np.int8(-2), np.bool_(True), np.str_("0.3")]),
     st.lists(st.floats(-3, 3), max_size=3),
+    st.tuples(st.integers(-4, 4), st.integers(-4, 4)),  # mpmath's (mantissa, exponent)
     st.fractions(min_value=-4, max_value=4, max_denominator=64),
     st.sampled_from(FAMILIES),
 )

@@ -15,10 +15,12 @@ from hopfharmonic import (
     Substitution,
     ToleranceNotReached,
     UnsupportedFamily,
+    admissible_families,
     build_quartic,
     cauchy_bound,
     count_real_roots,
     isolate_and_refine,
+    residual,
     root_to_radius,
 )
 
@@ -119,6 +121,71 @@ class TestDuality:
         for n in (1, 2, 3):
             for r in (2, 3):
                 assert build_quartic(F(CP.CP_A1, n), r).coefficients() == paper_a1(n, r)
+
+
+def paper_quarter_turn(tag, n, r):
+    """The paper's B, C, D and E quartics, highest degree first."""
+    if tag is CP.CP_B:
+        return (
+            n * (n + 3) * r - 2 * (n - 1),
+            -(n * n + 8 * n + 3) * r + 4 * n * n + 2 * n - 10,
+            (5 * n + 7) * r - 2 * (5 * n - 11),
+            -4 * r + 2 * (n - 7),
+            4,
+        )
+    if tag is CP.CP_C:
+        return (
+            n * (n + 3) * r - 2 * (n - 1),
+            -(n * n + 7 * n + 6) * r + 4 * (n * n - 3 * n - 4),
+            2 * (2 * n + 5) * r - 2 * (3 * n - 41),
+            -4 * r + 4 * (n - 17),
+            16,
+        )
+    if tag is CP.CP_D:
+        return (27 * r - 4, -48 * r + 11, 25 * r + 46, -(4 * r + 44), 16)
+    return (135 * r - 14, -234 * r + 100, 117 * r + 184, -(18 * r + 180), 72)
+
+
+class TestQuarterTurn:
+    """B, C, D and E are one quarter-turn quartic in their multiplicities.
+
+    Each coefficient of ``build_quartic`` and of the paper's row is affine in
+    r and of degree <= 2 in n: B's multiplicities are n - 1 and C's 2 and
+    n - 3, and D and E have one n.  Two such polynomials that agree at three
+    n and two r agree for every (n, r); the first test checks every B-E
+    family with n <= 401 at seven orders up to 10^40.
+    """
+
+    ORDERS = (2, 3, 7, 89, 6001, 10**9, 10**40)
+
+    def test_build_quartic_is_the_paper_quartic(self):
+        cases = 0
+        for tag in (CP.CP_B, CP.CP_C, CP.CP_D, CP.CP_E):
+            for fam in admissible_families(tag, 401):
+                for r in self.ORDERS:
+                    assert build_quartic(fam, r).coefficients() == paper_quarter_turn(tag, fam.n, r)
+                    cases += 1
+        assert cases == 4207
+
+    # x^2 (1 - x)^2 residual = w P(x): w = 1 for A1 and A2, and 4d for the pattern's content d
+    WEIGHTED = [
+        (F(CP.CP_A1, 2), 1), (F(CP.CP_A1, 5), 1), (F(CP.CP_A2, 7, 2), 1),
+        (F(CP.CP_B, 2), 4), (F(CP.CP_B, 5), 4),
+        (F(CP.CP_C, 5), 4), (F(CP.CP_C, 7), 4), (F(CP.CP_C, 9), 4),
+        (F(CP.CP_D, 9), 16), (F(CP.CP_E, 15), 8),
+    ]
+
+    @pytest.mark.parametrize("fam,w", WEIGHTED, ids=[f"{f.tag.value}-n{f.n}" for f, _ in WEIGHTED])
+    def test_spectrum_table_gives_the_quartic(self, fam, w):
+        with mp.workdps(60):
+            for r in (2, 3):
+                poly = build_quartic(fam, r)
+                for x in (Fraction(1, 7), Fraction(1, 3), Fraction(1, 2), Fraction(2, 3), Fraction(6, 7)):
+                    xm = mp.mpf(x.numerator) / x.denominator
+                    lhs = xm**2 * (1 - xm) ** 2 * residual(fam, root_to_radius(fam, xm), r).residual
+                    value = w * poly.evaluate(x)
+                    rhs = mp.mpf(value.numerator) / value.denominator
+                    assert abs(lhs - rhs) <= mp.mpf(10) ** -40 * max(1, abs(rhs))
 
 
 class TestCauchyBound:
