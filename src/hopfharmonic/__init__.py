@@ -15,7 +15,6 @@ if mp.dps < 30:
 
 from .errors import (  # noqa: E402
     DegenerateLeadingCoefficient,
-    DegenerateTube,
     ExcludedRadius,
     HopfError,
     InvalidFamily,

@@ -5,11 +5,14 @@ admissible radii are the two branches
 
     cos^2 t_(+/-) = (3(n+1) - 2p +/- sqrt(n^2 + 6n - 4(n+1)p + 4p^2 + 5)) / (4(n+1))
 
-for the tube over a codimension-p totally geodesic complex subspace; the
-discriminant is (2p - n - 1)^2 + 4(n+1) > 0, so both are real.  The
-spectrum at a tube comes from cos^2 t by square roots alone, cos t = sqrt(c)
-and sin t = sqrt(1 - c); only the reported radius t uses acos.  Every
-such tube is unstable (constant variations are negative directions); the
+for the tube over a codimension-p totally geodesic complex subspace.  With
+D = (2p - n - 1)^2 + 4(n+1) > 0 both are real, and both are interior for
+every admissible (n, p): sin^2 t_+ = (2p - 1) / (n + 1 + 2p + sqrt D) and
+cos^2 t_- = (2n + 1 - 2p) / (3(n+1) - 2p + sqrt D) are quotients of positive
+numbers.  cos^2 t and sin^2 t each come from a form without cancellation, and
+t = atan2(sin t, cos t).  tr S still cancels like 1/n at small p and at p near
+n, so each tube is computed at mp.dps plus the digits of n.
+Every such tube is unstable (constant variations are negative directions); the
 normal index is exactly one when
 
     (n+1)(4 L + n+1) > (15/4) T^2 + (2 L + n+1) |T| + 12 alpha T
@@ -20,12 +23,13 @@ first-eigenvalue bound mu_1 >= (n+1) - |tr S|/2.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
 from mpmath import mp
 
-from .errors import DegenerateTube, InvalidFamily, check_integer
+from .errors import InvalidFamily, check_integer
 from .families import (
     CurvatureSpectrum,
     FamilyTag,
@@ -55,14 +59,9 @@ class BiharmonicTube:
 
 
 @dataclass(frozen=True)
-class StabilityReport:
-    """Stability data of one biharmonic tube."""
+class StabilityReport(BiharmonicTube):
+    """A biharmonic tube with its stability data."""
 
-    n: int
-    p: int
-    branch: str
-    cos_sq_t: object
-    t: object
     trace: object
     trace_sq: object
     alpha: object
@@ -109,26 +108,29 @@ def _discriminant(n: int, p: int) -> int:
     return n * n + 6 * n - 4 * (n + 1) * p + 4 * p * p + 5
 
 
+def _workdps(n: int):
+    """mp.workdps raised by the decimal digits of the int n, from its bit length
+    (str(n) refuses more than 4300 digits)."""
+    return mp.workdps(mp.dps + math.ceil(n.bit_length() * math.log10(2)))
+
+
 def _tube(n: int, p: int, branch: str):
-    """The tube of one branch and its cos t, or None when cos^2 t is outside (0, 1)."""
+    """The tube of one branch with its cos t and sin t, for int n and p."""
     sqrt_disc = mp.sqrt(_discriminant(n, p))
     base = 3 * (n + 1) - 2 * p
-    cs = (base + sqrt_disc if branch == "plus" else base - sqrt_disc) / (4 * (n + 1))
-    if not 0 < cs < 1:
-        return None
-    cos_t = mp.sqrt(cs)
-    return BiharmonicTube(n=n, p=p, branch=branch, cos_sq_t=cs, t=mp.acos(cos_t)), cos_t
+    if branch == "plus":
+        cs, sn = (base + sqrt_disc) / (4 * (n + 1)), (2 * p - 1) / (n + 1 + 2 * p + sqrt_disc)
+    else:
+        cs, sn = (2 * n + 1 - 2 * p) / (base + sqrt_disc), (n + 1 + 2 * p + sqrt_disc) / (4 * (n + 1))
+    cos_t, sin_t = mp.sqrt(cs), mp.sqrt(sn)
+    return BiharmonicTube(n=n, p=p, branch=branch, cos_sq_t=cs, t=mp.atan2(sin_t, cos_t)), cos_t, sin_t
 
 
 def biharmonic_radii(n: int, p: int) -> list:
-    """All biharmonic tubes over CP^(n-p), plus branch first.
-
-    Branches whose cos^2 t falls outside (0, 1) would be degenerate and are
-    dropped; in the admissible range both branches are always interior.
-    """
-    tube_family(n, p)  # validates (n, p)
-    tubes = (_tube(n, p, branch) for branch in BRANCHES)
-    return [tube[0] for tube in tubes if tube is not None]
+    """Both biharmonic tubes over CP^(n-p), plus branch first."""
+    n, p = tube_family(n, p).n, check_integer(p, "p")
+    with _workdps(n):
+        return [_tube(n, p, branch)[0] for branch in BRANCHES]
 
 
 def lambda_min_squared(spectrum: CurvatureSpectrum):
@@ -152,24 +154,19 @@ def stability_condition(n: int, p: int, branch: str) -> StabilityReport:
     if branch not in BRANCHES:
         raise InvalidFamily(f"branch must be one of {BRANCHES}, got {branch!r}")
     family = tube_family(n, p)
-    found = _tube(n, p, branch)
-    if found is None:
-        raise DegenerateTube(f"branch {branch} of (n={n}, p={p}) is not a tube")
-
-    tube, cos_t = found
-    spec = angle_spectrum(family, cos_t, mp.sqrt(1 - tube.cos_sq_t))
-    tr = trace_shape(spec)
-    tr2 = trace_shape_squared(spec)
-    lam_min = lambda_min_squared(spec)
-    lhs = (n + 1) * (4 * lam_min + n + 1)
-    rhs = mp.mpf(15) / 4 * tr**2 + (2 * lam_min + n + 1) * abs(tr) + 12 * spec.alpha * tr
+    n, p = family.n, check_integer(p, "p")
+    with _workdps(n):
+        tube, cos_t, sin_t = _tube(n, p, branch)
+        spec = angle_spectrum(family, cos_t, sin_t)
+        tr = trace_shape(spec)
+        tr2 = trace_shape_squared(spec)
+        lam_min = lambda_min_squared(spec)
+        lhs = (n + 1) * (4 * lam_min + n + 1)
+        rhs = mp.mpf(15) / 4 * tr**2 + (2 * lam_min + n + 1) * abs(tr) + 12 * spec.alpha * tr
+        witness = tr * (tr + 3 * spec.alpha)
     holds = lhs > rhs
     return StabilityReport(
-        n=n,
-        p=p,
-        branch=branch,
-        cos_sq_t=tube.cos_sq_t,
-        t=tube.t,
+        **vars(tube),
         trace=tr,
         trace_sq=tr2,
         alpha=spec.alpha,
@@ -177,7 +174,7 @@ def stability_condition(n: int, p: int, branch: str) -> StabilityReport:
         mu1_lower_bound=first_eigenvalue_bound(n, tr),
         lhs=lhs,
         rhs=rhs,
-        constant_witness=tr * (tr + 3 * spec.alpha),
+        constant_witness=witness,
         condition_holds=holds,
         index_claim=IndexClaim.INDEX_EXACTLY_1 if holds else IndexClaim.UNSTABLE_INDEX_GE_1,
     )
@@ -207,14 +204,16 @@ def asymptotic_check(p: int, n: int) -> AsymptoticErrors:
     |4 cot^2 2t - 2n/(2p-1)|/n,  |cot^2 t - 2n/(2p-1)|/n,
     |tan^2 t - (2p-1)/(2n)|*n,   |tr S - 2 sqrt(4p-2)/sqrt(n)|*sqrt(n),
 
-    all from c = cos^2 t: tan^2 t = (1-c)/c and 4 cot^2 2t = (2c-1)^2/(c(1-c)).
+    all from c = cos^2 t and s = sin^2 t: tan^2 t = s/c and 4 cot^2 2t = (c-s)^2/(cs).
     """
     report = stability_condition(n, p, "plus")
-    c, tr = report.cos_sq_t, report.trace
-    lead = mp.mpf(2 * n) / (2 * p - 1)
-    return AsymptoticErrors(
-        cot2_2t=abs((2 * c - 1) ** 2 / (c * (1 - c)) - lead) / n,
-        cot2_t=abs(c / (1 - c) - lead) / n,
-        tan2_t=abs((1 - c) / c - mp.mpf(2 * p - 1) / (2 * n)) * n,
-        trace=abs(tr - 2 * mp.sqrt(4 * p - 2) / mp.sqrt(n)) * mp.sqrt(n),
-    )
+    n, p, tr = report.n, report.p, report.trace
+    with _workdps(n):
+        c, s = report.cos_sq_t, mp.sin(report.t) ** 2
+        lead = mp.mpf(2 * n) / (2 * p - 1)
+        return AsymptoticErrors(
+            cot2_2t=abs((c - s) ** 2 / (c * s) - lead) / n,
+            cot2_t=abs(c / s - lead) / n,
+            tan2_t=abs(s / c - mp.mpf(2 * p - 1) / (2 * n)) * n,
+            trace=abs(tr - 2 * mp.sqrt(4 * p - 2) / mp.sqrt(n)) * mp.sqrt(n),
+        )

@@ -21,7 +21,7 @@ from mpmath import mp
 
 from . import __version__
 from .biharmonic import BRANCHES, index_threshold_scan, stability_condition
-from .errors import DegenerateTube, HopfError, NoExactCountGuarantee, ProbesCollide, to_fraction
+from .errors import HopfError, NoExactCountGuarantee, ProbesCollide, to_fraction
 from .existence import (
     a1_offset_probe_poly,
     a2_closed_form,
@@ -136,11 +136,7 @@ def cmd_biharmonic(args):
         raise UsageError("biharmonic requires --n and --p (or --scan-threshold)")
     rows = []
     for branch in BRANCHES:
-        try:
-            rep = stability_condition(args.n, args.p, branch)
-        except DegenerateTube:
-            rows.append({"branch": branch, "degenerate": True})
-            continue
+        rep = stability_condition(args.n, args.p, branch)
         rows.append({
             "branch": branch,
             "degenerate": False,
@@ -155,7 +151,7 @@ def cmd_biharmonic(args):
             "condition_holds": rep.condition_holds,
             "index_claim": rep.index_claim.value,
         })
-    ok = all(float(row["constant_witness"]) > 0 for row in rows if not row["degenerate"])
+    ok = all(float(row["constant_witness"]) > 0 for row in rows)
     return {"rows": rows}, ok
 
 
@@ -442,8 +438,11 @@ def main(argv=None) -> int:
     render = {"json": _render_json, "csv": _render_csv, "text": _render_text}[args.format]
     text = render(result)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            parser.exit(2, f"error: cannot write --out {args.out}: {exc.strerror}\n")
     else:
         sys.stdout.write(text)
     return 0 if ok else 1

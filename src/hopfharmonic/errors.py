@@ -67,10 +67,6 @@ class NotApplicable(HopfError):
     """Closed-form branch requires different parameter parity."""
 
 
-class DegenerateTube(HopfError):
-    """Requested branch does not define a tube with radius in the open domain."""
-
-
 def check_integer(value, name: str) -> int:
     """value as an int; ``InvalidFamily`` unless it is an integer other than a bool."""
     try:
@@ -102,12 +98,14 @@ def check_tol(tol):
 
 
 def to_fraction(value, error=InvalidRootSearch) -> Fraction:
-    """Exact value of an int, float, Fraction or mpf (all binary-exact); ``error`` if not one or not finite."""
+    """Exact value of an int, float, numpy float, Fraction or mpf (all binary-exact); ``error`` if not one or not finite."""
     try:
         if isinstance(value, Fraction):
             return value
         if isinstance(value, (int, float)):
             return Fraction(value)
+        if isinstance(value, np.floating):  # float32, float16, longdouble: Fraction refuses them
+            return Fraction(*value.as_integer_ratio())
         if not isinstance(value, (str, tuple)) and mp.isfinite(x := mp.mpf(value)):
             sign, man, exp, _ = x._mpf_
             frac = Fraction(man << exp) if exp >= 0 else Fraction(man, 1 << -exp)
@@ -118,8 +116,10 @@ def to_fraction(value, error=InvalidRootSearch) -> Fraction:
 
 
 def to_mpf(value, error):
-    """An int, float, Fraction or mpf as an mpf at the working precision; ``error`` otherwise."""
+    """An int, float, numpy float, Fraction or mpf as an mpf at the working precision; ``error`` otherwise."""
     try:
+        if isinstance(value, np.floating) and not isinstance(value, float):  # mp.mpf refuses float32
+            value = to_fraction(value, error)
         if isinstance(value, Fraction):
             return mp.mpf(value.numerator) / mp.mpf(value.denominator)
         if not isinstance(value, (str, tuple)):

@@ -148,7 +148,8 @@ def a2_closed_form(n: int, r: int) -> BalancedTubeRoots:
     For odd n and k = (n-1)/2 the quartic satisfies the biquadratic relation
     a3^3 - 4 a4 a3 a2 + 8 a4^2 a1 = 0 exactly, and its two real roots are
     x_(+/-) = 1/2 +/- (1/2) [2n(n+3)r - 4(n-1)]^(-1/2) [n(n+3)r - 4(n^2+n-1) + n sqrt(w)]^(1/2)
-    with w = (n+3)^2 r^2 - 8n(n+3) r + 16 (n^2 + 2n - 2).
+    with w = (n+3)^2 r^2 - 8n(n+3) r + 16 (n^2 + 2n - 2).  The difference cancels
+    like 1/r, so x_- comes from the product x_+ x_- = 2n / ((n+3)r + 4n + sqrt(w)).
     """
     n = check_integer(n, "n")
     if n < 3 or n % 2 == 0:
@@ -159,8 +160,9 @@ def a2_closed_form(n: int, r: int) -> BalancedTubeRoots:
     inner = n * (n + 3) * r - 4 * (n * n + n - 1) + n * sqrt_omega
     half_width = mp.sqrt(inner) / (2 * mp.sqrt(2 * n * (n + 3) * r - 4 * (n - 1)))
     cos_4t = (n * sqrt_omega - 2 * (2 * n - 1) * (n + 1)) / (n * (n + 3) * r - 2 * (n - 1))
-    half = mp.mpf(1) / 2
-    return BalancedTubeRoots(x_plus=half + half_width, x_minus=half - half_width, cos_4t=cos_4t)
+    x_plus = mp.mpf(1) / 2 + half_width
+    x_minus = 2 * n / (((n + 3) * r + 4 * n + sqrt_omega) * x_plus)
+    return BalancedTubeRoots(x_plus=x_plus, x_minus=x_minus, cos_4t=cos_4t)
 
 
 @dataclass(frozen=True)

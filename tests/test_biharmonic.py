@@ -5,7 +5,6 @@ import sympy
 from mpmath import mp
 
 from hopfharmonic import (
-    DegenerateTube,
     FamilyTag,
     HypersurfaceFamily,
     IndexClaim,
@@ -42,6 +41,40 @@ class TestRadii:
         # (2p - n - 1)^2 + 4(n + 1) > 0 for n >= 0, so cos^2 t is always real
         n, p = sympy.symbols("n p")
         assert sympy.expand(_discriminant(n, p) - ((2 * p - n - 1) ** 2 + 4 * (n + 1))) == 0
+
+    def test_both_branches_are_interior_for_every_admissible_pair(self):
+        """With s = sqrt(D), D = (2p - n - 1)^2 + 4(n+1) > 0,
+
+            cos^2 t_+ = (3(n+1) - 2p + s) / (4(n+1)),  sin^2 t_+ = (2p - 1) / (n + 1 + 2p + s),
+            cos^2 t_- = (3(n+1) - 2p - s) / (4(n+1))  = (2n + 1 - 2p) / (3(n+1) - 2p + s),
+            sin^2 t_- = (n + 1 + 2p + s) / (4(n+1)).
+
+        Each pair sums to 1 modulo s^2 = D.  For n >= 2 and 1 <= p <= n - 1,
+        2p - 1 >= 1 and 2n + 1 - 2p >= 3, and every other numerator and
+        denominator is a sum of positive terms, so all four are quotients of
+        positive numbers: both tubes lie strictly inside (0, pi/2) for every
+        admissible (n, p), and only rounding could push cos^2 t to 0 or 1.
+        """
+        n, p, s = sympy.symbols("n p s")
+        disc = _discriminant(n, p)
+        base = 3 * (n + 1) - 2 * p
+        cos_plus, sin_plus = (base + s) / (4 * (n + 1)), (2 * p - 1) / (n + 1 + 2 * p + s)
+        cos_minus, sin_minus = (2 * n + 1 - 2 * p) / (base + s), (n + 1 + 2 * p + s) / (4 * (n + 1))
+
+        def vanishes(expr):
+            numer = sympy.numer(sympy.together(expr))
+            return sympy.rem(sympy.expand(numer), s**2 - disc, s) == 0
+
+        assert vanishes(cos_plus + sin_plus - 1)
+        assert vanishes(cos_minus + sin_minus - 1)
+        assert vanishes(cos_minus - (base - s) / (4 * (n + 1)))
+        # n = p + 1 + b and p = 1 + a with a, b >= 0 cover every admissible pair
+        a, b = sympy.symbols("a b", nonnegative=True, integer=True)
+        root = sympy.Symbol("root", positive=True)
+        admissible = {n: a + b + 2, p: a + 1, s: root}
+        for quotient in (sin_plus, cos_minus, sin_minus, cos_plus):
+            for part in sympy.fraction(quotient):
+                assert sympy.expand(part.subs(admissible)).is_positive
 
     def test_n3_p2_both_branches_interior(self):
         # oracle: trace identity tr S^2 = 2(n+1) = 8 becomes 16x^2 - 16x + 3 = 0
@@ -205,7 +238,36 @@ class TestAsymptotics:
         for field in ("cot2_2t", "cot2_t", "tan2_t", "trace"):
             assert getattr(small, field) / getattr(large, field) >= 2
 
-    def test_degenerate_plus_branch_raises(self):
-        # at 40 digits cos^2 t rounds to 1; the check once unpacked None
-        with pytest.raises(DegenerateTube):
-            asymptotic_check(1, 10**60)
+    def test_holds_where_cos_sq_t_rounds_to_one(self):
+        # cos^2 t = 1 - 1/(2n) rounds to 1 at the suite's 40 digits; 1 - c once divided by zero
+        errs = asymptotic_check(1, 10**60)
+        for field in ("cot2_2t", "cot2_t", "tan2_t", "trace"):
+            assert getattr(errs, field) <= 1e-30
+
+
+# (n, p) at both ends of the admissible range, where tr S cancels like 1/n
+LARGE_N = [pytest.param(10**e, p, id=f"1e{e}-p{p}") for e in (12, 16, 40, 300) for p in (1, 2, 3)] + [
+    pytest.param(10**e, 10**e - k, id=f"1e{e}-p=n-{k}") for e in (16, 40) for k in (1, 2)
+]
+
+
+class TestLargeN:
+    @pytest.mark.parametrize("n, p", LARGE_N)
+    @pytest.mark.parametrize("branch", ["plus", "minus"])
+    def test_report_is_right_to_the_working_precision(self, n, p, branch):
+        # the plus branch's sin^2 t at small p and the minus branch's cos^2 t at
+        # p near n are about 1/n; at a fixed 30 digits the witness once read
+        # -28.33 at (10^16, 1), and with cos^2 t_- = base - sqrt D it read 6, not 12, at (10^40, 10^40 - 1)
+        rep = stability_condition(n, p, branch)
+        assert abs(rep.trace_sq / (2 * (n + 1)) - 1) < 1e-25
+        assert rep.constant_witness > 0
+        with mp.workdps(3 * mp.dps):
+            fine = stability_condition(n, p, branch)
+        for field in ("trace", "constant_witness", "lhs", "rhs"):
+            assert abs(getattr(rep, field) / getattr(fine, field) - 1) < 1e-25
+
+    def test_radii_are_two_tubes(self):
+        for n in (10**16, 10**300):
+            tubes = biharmonic_radii(n, 1)
+            assert [tube.branch for tube in tubes] == ["plus", "minus"]
+            assert 0 < tubes[0].t < 1e-7

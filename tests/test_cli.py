@@ -151,6 +151,15 @@ class TestBiharmonic:
         values = sorted(float(row["cos_sq_t"]) for row in doc["rows"])
         assert values == pytest.approx([0.25, 0.75], abs=1e-15)
 
+    def test_large_n_plus_branch_is_certified(self, capsys):
+        # at 30 digits without the digits of n this read witness -28.33 and exited 1
+        code, doc = run_json(capsys, "biharmonic", "--n", str(10**16), "--p", "1")
+        assert code == 0
+        plus = doc["rows"][0]
+        assert not plus["degenerate"]
+        assert float(plus["constant_witness"]) == pytest.approx(12, rel=1e-15)
+        assert float(plus["trace"]) == pytest.approx(2 * math.sqrt(2) / 10**8, rel=1e-15)
+
     def test_threshold_scan(self, capsys):
         code, doc = run_json(capsys, "biharmonic", "--scan-threshold", "--p", "1", "--n-max", "60")
         assert code == 0
@@ -206,6 +215,17 @@ class TestContract:
         assert out == ""
         doc = json.loads(target.read_text())
         assert len(doc["rows"]) == 2
+
+    @pytest.mark.parametrize("where", ["missing-dir", "directory"])
+    def test_unwritable_out_is_a_usage_error(self, capsys, tmp_path, where):
+        # an OSError from open() once left main as a traceback with exit status 1
+        target = tmp_path / "no" / "such" / "x.json" if where == "missing-dir" else tmp_path
+        with pytest.raises(SystemExit) as err:
+            main(["solve", "--type", "A1", "--n", "2", "--r", "2", "--out", str(target)])
+        assert err.value.code == 2
+        out, err_text = capsys.readouterr()
+        assert out == ""
+        assert err_text.startswith("error: cannot write --out") and "Traceback" not in err_text
 
     def test_env_var_does_not_change_the_report(self, capsys, monkeypatch):
         argv = ("solve", "--type", "A1", "--n", "2", "--r", "2")

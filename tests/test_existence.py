@@ -283,6 +283,16 @@ class TestBalancedClosedForm:
                 assert abs(roots.x_minus - certs[0].refined_root) < mp.mpf(10) ** (-20)
                 assert abs(roots.x_plus - certs[1].refined_root) < mp.mpf(10) ** (-20)
 
+    @pytest.mark.parametrize("n, r", [(3, 10**20), (101, 10**30)])
+    def test_small_root_at_large_order(self, n, r):
+        # x_- = 1/2 - half_width cancelled like 1/r: off by 2.6e-12 and 1.5e-2 relative here
+        roots = a2_closed_form(n, r)
+        certs = isolate_and_refine(build_quartic(F(CP.CP_A2, n, (n - 1) // 2), r), 0, 1, Fraction(1, 10**70))
+        assert len(certs) == 2
+        assert abs(roots.x_minus / certs[0].refined_root - 1) < 1e-25
+        assert abs(roots.x_plus / certs[1].refined_root - 1) < 1e-25
+        assert abs(roots.x_plus + roots.x_minus - 1) < 1e-25
+
     def test_limits_and_monotonicity(self):
         previous = a2_closed_form(3, 2)
         for r in (5, 20, 100, 10**4, 10**8):

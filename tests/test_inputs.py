@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 import hopfharmonic
 from hopfharmonic import (
     DegenerateLeadingCoefficient,
-    DegenerateTube,
     ExcludedRadius,
     FamilyTag,
     HopfError,
@@ -32,6 +31,7 @@ from hopfharmonic import (
     a2_closed_form,
     a2_k_thresholds,
     admissible_families,
+    asymptotic_check,
     biharmonic_radii,
     build_quartic,
     cauchy_bound,
@@ -315,11 +315,21 @@ def test_input_errors_are_hopf_and_value_errors():
     assert issubclass(InvalidOrder, HopfError)
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float16])
+def test_numpy_floats_enter_the_exact_and_mp_lanes_at_their_exact_value(dtype):
+    # mp.mpf and Fraction refused them, while the float64 lane took them
+    value = dtype(0.3)
+    assert residual(A1, value, 3) == residual(A1, float(value), 3)
+    poly = build_quartic(A1, 3)
+    assert count_real_roots(poly, value, 1) == count_real_roots(poly, float(value), 1)
+    with pytest.raises(RadiusOutOfDomain):
+        residual(A1, dtype("nan"), 3)
+
+
 # One input per exported error class that raises exactly that class; a class
 # nothing can raise has no entry, and the key check below fails for it.
 ERROR_TRIGGERS = {
     DegenerateLeadingCoefficient: lambda: cauchy_bound(QuarticPoly(0, 1, 1, 1, 1)),
-    DegenerateTube: lambda: stability_condition(10**60, 1, "plus"),  # cos^2 t rounds to 1
     ExcludedRadius: lambda: residual(F(CP.CH_B, 3), F(CP.CH_B, 3).excluded_radius),
     InvalidFamily: lambda: F(CP.CP_A1, 0),
     InvalidOrder: lambda: residual(A1, 0.3, 1),
@@ -359,7 +369,8 @@ HOSTILE = st.one_of(
     st.sampled_from(["0.3", "3", "nan", "CP_A1"]),
     st.booleans(),
     st.sampled_from([math.nan, math.inf, -math.inf]),
-    st.sampled_from([np.float64(0.3), np.float32(0.5), np.int64(3), np.int8(-2), np.bool_(True), np.str_("0.3")]),
+    st.sampled_from([np.float64(0.3), np.float32(0.5), np.float32(0.3), np.int64(3), np.int8(-2), np.bool_(True),
+                     np.str_("0.3")]),
     st.lists(st.floats(-3, 3), max_size=3),
     st.tuples(st.integers(-4, 4), st.integers(-4, 4)),  # mpmath's (mantissa, exponent)
     st.fractions(min_value=-4, max_value=4, max_denominator=64),
@@ -369,6 +380,8 @@ HOSTILE = st.one_of(
 # numbers.  Sizes stay bounded so that no call runs long: n, p, k <= 60,
 # r <= 10^6 and tol >= 2^-200.
 DIM = st.integers(-2, 60)
+# a tube's n also at sizes where cos^2 t_+ rounds to 1 at 30 digits
+TUBE_N = st.one_of(DIM, st.sampled_from([10**16, 10**40, 10**300]))
 ORDER = st.one_of(st.integers(2, 60), st.sampled_from([1000, 10**6]))
 REAL = st.one_of(
     st.floats(0, 1),
@@ -413,16 +426,17 @@ CLOSED = {
     "QuarticPoly": (lambda a, b, c, family, r: QuarticPoly(a, b, c, family=family, r=r),
                     (REAL, REAL, REAL, st.none() | FAMILY, st.none() | ORDER)),
     "HypersurfaceFamily": (F, (st.sampled_from([*CP, *(tag.value for tag in CP)]), DIM, st.none() | DIM)),
-    "stability_condition": (stability_condition, (DIM, DIM, st.sampled_from(["plus", "minus"]))),
-    "biharmonic_radii": (biharmonic_radii, (DIM, DIM)),
-    "tube_family": (tube_family, (DIM, DIM)),
+    "stability_condition": (stability_condition, (TUBE_N, DIM, st.sampled_from(["plus", "minus"]))),
+    "biharmonic_radii": (biharmonic_radii, (TUBE_N, DIM)),
+    "tube_family": (tube_family, (TUBE_N, DIM)),
+    "asymptotic_check": (asymptotic_check, (DIM, TUBE_N)),
     "a2_closed_form": (a2_closed_form, (DIM, ORDER)),
     "a2_k_thresholds": (a2_k_thresholds, (DIM,)),
 }
 
 
 @pytest.mark.parametrize("name", CLOSED)
-@settings(max_examples=30)  # keeps the 29 entries near 4 s together
+@settings(max_examples=30)  # keeps the 30 entries near 4 s together
 @given(data=st.data())
 def test_every_call_returns_or_raises_a_hopf_error(name, data):
     # one argument hostile and the rest well-typed, so the bad one meets the
@@ -447,8 +461,7 @@ def test_every_call_returns_or_raises_a_hopf_error(name, data):
 # alone sets its running time.
 PURE_HELPERS = {
     "eta1", "eta2", "k_below_k1", "k_above_k2", "a1_offset_probe_poly", "trace_shape", "trace_shape_squared",
-    "lambda_min_squared", "first_eigenvalue_bound", "admissible_families", "fixed_dimension", "asymptotic_check",
-    "index_threshold_scan",
+    "lambda_min_squared", "first_eigenvalue_bound", "admissible_families", "fixed_dimension", "index_threshold_scan",
 }
 
 
