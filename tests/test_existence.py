@@ -331,6 +331,19 @@ class TestKWindow:
                 lhs = 4 * (m - 1) * j + m * m + 4 * m - 2
                 assert k_above_k2(m, j) == (lhs * lhs > m * m * (13 * m * m - 8 * m + 4))
 
+    def test_lower_edge_is_the_sign_of_eta1(self):
+        # the squared comparison k < k1 is lhs > 0 and lhs^2 > n^2 D, and
+        # lhs^2 - n^2 D = 4 (n - 1) eta1, so for n >= 3 it is lhs > 0 and eta1 > 0
+        n, k = sympy.symbols("n k")
+        lhs = 5 * n * n - 4 * n + 2 - 4 * (n - 1) * k
+        assert sympy.expand(lhs**2 - n * n * (13 * n * n - 8 * n + 4) - 4 * (n - 1) * eta1(n, k)) == 0
+        for m in range(3, 400):
+            for j in range(m):
+                lhs = 5 * m * m - 4 * m + 2 - 4 * (m - 1) * j
+                assert k_below_k1(m, j) == (lhs > 0 and lhs * lhs > m * m * (13 * m * m - 8 * m + 4))
+        # past the upper root, above n - 1, eta1 is positive again and lhs > 0 decides
+        assert eta1(5, 13) > 0 and not k_below_k1(5, 13)
+
     def test_exact_comparators_agree_with_numeric(self):
         for n in range(3, 60):
             window = a2_k_thresholds(n)

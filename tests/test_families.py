@@ -295,6 +295,39 @@ def test_family_table_values_keep_their_digest():
     assert hashlib.sha256(text.encode()).hexdigest() == FAMILY_TABLE_DIGEST
 
 
+# SHA-256 of the spectrum table in every lane, for every admissible family
+# with n <= 12 and D and E at their one n, at three radii: the exact mpf
+# tuples of curvature_spectrum and angle_spectrum at 30 and at 50 digits,
+# and the float64 bytes of spectrum_arrays.
+SPECTRUM_DIGEST = "ef2e040349ce74758097b7b44d1e0a766df4b5499f4afe6785ceb3339c1e29c2"
+
+
+def _exact(x):
+    return tuple(map(int, x._mpf_))  # as ints, whichever integer type the mpmath backend uses
+
+
+def _spectrum_values():
+    for dps in (30, 50):
+        with mp.workdps(dps):
+            for tag in CP:
+                for fam in admissible_families(tag, max(12, fixed_dimension(tag) or 0)):
+                    domain = fam.radius_domain()
+                    hi = 4 if domain is None or domain[1] == mp.inf else domain[1]
+                    radii = [hi * mp.mpf(j) / 8 for j in (1, 3, 7)]
+                    spectra = [curvature_spectrum(fam, t) for t in radii]
+                    if tag in (CP.CP_A1, CP.CP_A2, CP.CP_B):
+                        spectra += [angle_spectrum(fam, mp.cos(t), mp.sin(t)) for t in radii]
+                    for spec in spectra:
+                        yield repr((dps, fam, _exact(spec.alpha), [(_exact(lam), m) for lam, m in spec.branches]))
+                    alpha, branches = spectrum_arrays(fam, [float(t) for t in radii])
+                    yield repr((dps, fam, alpha.tobytes(), [(lam.tobytes(), m) for lam, m in branches]))
+
+
+def test_spectrum_table_keeps_its_digest():
+    text = "\n".join(_spectrum_values())
+    assert hashlib.sha256(text.encode()).hexdigest() == SPECTRUM_DIGEST
+
+
 class TestScaling:
     @given(
         st.sampled_from([(CP.CP_A1, 3, None), (CP.CP_A2, 4, 2), (CP.CP_B, 5, None)]),
