@@ -171,43 +171,43 @@ def _boundary_targets(family: HypersurfaceFamily):
     return (16, 25) if tag is FamilyTag.CP_D else (72, 162)
 
 
-def _check_boundary_values(n_max=25, orders=(2, 17)):
-    for family in (f for tag in _CP_TYPES.values() for f in admissible_families(tag, n_max)):
+def _check_boundary_values():
+    for family in (f for tag in _CP_TYPES.values() for f in admissible_families(tag, 25)):
         p0, p1 = _boundary_targets(family)
-        for r in orders:
+        for r in (2, 17):
             poly = build_quartic(family, r)
             if poly.evaluate(0) != p0 or poly.evaluate(1) != p1:
                 return False, f"boundary mismatch for {family.tag.value} n={family.n} k={family.k} r={r}"
-    return True, f"endpoint values exact for all families up to n={n_max}"
+    return True, "endpoint values exact for all families up to n=25"
 
 
-def _check_probe_identities(n_max=25, orders=(2, 17)):
-    for r in orders:
-        for family in admissible_families(FamilyTag.CP_A1, n_max):
+def _check_probe_identities():
+    for r in (2, 17):
+        for family in admissible_families(FamilyTag.CP_A1, 25):
             n, pa1 = family.n, build_quartic(family, r)
             if (n + 3) ** 4 * pa1.evaluate(Fraction(2, n + 3)) != -(3 * n * n + 2 * n + 11) * (n + 7) * (n - 1):
                 return False, f"A1 order-free probe failed at n={n}"
-        for family in admissible_families(FamilyTag.CP_B, n_max):
+        for family in admissible_families(FamilyTag.CP_B, 25):
             n, pb = family.n, build_quartic(family, r)
             if n**4 * pb.evaluate(Fraction(1, n)) != 2 * (3 * n - 1) * (n - 1) ** 3:
                 return False, f"B minimal probe failed at n={n}"
         a_types = (FamilyTag.CP_A1, FamilyTag.CP_A2)  # A1's trace-zero probe is A2's minimal probe at k = 0
-        for family in (f for tag in a_types for f in admissible_families(tag, n_max)):
+        for family in (f for tag in a_types for f in admissible_families(tag, 25)):
             n, k, pa2 = family.n, family.k or 0, build_quartic(family, r)
             if 2 * n**4 * pa2.evaluate(Fraction(2 * k + 1, 2 * n)) != -(n - 1) * (2 * n - 2 * k - 1) ** 2 * (2 * k + 1) ** 2:
                 return False, f"{family.tag.value} minimal probe failed at n={n}, k={family.k}"
-        for family in admissible_families(FamilyTag.CP_C, n_max):
+        for family in admissible_families(FamilyTag.CP_C, 25):
             n, pc = family.n, build_quartic(family, r)
             if n**4 * pc.evaluate(Fraction(2, n)) != 8 * (3 * n - 1) * (n - 1) * (n - 2) ** 2:
                 return False, f"C minimal probe failed at n={n}"
-    return True, f"rational probe identities exact up to n={n_max}"
+    return True, "rational probe identities exact up to n=25"
 
 
-def _check_biquadratic(n_max=15, orders=(2, 17, 40)):
-    balanced = (f for f in admissible_families(FamilyTag.CP_A2, n_max) if f.n == 2 * f.k + 1)
+def _check_biquadratic():
+    balanced = (f for f in admissible_families(FamilyTag.CP_A2, 15) if f.n == 2 * f.k + 1)
     for family in balanced:
         n = family.n
-        for r in orders:
+        for r in (2, 17, 40):
             poly = build_quartic(family, r)
             a4, a3, a2, a1, _ = poly.coefficients()
             if a3**3 - 4 * a4 * a3 * a2 + 8 * a4 * a4 * a1 != 0:
@@ -216,11 +216,11 @@ def _check_biquadratic(n_max=15, orders=(2, 17, 40)):
             for x in (roots.x_plus, roots.x_minus):
                 if abs(poly.evaluate(to_fraction(x))) > Fraction(1, 10**18):
                     return False, f"closed-form root misses the quartic at n={n}, r={r}"
-    return True, f"balanced-family biquadratic branch exact up to n={n_max}"
+    return True, "balanced-family biquadratic branch exact up to n=15"
 
 
-def _check_offset_probe_poly(n_max=30):
-    for family in admissible_families(FamilyTag.CP_A1, n_max):
+def _check_offset_probe_poly():
+    for family in admissible_families(FamilyTag.CP_A1, 30):
         n = family.n
         b4, b3, b2, b1, b0 = a1_offset_probe_poly(n)
         for r in (2, 3, 17, 97):
@@ -228,28 +228,28 @@ def _check_offset_probe_poly(n_max=30):
             lhs = 2 * n**4 * r**4 * poly.evaluate(Fraction(1, 2 * n) + Fraction(1, n * r))
             if lhs != b4 * r**4 + b3 * r**3 + b2 * r**2 + b1 * r + b0:
                 return False, f"offset-probe polynomial mismatch at n={n}, r={r}"
-    return True, f"offset-probe coefficients exact up to n={n_max}"
+    return True, "offset-probe coefficients exact up to n=30"
 
 
-def _check_trig_identities(samples=1000, tol=1e-10):
+def _check_trig_identities():
     rng = random.Random(_TRIG_SEED)
     with mp.workdps(max(mp.dps, 35)):
         quarter = mp.pi / 4
-        for _ in range(samples):
+        for _ in range(1000):
             t = mp.mpf(rng.uniform(1e-3, float(mp.pi) / 4 - 1e-3))
             lams = [mp.cot(t - j * quarter) for j in range(4)]
             cot4 = mp.cot(4 * t)
             lhs1, rhs1 = mp.fsum(lams), 4 * cot4
             lhs2, rhs2 = mp.fsum(l * l for l in lams), 12 + 16 * cot4**2
-            if abs(lhs1 - rhs1) > tol * max(1, abs(rhs1)) or abs(lhs2 - rhs2) > tol * abs(rhs2):
+            if abs(lhs1 - rhs1) > 1e-10 * max(1, abs(rhs1)) or abs(lhs2 - rhs2) > 1e-10 * abs(rhs2):
                 return False, f"quarter-turn cotangent identity failed at t={mp.nstr(t, 12)}"
-    return True, f"quarter-turn cotangent identities hold at {samples} random radii"
+    return True, "quarter-turn cotangent identities hold at 1000 random radii"
 
 
-def _check_ch_negativity(r_max=20, n_max=5, points=2000):
-    grid = np.linspace(0.01, 12.0, points)
+def _check_ch_negativity(r_max):
+    grid = np.linspace(0.01, 12.0, 2000)
     worst = -np.inf
-    for family in (f for tag in _CH_TAGS for f in admissible_families(tag, n_max)):
+    for family in (f for tag in _CH_TAGS for f in admissible_families(tag, 5)):
         for r in range(2, r_max + 1):
             worst = max(worst, chn_scan(family, r, grid))
             if worst >= -1e-6:
@@ -257,7 +257,7 @@ def _check_ch_negativity(r_max=20, n_max=5, points=2000):
     return True, f"hyperbolic residuals stay below -1e-6 (worst {worst:.6g}) for r <= {r_max}"
 
 
-def _check_roundtrip(tol=1e-9):
+def _check_roundtrip():
     cases = [
         (HypersurfaceFamily(FamilyTag.CP_A1, 2), (2, 7, 17)),
         (HypersurfaceFamily(FamilyTag.CP_A1, 5), (2, 17)),
@@ -275,7 +275,7 @@ def _check_roundtrip(tol=1e-9):
             certs = certify_radii(family, r, Fraction(1, 10**18))
             for cert in certs:
                 res = cert.residual_report.residual
-                if abs(res) > tol:
+                if abs(res) > 1e-9:
                     return False, f"residual {mp.nstr(res, 4)} too large for {family.tag.value} r={r}"
             values = residual_grid(family, r, ts)
             intervals = [cert.isolating_interval for cert in certs]

@@ -173,24 +173,24 @@ class KWindow:
     k2: object
 
 
-def _k_discriminant(n: int) -> int:
-    return 13 * n * n - 8 * n + 4
-
-
 def a2_k_thresholds(n: int) -> KWindow:
     """Numeric k1, k2 bracketing the A2 k-window for ambient dimension n."""
     n = check_integer(n, "n")
     if n < 3:
         raise InvalidFamily(f"need n >= 3, got {n}")
-    sqrt_d = mp.sqrt(_k_discriminant(n))
+    sqrt_d = mp.sqrt(13 * n * n - 8 * n + 4)
     k1 = (5 * n * n - 4 * n + 2 - n * sqrt_d) / (4 * (n - 1))
     return KWindow(k1=k1, k2=n - 1 - k1)
 
 
 def k_below_k1(n: int, k: int) -> bool:
-    """Exact integer test for k < k1."""
-    lhs = 5 * n * n - 4 * n + 2 - 4 * (n - 1) * k
-    return lhs > 0 and lhs * lhs > n * n * _k_discriminant(n)
+    """Exact integer test for k < k1, n >= 2.
+
+    k < k1 iff L = 5n^2 - 4n + 2 - 4(n - 1)k > 0 and L^2 > n^2 (13n^2 - 8n + 4),
+    and L^2 - n^2 (13n^2 - 8n + 4) = 4 (n - 1) eta1(n, k).  L > 0 stays: past
+    eta1's upper root, above n - 1, eta1 is positive again.
+    """
+    return 5 * n * n - 4 * n + 2 - 4 * (n - 1) * k > 0 and eta1(n, k) > 0
 
 
 def k_above_k2(n: int, k: int) -> bool:

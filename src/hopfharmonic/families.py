@@ -205,8 +205,8 @@ def check_family(family, projective: bool | None = None) -> HypersurfaceFamily:
 
 def _check_radius(family: HypersurfaceFamily, t):
     domain = check_family(family).radius_domain()
-    if domain is None:
-        return None
+    if domain is None:  # the horosphere's spectrum ignores the value of t, not a non-number
+        return None if t is None else to_mpf(t, RadiusOutOfDomain)
     t = to_mpf(t, RadiusOutOfDomain)
     lo, hi = domain
     if not lo < t < hi:
@@ -222,38 +222,34 @@ def _spectrum(family: HypersurfaceFamily, t, lib, one):
 
     ``lib`` is ``mp``, the float64 ``_FLOAT64`` or the (cos, sin) ``_ANGLE``
     and ``one`` the matching unit (an mpf, or an array of ones shaped like t).
-    This is the only copy of the table; every lane reads it.
+    This is the only copy of the table; every lane reads it.  It has five
+    rows, one per geometry, of (curvature as a function of t, multiplicity),
+    and a curvature of multiplicity 0 is never evaluated.  The A row is the
+    tube over a totally geodesic CP^k or CH^k: A1 is its k = n - 1 and
+    CH_A1_point its k = 0 (the quartic reads A1 as the dual k = 0 tube, in
+    x = sin^2 t = cos^2(pi/2 - t)).  B is the quarter-turn pattern at
+    pi/4 - t, but keeps its own row: the pattern would take cot(-t) from
+    (pi/4 - t) - pi/4, which loses the digits of t as t -> 0.
     """
-    tag, n, k = family.tag, family.n, family.k
+    tag, n = family.tag, family.n
     if tag is FamilyTag.CH_A0:
-        alpha = 2 * one
-        branches = [(one, 2 * n - 2)]
-    elif tag is FamilyTag.CH_A1_GEODESIC:
-        alpha = 2 * lib.coth(2 * t)
-        branches = [(lib.tanh(t), 2 * n - 2)]
-    elif tag is FamilyTag.CH_A1_POINT:
-        alpha = 2 * lib.coth(2 * t)
-        branches = [(lib.coth(t), 2 * n - 2)]
-    elif tag is FamilyTag.CH_A2:
-        alpha = 2 * lib.coth(2 * t)
-        branches = [(lib.coth(t), 2 * (n - k - 1)), (lib.tanh(t), 2 * k)]
+        alpha, row = 2 * one, [(lambda t: one, 2 * n - 2)]
     elif tag is FamilyTag.CH_B:
-        alpha = 2 * lib.tanh(2 * t)
-        branches = [(lib.coth(t), n - 1), (lib.tanh(t), n - 1)]
-    elif tag is FamilyTag.CP_A1:
-        alpha = 2 * lib.cot(2 * t)
-        branches = [(-lib.tan(t), 2 * n - 2)]
-    elif tag is FamilyTag.CP_A2:
-        alpha = 2 * lib.cot(2 * t)
-        branches = [(lib.cot(t), 2 * (n - k - 1)), (-lib.tan(t), 2 * k)]
+        alpha, row = 2 * lib.tanh(2 * t), [(lib.coth, n - 1), (lib.tanh, n - 1)]
     elif tag is FamilyTag.CP_B:
-        alpha = 2 * lib.tan(2 * t)
-        branches = [(-lib.cot(t), n - 1), (lib.tan(t), n - 1)]
-    else:  # CP_C, CP_D, CP_E: the quarter-turn pattern, multiplicities (a, a, b, b)
+        alpha, row = 2 * lib.tan(2 * t), [(lambda t: -lib.cot(t), n - 1), (lib.tan, n - 1)]
+    elif (pattern := quarter_turn(family)) is not None:  # C, D, E: multiplicities (a, a, b, b)
+        a, b, _, _ = pattern
         alpha = 2 * lib.cot(2 * t)
-        a, b, _, _ = quarter_turn(family)
-        branches = zip([lib.cot(t - j * lib.pi / 4) for j in (1, 3, 2, 0)], (a, a, b, b))
-    return alpha, [(lam, m) for lam, m in branches if m > 0]
+        row = [(lambda t, j=j: lib.cot(t - j * lib.pi / 4), m) for j, m in zip((1, 3, 2, 0), (a, a, b, b))]
+    else:  # A1, A2: the tube over CP^k or CH^k
+        k = family.k if family.k is not None else 0 if tag is FamilyTag.CH_A1_POINT else n - 1
+        if family.is_projective:
+            alpha, far, near = 2 * lib.cot(2 * t), lib.cot, lambda t: -lib.tan(t)
+        else:
+            alpha, far, near = 2 * lib.coth(2 * t), lib.coth, lib.tanh
+        row = [(far, 2 * (n - 1 - k)), (near, 2 * k)]
+    return alpha, [(curvature(t), m) for curvature, m in row if m > 0]
 
 
 _TINY = np.finfo(float).tiny  # the least normal float64; every radius domain starts at 0
@@ -377,7 +373,7 @@ def scaled_curvature_spectrum(family: HypersurfaceFamily, t, c) -> CurvatureSpec
     if not mp.isfinite(c) or c == 0 or (c > 0) != family.is_projective:
         raise UnsupportedFamily(f"c={mp.nstr(c, 8)} is not a finite curvature of {family.tag.value}'s sign")
     s = mp.sqrt(abs(c)) / 2
-    t = None if family.tag is FamilyTag.CH_A0 else s * to_mpf(t, RadiusOutOfDomain)
+    t = None if t is None else s * to_mpf(t, RadiusOutOfDomain)
     base = curvature_spectrum(family, t)
     return CurvatureSpectrum(
         alpha=s * base.alpha,

@@ -1,6 +1,7 @@
 import hashlib
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given
@@ -28,7 +29,7 @@ from hopfharmonic import (
     tube_family,
     x_from_radius,
 )
-from hopfharmonic.families import angle_spectrum, fixed_dimension
+from hopfharmonic.families import _spectrum, angle_spectrum, fixed_dimension
 from hopfharmonic.residual import residual
 
 CP = FamilyTag
@@ -158,6 +159,23 @@ class TestSpectra:
         spec = curvature_spectrum(F(CP.CP_A1, 1), mp.mpf("0.3"))
         assert spec.branches == ()
         assert abs(spec.alpha - 2 * mp.cot(mp.mpf("0.6"))) < 1e-35
+
+    def test_a_zero_multiplicity_curvature_is_never_evaluated(self):
+        # an eager table would take a coth or tanh of multiplicity 0 over every chn_scan grid
+        def calls(fam, t):
+            made = []
+            lib = SimpleNamespace(pi=mp.pi, **{
+                name: lambda x, name=name: made.append((name, x)) or getattr(mp, name)(x)
+                for name in ("tan", "tanh", "cot", "coth")
+            })
+            _spectrum(fam, t, lib, mp.mpf(1))
+            return made
+
+        t = mp.mpf("0.3")
+        assert calls(F(CP.CP_A1, 1), t) == [("cot", 2 * t)]
+        assert calls(F(CP.CH_A1_POINT, 4), t) == [("coth", 2 * t), ("coth", t)]
+        assert calls(F(CP.CH_A1_GEODESIC, 4), t) == [("coth", 2 * t), ("tanh", t)]
+        assert calls(F(CP.CP_A2, 5, 2), t) == [("cot", 2 * t), ("cot", t), ("tan", t)]
 
     @pytest.mark.parametrize("fam", sample_families(), ids=lambda f: f"{f.tag.value}-n{f.n}-k{f.k}")
     def test_dimension_invariant(self, fam):

@@ -190,14 +190,28 @@ def test_spectrum_arrays_checks_its_radii(t):
         lambda: chn_scan(F(CP.CH_B, 3), 2, [0.3, "a"]),
         lambda: residual(A1, "0.3", 3),
         lambda: residual_grid(A1, 2, ["0.3"]),
+        lambda: residual(F(CP.CH_A0, 3), "zz", 2),
+        lambda: residual(F(CP.CH_A0, 3), (1, -2), 2),
+        lambda: curvature_spectrum(F(CP.CH_A0, 3), [1]),
+        lambda: scaled_curvature_spectrum(F(CP.CH_A0, 3), "x", -4),
+        lambda: is_proper_r_harmonic(F(CP.CH_A0, 3), "zz", 2, 1e-9),
     ],
-    ids=["spectrum-list", "chn-scan-str", "residual-numeric-str", "grid-numeric-str"],
+    ids=["spectrum-list", "chn-scan-str", "residual-numeric-str", "grid-numeric-str", "CH_A0-residual-str",
+         "CH_A0-residual-tuple", "CH_A0-spectrum-list", "CH_A0-scaled-str", "CH_A0-proper-str"],
 )
 def test_a_non_number_radius_is_rejected(call):
     # a list radius raised a bare TypeError; chn_scan converted the grid itself, with a bare ValueError;
-    # a numeric str was read by mp.mpf or numpy at their own precision
+    # a numeric str was read by mp.mpf or numpy at their own precision; the horosphere, whose
+    # spectrum ignores the value of t, returned values for all of these
     with pytest.raises(RadiusOutOfDomain):
         call()
+
+
+def test_the_horosphere_takes_any_real_radius():
+    # as its float lane does: the value of t is not used, a NaN grid gives the same residual
+    horosphere = F(CP.CH_A0, 3)
+    assert residual(horosphere, float("nan"), 2).residual == residual(horosphere, None, 2).residual == -128
+    assert residual_grid(horosphere, 2, [float("nan")]).tolist() == [-128]
 
 
 @pytest.mark.parametrize(
