@@ -333,7 +333,7 @@ class TestKWindow:
 
     def test_lower_edge_is_the_sign_of_eta1(self):
         # the squared comparison k < k1 is lhs > 0 and lhs^2 > n^2 D, and
-        # lhs^2 - n^2 D = 4 (n - 1) eta1, so for n >= 3 it is lhs > 0 and eta1 > 0
+        # lhs^2 - n^2 D = 4 (n - 1) eta1, so for n >= 2 it is lhs > 0 and eta1 > 0
         n, k = sympy.symbols("n k")
         lhs = 5 * n * n - 4 * n + 2 - 4 * (n - 1) * k
         assert sympy.expand(lhs**2 - n * n * (13 * n * n - 8 * n + 4) - 4 * (n - 1) * eta1(n, k)) == 0
