@@ -14,7 +14,6 @@ if mp.dps < 30:
     mp.dps = 30
 
 from .errors import (  # noqa: E402
-    DegenerateLeadingCoefficient,
     ExcludedRadius,
     HopfError,
     InvalidFamily,
@@ -59,7 +58,6 @@ from .quartic import (  # noqa: E402
     QuarticPoly,
     RootCertificate,
     build_quartic,
-    cauchy_bound,
     count_real_roots,
     isolate_and_refine,
     root_to_radius,

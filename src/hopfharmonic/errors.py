@@ -43,10 +43,6 @@ class InvalidRootSearch(HopfError, ValueError):
     """Exact-lane input is not a finite number, or a root search lacks a nonzero polynomial or lo < hi."""
 
 
-class DegenerateLeadingCoefficient(HopfError):
-    """Quartic operation requires a nonzero leading coefficient."""
-
-
 class RootOutOfRange(HopfError):
     """Root value does not correspond to a non-degenerate tube radius."""
 

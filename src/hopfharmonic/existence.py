@@ -184,17 +184,21 @@ def a2_k_thresholds(n: int) -> KWindow:
 
 
 def k_below_k1(n: int, k: int) -> bool:
-    """Exact integer test for k < k1, n >= 2.
+    """Exact integer test for k < k1, for n >= 2 and 0 <= k <= n - 1.
 
-    k < k1 iff L = 5n^2 - 4n + 2 - 4(n - 1)k > 0 and L^2 > n^2 (13n^2 - 8n + 4),
-    and L^2 - n^2 (13n^2 - 8n + 4) = 4 (n - 1) eta1(n, k).  L > 0 stays: past
-    eta1's upper root, above n - 1, eta1 is positive again.
+    k < k1 iff 5n^2 - 4n + 2 - 4(n - 1)k > n sqrt(13n^2 - 8n + 4).  On this
+    domain the left side is at least n^2 + 4n - 2 > 0 (at k = n - 1), and its
+    square minus the right side's is 4 (n - 1) eta1(n, k).
     """
-    return 5 * n * n - 4 * n + 2 - 4 * (n - 1) * k > 0 and eta1(n, k) > 0
+    n, k = check_integer(n, "n"), check_integer(k, "k")
+    if n < 2 or not 0 <= k <= n - 1:
+        raise InvalidFamily(f"need n >= 2 and 0 <= k <= n - 1, got n={n}, k={k}")
+    return eta1(n, k) > 0
 
 
 def k_above_k2(n: int, k: int) -> bool:
-    """Exact integer test for k > k2, that is n-1-k < k1."""
+    """Exact integer test for k > k2, that is n-1-k < k1, on the same domain."""
+    n, k = check_integer(n, "n"), check_integer(k, "k")
     return k_below_k1(n, n - 1 - k)
 
 

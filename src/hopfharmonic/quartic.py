@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import (
-    DegenerateLeadingCoefficient,
     InvalidRootSearch,
     InvalidTolerance,
     ToleranceNotReached,
@@ -253,27 +252,17 @@ def build_quartic(family: HypersurfaceFamily, r: int) -> QuarticPoly:
     return QuarticPoly(*coeffs, family=family, r=r)
 
 
-def cauchy_bound(poly: QuarticPoly) -> Fraction:
-    """1 + max |a_i / a_n| over the leading a_n: every root, real or complex, has modulus below it."""
-    if not isinstance(poly, QuarticPoly):
-        raise InvalidRootSearch(f"not a QuarticPoly: {poly!r}")
-    *rest, lead = poly.ints
-    if lead == 0:
-        raise DegenerateLeadingCoefficient("Cauchy bound needs a nonzero leading coefficient")
-    return 1 + max((Fraction(abs(c), abs(lead)) for c in rest), default=Fraction(0))
-
-
 # ---------------------------------------------------------------------------
 # counting, isolation, refinement
 # ---------------------------------------------------------------------------
 
 def _prepare(poly: QuarticPoly, lo, hi):
-    """Checked interval, integer coefficients, square-free part and its Sturm chain.
+    """Checked interval, integer coefficients and the Sturm chain of their square-free part.
 
-    Returns the integer coefficients, trimmed of leading zeros, with their
-    positive scale, so P = ints / lcm.  The ends may be roots: the chain
-    counts (lo, hi] exactly, and the callers drop a root at hi to count the
-    open interval.
+    Returns the integer coefficients, trimmed of leading zeros, so P = ints /
+    poly.scale; the square-free part is the chain's ``sf``.  The ends may be
+    roots: the chain counts (lo, hi] exactly, and the callers drop a root at
+    hi to count the open interval.
     """
     lo, hi = to_fraction(lo), to_fraction(hi)
     if not lo < hi:
@@ -283,8 +272,7 @@ def _prepare(poly: QuarticPoly, lo, hi):
     ints = _trim(list(poly.ints))
     if not ints:
         raise InvalidRootSearch("the zero polynomial has no isolated roots")
-    chain = _SturmChain(ints)
-    return ints, poly.scale, chain.sf, chain, lo, hi
+    return ints, _SturmChain(ints), lo, hi
 
 
 def count_real_roots(poly: QuarticPoly, lo, hi) -> int:
@@ -292,11 +280,11 @@ def count_real_roots(poly: QuarticPoly, lo, hi) -> int:
 
     The ends may be roots themselves; they are not counted.
     """
-    _, _, sf, chain, lo, hi = _prepare(poly, lo, hi)
-    return chain.count(lo, hi) - _is_root(sf, hi)
+    _, chain, lo, hi = _prepare(poly, lo, hi)
+    return chain.count(lo, hi) - _is_root(chain.sf, hi)
 
 
-def _isolate_exact_root(chain, sf, m: Fraction, half: Fraction, tol: Fraction):
+def _isolate_exact_root(chain, m: Fraction, half: Fraction, tol: Fraction):
     """Shrink a symmetric window around a known rational root to Sturm count 1.
 
     m is the midpoint of an interval of half-width ``half``; the window
@@ -305,7 +293,7 @@ def _isolate_exact_root(chain, sf, m: Fraction, half: Fraction, tol: Fraction):
     delta = min(half, tol) / 2
     for _ in range(_MAX_STEPS):
         lo, hi = m - delta, m + delta
-        if not _is_root(sf, lo) and not _is_root(sf, hi) and chain.count(lo, hi) == 1:
+        if not _is_root(chain.sf, lo) and not _is_root(chain.sf, hi) and chain.count(lo, hi) == 1:
             return lo, hi
         delta /= 2
     raise ToleranceNotReached(f"no window around the root {m} isolated it in {_MAX_STEPS} halvings")
@@ -323,10 +311,10 @@ def isolate_and_refine(poly: QuarticPoly, lo, hi, tol) -> list:
     family, the tube radius and its residual report are filled in.
     """
     tol_frac = to_fraction(check_tol(tol), InvalidTolerance)
-    ints, lcm, sf, chain, lo, hi = _prepare(poly, lo, hi)
+    ints, chain, lo, hi = _prepare(poly, lo, hi)
     # Midpoints and exact-root windows are tested for roots, so only the
     # caller's ends can be roots, and of the right ends only hi.
-    end_roots = tuple(x for x in (lo, hi) if _is_root(sf, x))
+    end_roots = tuple(x for x in (lo, hi) if _is_root(chain.sf, x))
     variations = chain.variations
     intervals = []  # (lo, hi) each holding exactly one root, with nonzero signs at both ends
     stack = [(lo, hi, variations(lo), variations(hi), 0)]  # (a, b, V(a), V(b), halvings)
@@ -341,8 +329,8 @@ def isolate_and_refine(poly: QuarticPoly, lo, hi, tol) -> list:
         if depth == _MAX_STEPS:
             raise ToleranceNotReached(f"isolation did not separate the roots in {_MAX_STEPS} halvings")
         m = (a + b) / 2
-        if _is_root(sf, m):
-            win = _isolate_exact_root(chain, sf, m, b - m, tol_frac)
+        if _is_root(chain.sf, m):
+            win = _isolate_exact_root(chain, m, b - m, tol_frac)
             intervals.append(win)
             stack.append((a, win[0], va, variations(win[0]), depth + 1))
             stack.append((win[1], b, variations(win[1]), vb, depth + 1))
@@ -353,7 +341,7 @@ def isolate_and_refine(poly: QuarticPoly, lo, hi, tol) -> list:
 
     certs = []
     for a, b in sorted(intervals):
-        a, b = _refine(ints, lcm, chain, a, b, tol_frac)
+        a, b = _refine(ints, poly.scale, chain, a, b, tol_frac)
         mid = (a + b) / 2
         root = to_mpf(mid, InvalidRootSearch)
         radius = report = None
@@ -406,7 +394,7 @@ def _refine(ints, lcm: int, chain: _SturmChain, a: Fraction, b: Fraction, tol: F
             fa, fb = _int_value(sf, sub, den_e), _int_value(sf, sub + w, den_e)
             if fa == 0 or fb == 0:
                 cap = level
-            elif (fa > 0) == (f_lo > 0) and (fb > 0) == (f_hi > 0):
+            elif (fa > 0) == (f_lo > 0) != (fb > 0):  # f_hi has the other sign of f_lo
                 lo, hi, den, f_lo, f_hi = sub, sub + w, den_e, fa, fb
                 level, e = level + e, 2 * e
                 continue
@@ -419,7 +407,7 @@ def _refine(ints, lcm: int, chain: _SturmChain, a: Fraction, b: Fraction, tol: F
             return Fraction(lo, den), Fraction(hi, den)
         fm = _int_value(sf, mid, mid_den)
         if fm == 0:
-            return _isolate_exact_root(chain, sf, Fraction(mid, mid_den), Fraction(w, mid_den), tol)
+            return _isolate_exact_root(chain, Fraction(mid, mid_den), Fraction(w, mid_den), tol)
         if (fm > 0) == (f_lo > 0):
             lo, hi, f_lo, f_hi = mid, 2 * hi, fm, f_hi << shift
         else:

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 import sympy
@@ -208,6 +209,27 @@ class TestThresholdScan:
             index_threshold_scan(0, 50)
         with pytest.raises(ValueError):
             index_threshold_scan(3, 4)
+
+    @pytest.mark.parametrize(
+        "p,n_max,holds,expected",
+        [
+            (2, 4, [True], (4, True)),  # n_max = p + 2, one evaluation
+            (1, 7, [False, True, True, True, True], (4, True)),
+            (1, 7, [False, True, True, False, True], (4, False)),  # fails again after the threshold
+            (3, 7, [False, False, False], (None, False)),
+        ],
+    )
+    def test_scans_p_plus_2_through_n_max(self, monkeypatch, p, n_max, holds, expected):
+        seen = []
+
+        def scripted(n, p_, branch):
+            seen.append((n, p_, branch))
+            return SimpleNamespace(condition_holds=holds[len(seen) - 1])
+
+        monkeypatch.setattr("hopfharmonic.biharmonic.stability_condition", scripted)
+        scan = index_threshold_scan(p, n_max)
+        assert seen == [(n, p, "plus") for n in range(p + 2, n_max + 1)]
+        assert (scan.threshold, scan.holds_for_all_larger) == expected
 
 
 class TestAsymptotics:

@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import hashlib
 import importlib
 import io
@@ -13,7 +14,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mp
 
-from hopfharmonic import FamilyTag, HypersurfaceFamily, admissible_families, count_solutions
+from hopfharmonic import (
+    FamilyTag,
+    HypersurfaceFamily,
+    QuarticPoly,
+    a1_offset_probe_poly,
+    a2_closed_form,
+    admissible_families,
+    build_quartic,
+    certify_radii,
+    count_solutions,
+)
 from hopfharmonic.cli import main
 
 
@@ -168,6 +179,54 @@ class TestBiharmonic:
         assert row["holds_for_all_larger"]
 
 
+def _moved_quartic(*tags):
+    """build_quartic with the x coefficient moved by 1 for the families of these tags."""
+    def build(family, r):
+        poly = build_quartic(family, r)
+        if family.tag not in tags:
+            return poly
+        a4, a3, a2, a1, a0 = poly.coefficients()
+        return QuarticPoly(a4, a3, a2, a1 + 1, a0, family=family, r=r)
+    return build
+
+
+def _offset_probe_poly_moved(n):
+    *high, b0 = a1_offset_probe_poly(n)
+    return (*high, b0 + 1)
+
+
+def _closed_form_moved(n, r):
+    roots = a2_closed_form(n, r)
+    return dataclasses.replace(roots, x_plus=roots.x_plus + mp.mpf("1e-6"))
+
+
+def _residuals_moved(family, r, tol):
+    return [
+        dataclasses.replace(cert, residual_report=dataclasses.replace(cert.residual_report, residual=mp.mpf("1e-6")))
+        for cert in certify_radii(family, r, tol)
+    ]
+
+
+_cot = mp.cot
+CLI = "hopfharmonic.cli."
+# (suite, check, patched call, wrong version of it, detail of the failed row): one per failure branch
+WRONG_INPUTS = [
+    ("exact", "boundary-values", CLI + "build_quartic", _moved_quartic(*FamilyTag), "boundary mismatch"),
+    ("exact", "probe-identities", CLI + "build_quartic", _moved_quartic(FamilyTag.CP_A1), "A1 order-free probe"),
+    ("exact", "probe-identities", CLI + "build_quartic", _moved_quartic(FamilyTag.CP_B), "B minimal probe"),
+    ("exact", "probe-identities", CLI + "build_quartic", _moved_quartic(FamilyTag.CP_A2), "CP_A2 minimal probe"),
+    ("exact", "probe-identities", CLI + "build_quartic", _moved_quartic(FamilyTag.CP_C), "C minimal probe"),
+    ("exact", "biquadratic-relation", CLI + "build_quartic", _moved_quartic(FamilyTag.CP_A2), "relation failed"),
+    ("exact", "biquadratic-relation", CLI + "a2_closed_form", _closed_form_moved, "closed-form root misses"),
+    ("exact", "offset-probe-poly", CLI + "a1_offset_probe_poly", _offset_probe_poly_moved, "offset-probe polynomial"),
+    ("trig", "quarter-turn-identities", "mpmath.mp.cot", lambda t: _cot(t + mp.mpf("1e-6")), "cotangent identity"),
+    ("ch-nonexistence", "hyperbolic-negativity", CLI + "chn_scan", lambda family, r, grid: 0.0, "not negative"),
+    ("roundtrip", "root-residual-roundtrip", CLI + "certify_radii", _residuals_moved, "too large"),
+    ("roundtrip", "root-residual-roundtrip", CLI + "certify_radii", lambda *args: certify_radii(*args)[1:],
+     "outside certificates"),
+]
+
+
 class TestVerify:
     @pytest.mark.parametrize("suite", ["exact", "trig", "roundtrip"])
     def test_suites_pass(self, capsys, suite):
@@ -200,6 +259,16 @@ class TestVerify:
         code, out = run(capsys, "verify", "--suite", "exact", "--format", "text")
         assert code == 0
         assert out.count("[PASS]") == 4
+
+    @pytest.mark.parametrize("suite,name,target,wrong,detail", WRONG_INPUTS, ids=[case[4] for case in WRONG_INPUTS])
+    def test_every_check_can_fail(self, capsys, monkeypatch, suite, name, target, wrong, detail):
+        # one library call the check reads gives a wrong value, and the check's row says so
+        monkeypatch.setattr(target, wrong)
+        code, out = run(capsys, "verify", "--suite", suite, "--r-max", "2", "--format", "text")
+        assert code == 1
+        (row,) = [line for line in out.splitlines() if line.startswith(f"[FAIL] {name}: ")]
+        assert detail in row
+
 
 
 class TestContract:
@@ -267,6 +336,8 @@ class TestContract:
             ("scan", "--type", "A1", "--n", "2"),
             ("solve", "--n", "2", "--r", "2"),
             ("verify", "--suite", "nope"),
+            ("biharmonic", "--scan-threshold"),
+            ("scan", "--type", "A1", "--n", "2", "--r-range", "3"),
         ],
     )
     def test_usage_errors_exit_2(self, capsys, argv):

@@ -9,6 +9,7 @@ from mpmath import mp
 from hopfharmonic import (
     FamilyTag,
     HypersurfaceFamily,
+    InvalidFamily,
     NoExactCountGuarantee,
     NotApplicable,
     ProbesCollide,
@@ -150,6 +151,8 @@ class TestThresholds:
     def test_a2_branches(self):
         low = guaranteed_thresholds(F(CP.CP_A2, 5, 1))
         assert low == (2, 4 * (22 + 85 + 123 + 54 + 8) * 1)
+        # at k = 1 every power of k is 1; k = 2 < k1 (about 6.6 for n = 20) tells them apart
+        assert guaranteed_thresholds(F(CP.CP_A2, 20, 2)) == (2, 26240)
         high = guaranteed_thresholds(F(CP.CP_A2, 5, 3))
         assert high == (2, 4 * (6 * 81 + 19 * 27 + 39 * 9 + 8 * 3 + 2) * 7 * 3)
 
@@ -337,12 +340,21 @@ class TestKWindow:
         n, k = sympy.symbols("n k")
         lhs = 5 * n * n - 4 * n + 2 - 4 * (n - 1) * k
         assert sympy.expand(lhs**2 - n * n * (13 * n * n - 8 * n + 4) - 4 * (n - 1) * eta1(n, k)) == 0
-        for m in range(3, 400):
+        for m in range(2, 400):
             for j in range(m):
                 lhs = 5 * m * m - 4 * m + 2 - 4 * (m - 1) * j
                 assert k_below_k1(m, j) == (lhs > 0 and lhs * lhs > m * m * (13 * m * m - 8 * m + 4))
-        # past the upper root, above n - 1, eta1 is positive again and lhs > 0 decides
-        assert eta1(5, 13) > 0 and not k_below_k1(5, 13)
+        # past the upper root, above n - 1, eta1 is positive again, and k is outside the domain
+        assert eta1(5, 13) > 0
+        with pytest.raises(InvalidFamily):
+            k_below_k1(5, 13)
+
+    @pytest.mark.parametrize("test", [k_below_k1, k_above_k2])
+    @pytest.mark.parametrize("n,k", [(5, 3.5), (5, 0.5), (5, True), (5, -1), (5, 5), (1, 0), (5.0, 2)])
+    def test_k_tests_refuse_k_outside_the_window_domain(self, test, n, k):
+        # k_below_k1(5, 3.5) and k_above_k2(5, 0.5) once returned False, and k_below_k1(5, True) True
+        with pytest.raises(InvalidFamily):
+            test(n, k)
 
     def test_exact_comparators_agree_with_numeric(self):
         for n in range(3, 60):

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 import hopfharmonic
 from hopfharmonic import (
-    DegenerateLeadingCoefficient,
     ExcludedRadius,
     FamilyTag,
     HopfError,
@@ -34,7 +33,6 @@ from hopfharmonic import (
     asymptotic_check,
     biharmonic_radii,
     build_quartic,
-    cauchy_bound,
     certify_radii,
     chn_scan,
     count_real_roots,
@@ -44,6 +42,8 @@ from hopfharmonic import (
     index_threshold_scan,
     is_proper_r_harmonic,
     isolate_and_refine,
+    k_above_k2,
+    k_below_k1,
     minimal_x,
     probe_values,
     r_independent_x,
@@ -277,14 +277,13 @@ ZERO = QuarticPoly(0, 0, 0, 0, 0)
         # a non-polynomial raised a bare AttributeError
         lambda: count_real_roots("x", 0, 1),
         lambda: isolate_and_refine([1, 2], 0, 1, 1e-3),
-        lambda: cauchy_bound("x"),
         # mpmath reads a 2-tuple as (mantissa, exponent): the coefficient was 1/4, the end 0
         lambda: QuarticPoly(1, (1, -2)),
         lambda: count_real_roots(QuarticPoly(1, 0, -1), (0, 1), 1),
     ],
     ids=["lo-above-hi", "empty", "nan-end", "inf-end", "none-end", "zero-count", "zero-isolate", "no-coefficients",
          "nan-coefficient", "inf-coefficient", "none-coefficient", "str-coefficient", "str-end", "nan-evaluate",
-         "str-poly-count", "list-poly-isolate", "str-poly-cauchy", "tuple-coefficient", "tuple-end"],
+         "str-poly-count", "list-poly-isolate", "tuple-coefficient", "tuple-end"],
 )
 def test_exact_layer_rejects_interval_and_polynomial(call):
     with pytest.raises(InvalidRootSearch):
@@ -343,7 +342,6 @@ def test_numpy_floats_enter_the_exact_and_mp_lanes_at_their_exact_value(dtype):
 # One input per exported error class that raises exactly that class; a class
 # nothing can raise has no entry, and the key check below fails for it.
 ERROR_TRIGGERS = {
-    DegenerateLeadingCoefficient: lambda: cauchy_bound(QuarticPoly(0, 1, 1, 1, 1)),
     ExcludedRadius: lambda: residual(F(CP.CH_B, 3), F(CP.CH_B, 3).excluded_radius),
     InvalidFamily: lambda: F(CP.CP_A1, 0),
     InvalidOrder: lambda: residual(A1, 0.3, 1),
@@ -436,7 +434,6 @@ CLOSED = {
     "scaled_curvature_spectrum": (scaled_curvature_spectrum, (FAMILY, REAL, REAL)),
     "count_real_roots": (count_real_roots, (POLY, REAL, REAL)),
     "isolate_and_refine": (isolate_and_refine, (POLY, REAL, REAL, TOL)),
-    "cauchy_bound": (cauchy_bound, (POLY,)),
     "QuarticPoly": (lambda a, b, c, family, r: QuarticPoly(a, b, c, family=family, r=r),
                     (REAL, REAL, REAL, st.none() | FAMILY, st.none() | ORDER)),
     "HypersurfaceFamily": (F, (st.sampled_from([*CP, *(tag.value for tag in CP)]), DIM, st.none() | DIM)),
@@ -446,6 +443,8 @@ CLOSED = {
     "asymptotic_check": (asymptotic_check, (DIM, TUBE_N)),
     "a2_closed_form": (a2_closed_form, (DIM, ORDER)),
     "a2_k_thresholds": (a2_k_thresholds, (DIM,)),
+    "k_below_k1": (k_below_k1, (DIM, DIM)),
+    "k_above_k2": (k_above_k2, (DIM, DIM)),
 }
 
 
@@ -474,7 +473,7 @@ def test_every_call_returns_or_raises_a_hopf_error(name, data):
 # of a spectrum that check nothing, and index_threshold_scan, whose n_max
 # alone sets its running time.
 PURE_HELPERS = {
-    "eta1", "eta2", "k_below_k1", "k_above_k2", "a1_offset_probe_poly", "trace_shape", "trace_shape_squared",
+    "eta1", "eta2", "a1_offset_probe_poly", "trace_shape", "trace_shape_squared",
     "lambda_min_squared", "first_eigenvalue_bound", "admissible_families", "fixed_dimension", "index_threshold_scan",
 }
 

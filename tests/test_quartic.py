@@ -6,7 +6,6 @@ import pytest
 from mpmath import mp
 
 from hopfharmonic import (
-    DegenerateLeadingCoefficient,
     FamilyTag,
     HypersurfaceFamily,
     InvalidOrder,
@@ -17,7 +16,6 @@ from hopfharmonic import (
     UnsupportedFamily,
     admissible_families,
     build_quartic,
-    cauchy_bound,
     count_real_roots,
     isolate_and_refine,
     residual,
@@ -188,28 +186,6 @@ class TestQuarterTurn:
                     assert abs(lhs - rhs) <= mp.mpf(10) ** -40 * max(1, abs(rhs))
 
 
-class TestCauchyBound:
-    def test_examples(self):
-        assert cauchy_bound(quartic(72, -108, 58, -14, 1)) == Fraction(5, 2)
-        assert cauchy_bound(quartic(1, 0, 0, 0, 0)) == 1
-        assert cauchy_bound(quartic(860, -1525, 846, -84, 16)) == Fraction(477, 172)
-
-    def test_rejects_degenerate(self):
-        with pytest.raises(DegenerateLeadingCoefficient):
-            cauchy_bound(quartic(0, 1, 1, 1, 1))
-
-    def test_bound_dominates_refined_roots(self):
-        rng = random.Random(7)
-        for _ in range(10_000):
-            fam, r = _random_family_and_order(rng)
-            # the free copy: the test reads no radius or residual
-            poly = QuarticPoly(*build_quartic(fam, r).coefficients())
-            bound = cauchy_bound(poly)
-            wide = bound * 2 + 1
-            for cert in isolate_and_refine(poly, -wide, wide, Fraction(1, 10**4)):
-                assert abs(cert.midpoint) < bound
-
-
 def _random_family_and_order(rng):
     choice = rng.randrange(6)
     r = rng.randint(2, 200)
@@ -340,6 +316,12 @@ class TestIsolateAndRefine:
         with pytest.raises(ToleranceNotReached):
             isolate_and_refine(quartic(0, 0, 1, 0, -2), 1, 2, Fraction(1, 2**4100))
 
+    def test_refinement_may_take_the_last_level_below_the_bound(self):
+        # the width test first passes at level 3999, the last one under the 4000-step bound
+        (cert,) = isolate_and_refine(quartic(0, 0, 1, 0, -2), 1, 2, Fraction(1, 2**3998))
+        lo, hi = cert.isolating_interval
+        assert hi - lo == Fraction(1, 2**3999)
+
     @pytest.mark.parametrize("tol", [Fraction(1, 10**20), Fraction(1, 2**4100)])
     def test_refinement_lands_on_a_rational_root(self, tol):
         # the first bisection midpoint of (0, 1) is the root 1/2 of 2x - 1; the
@@ -368,15 +350,41 @@ class TestIsolateAndRefine:
             ((0, 0, 1, -3 * Fraction(1, 2**8000), Fraction(1, 2**15999)), -1),
             # x (x - 2^-8000) on (0, 1): the root end 0 is bisected away for 8000 halvings
             ((0, 0, 1, -Fraction(1, 2**8000), 0), 0),
+            # (x - 1/7)(x - 1/7 - 2^-4001) on (0, 1): the roots part only after 4001 halvings
+            ((0, 0, 1, -Fraction(2, 7) - Fraction(1, 2**4001), Fraction(1, 49) + Fraction(1, 7 * 2**4001)), 0),
         ],
     )
     def test_isolation_is_bounded(self, coeffs, lo):
         with pytest.raises(ToleranceNotReached):
             isolate_and_refine(quartic(*coeffs), lo, 1, Fraction(1, 10**6))
 
+    @pytest.mark.parametrize(
+        "roots",
+        [
+            # on (0, 1) the two roots part at the 4000th halving, the last one allowed
+            [Fraction(1, 7), Fraction(1, 7) + Fraction(1, 2**4000)],
+            # the first midpoint is a root; beside its window a pair parts at the last halving
+            [Fraction(1, 7), Fraction(1, 7) + Fraction(1, 2**4000), Fraction(1, 2)],
+            [Fraction(1, 2), Fraction(5, 7), Fraction(5, 7) + Fraction(1, 2**4000)],
+        ],
+        ids=["pair", "pair-left-of-an-exact-root", "pair-right-of-an-exact-root"],
+    )
+    def test_isolation_may_take_every_halving(self, roots):
+        coeffs = [Fraction(1)]  # highest degree first
+        for x in roots:
+            coeffs = [a - x * b for a, b in zip(coeffs + [0], [0] + coeffs)]
+        certs = isolate_and_refine(QuarticPoly(*coeffs), 0, 1, Fraction(1, 10**6))
+        assert len(certs) == len(roots)
+        assert all(cert.isolating_interval[0] < x < cert.isolating_interval[1] for cert, x in zip(certs, roots))
+
     def test_free_polynomials_have_no_radius(self):
         certs = isolate_and_refine(quartic(1, 0, -1, 0, 0), -2, 2, Fraction(1, 10**8))
         assert all(cert.radius is None for cert in certs)
+
+    def test_roots_outside_the_unit_interval_have_no_radius(self):
+        # the family's x lies in (0, 1); its radius map refuses x = 3/2
+        (cert,) = isolate_and_refine(QuarticPoly(2, -3, family=F(CP.CP_A1, 2), r=3), 0, 2, Fraction(1, 10**8))
+        assert cert.radius is None and cert.residual_report is None
 
 
 class TestRootToRadius:

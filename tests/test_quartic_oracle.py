@@ -93,7 +93,7 @@ def test_counts_and_certificates_match_sympy(max_degree, data):
     # sympy's square-free part is primitive with a positive leading coefficient;
     # the chain's has the sign of the polynomial's
     sign = 1 if low_to_high[-1] > 0 else -1
-    assert _prepare(poly, lo, hi)[2] == [sign * int(c) for c in reversed(sqf.all_coeffs())]
+    assert _prepare(poly, lo, hi)[1].sf == [sign * int(c) for c in reversed(sqf.all_coeffs())]
     assert count_real_roots(poly, lo, hi) == expected
     certs = isolate_and_refine(poly, lo, hi, Fraction(1, 10**6))
     assert len(certs) == expected
@@ -111,7 +111,8 @@ def test_counts_and_certificates_match_sympy(max_degree, data):
 
 def _plain_bisection_intervals(poly, lo, hi, tol):
     """Isolating intervals from isolation by halving and refinement by plain bisection."""
-    ints, lcm, sf, chain, lo, hi = _prepare(poly, lo, hi)
+    ints, chain, lo, hi = _prepare(poly, lo, hi)
+    lcm, sf = poly.scale, chain.sf
     end_roots = tuple(x for x in (lo, hi) if _is_root(sf, x))
     intervals, stack = [], [(lo, hi)]
     while stack:
@@ -124,7 +125,7 @@ def _plain_bisection_intervals(poly, lo, hi, tol):
             continue
         m = (a + b) / 2
         if _is_root(sf, m):
-            win = _isolate_exact_root(chain, sf, m, b - m, tol)
+            win = _isolate_exact_root(chain, m, b - m, tol)
             intervals.append(win)
             stack += [(a, win[0]), (win[1], b)]
         else:
@@ -146,7 +147,7 @@ def _plain_bisection(ints, lcm, sf, chain, a, b, tol):
             return Fraction(lo, den), Fraction(hi, den)
         s = _sign(_int_value(sf, mid, mid_den))
         if s == 0:
-            return _isolate_exact_root(chain, sf, Fraction(mid, mid_den), Fraction(hi - lo, mid_den), tol)
+            return _isolate_exact_root(chain, Fraction(mid, mid_den), Fraction(hi - lo, mid_den), tol)
         if s == sign_lo:
             lo, hi = mid, 2 * hi
         else:
@@ -203,6 +204,13 @@ def test_exact_hits_near_the_first_stop_level_match_plain_bisection(data):
         ([-(Fraction(1, 2) + Fraction(1, 2**3000)), 1], 0, 1, Fraction(1, 2**3100)),
         # about 3320 halvings, all but the last few of them jumps
         ([-2, 0, 1], 1, 2, Fraction(1, 10**1000)),
+        # a tol wider than the isolating interval: bisection stops at once, and no jump comes first
+        ([-3, 8], 0, 1, 2),
+        # the first secant cell misses the root, and its sign test must read a value 1 as positive:
+        # (1/2, 1) has 1 and 4 against -1 at 0, and (0, 1/2) has 4 and 1 against 1 at 0 (with
+        # tol 1, a wrong jump into it would be returned at once)
+        ([-1, 3, -1], 0, 1, Fraction(1, 10**6)),
+        ([1, 0, -3], 0, 1, 1),
     ],
 )
 def test_deep_refinement_matches_plain_bisection(low_to_high, lo, hi, tol):
