@@ -5,15 +5,9 @@ quartic coefficients, probe identities and Sturm-certified root counts, and
 mpmath high-precision floats for curvature spectra, residuals and radii.
 """
 
-from mpmath import mp
-
 __version__ = "0.1.0"
 
-# Curvature evaluation is specified to carry at least 30 significant digits.
-if mp.dps < 30:
-    mp.dps = 30
-
-from .errors import (  # noqa: E402
+from .errors import (
     ExcludedRadius,
     HopfError,
     InvalidFamily,
@@ -27,8 +21,9 @@ from .errors import (  # noqa: E402
     RootOutOfRange,
     ToleranceNotReached,
     UnsupportedFamily,
+    mp,
 )
-from .families import (  # noqa: E402
+from .families import (
     CurvatureSpectrum,
     FamilyTag,
     HypersurfaceFamily,
@@ -46,7 +41,7 @@ from .families import (  # noqa: E402
     trace_shape_squared,
     x_from_radius,
 )
-from .residual import (  # noqa: E402
+from .residual import (
     ResidualReport,
     chn_scan,
     is_proper_r_harmonic,
@@ -54,7 +49,7 @@ from .residual import (  # noqa: E402
     residual_grid,
     tail_residual,
 )
-from .quartic import (  # noqa: E402
+from .quartic import (
     QuarticPoly,
     RootCertificate,
     build_quartic,
@@ -62,7 +57,7 @@ from .quartic import (  # noqa: E402
     isolate_and_refine,
     root_to_radius,
 )
-from .existence import (  # noqa: E402
+from .existence import (
     BalancedTubeRoots,
     KWindow,
     ProbeReport,
@@ -79,7 +74,7 @@ from .existence import (  # noqa: E402
     k_below_k1,
     probe_values,
 )
-from .biharmonic import (  # noqa: E402
+from .biharmonic import (
     AsymptoticErrors,
     BiharmonicTube,
     IndexClaim,

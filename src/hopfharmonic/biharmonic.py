@@ -27,9 +27,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from mpmath import mp
-
-from .errors import InvalidFamily, check_integer
+from .errors import InvalidFamily, check_integer, mp
 from .families import (
     CurvatureSpectrum,
     FamilyTag,
@@ -134,13 +132,13 @@ def biharmonic_radii(n: int, p: int) -> list:
 
 
 def lambda_min_squared(spectrum: CurvatureSpectrum):
-    """Minimum squared principal curvature, the Hopf curvature included."""
+    """Minimum squared principal curvature, the Hopf curvature included, of a spectrum the package made."""
     return min([spectrum.alpha**2] + [lam**2 for lam, _ in spectrum.branches])
 
 
 def first_eigenvalue_bound(n: int, trace):
-    """Lower bound (n+1) - |tr S|/2 on the first nonzero Laplace eigenvalue from
-    tr S, valid for hypersurfaces of an Einstein ambient with Ricci = 2(n+1) g."""
+    """Lower bound (n+1) - |tr S|/2 on the first nonzero Laplace eigenvalue from a
+    trace tr S the package made, valid for hypersurfaces of an Einstein ambient with Ricci = 2(n+1) g."""
     return (n + 1) - abs(trace) / 2
 
 

@@ -17,11 +17,10 @@ import sys
 from fractions import Fraction
 
 import numpy as np
-from mpmath import mp
 
 from . import __version__
 from .biharmonic import BRANCHES, index_threshold_scan, stability_condition
-from .errors import HopfError, NoExactCountGuarantee, ProbesCollide, to_fraction
+from .errors import HopfError, NoExactCountGuarantee, ProbesCollide, mp, to_fraction
 from .existence import (
     a1_offset_probe_poly,
     a2_closed_form,

@@ -1,6 +1,7 @@
 """Exception types of the hopfharmonic package and the one input gate: the checks and
 conversions that turn a number from outside into an int, Fraction, mpf or float64
 array, or raise the ``HopfError`` the caller names.  A str, or a tuple mpmath reads as (man, exp), is refused.
+It also owns the package's mpmath context ``mp`` (30 digits); ``mpmath.mp`` is never read or written.
 """
 
 import math
@@ -8,7 +9,10 @@ import operator
 from fractions import Fraction
 
 import numpy as np
-from mpmath import mp
+from mpmath import MPContext
+
+mp = MPContext()
+mp.dps = 30
 
 
 class HopfError(Exception):

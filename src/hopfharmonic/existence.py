@@ -16,9 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
-from mpmath import mp
-
-from .errors import InvalidFamily, NoExactCountGuarantee, NotApplicable, ProbesCollide, check_integer, check_order
+from .errors import InvalidFamily, NoExactCountGuarantee, NotApplicable, ProbesCollide, check_integer, check_order, mp
 from .families import FamilyTag, HypersurfaceFamily, check_family, minimal_x, r_independent_x
 from .quartic import build_quartic, count_real_roots, isolate_and_refine
 
@@ -204,17 +202,19 @@ def k_above_k2(n: int, k: int) -> bool:
 
 def eta1(n: int, k: int) -> int:
     """Positivity witness for the lower A2 branch (positive iff k < k1 side)."""
+    n, k = check_integer(n, "n"), check_integer(k, "k")
     return 4 * (n - 1) * k * k - (10 * n * n - 8 * n + 4) * k + 3 * n**3 - 5 * n * n + 3 * n - 1
 
 
 def eta2(n: int, k: int) -> int:
     """Positivity witness for the upper A2 branch (positive iff k > k2 side): eta1 of the dual."""
-    return eta1(n, n - 1 - k)
+    return eta1(n, check_integer(n, "n") - 1 - check_integer(k, "k"))
 
 
 def a1_offset_probe_poly(n: int) -> tuple:
     """Coefficients (b4..b0) of 2 n^4 r^4 P(x0 + 1/(n r)) as a polynomial in r
     for the A1 family, used as an exact regression witness for the 2n+13 bound."""
+    n = check_integer(n, "n")
     return (
         (2 * n - 1) * (n * n - 1),
         -2 * (2 * n**4 + n**3 - 2 * n * n + 7 * n - 4),

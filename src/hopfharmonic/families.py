@@ -19,7 +19,6 @@ from types import SimpleNamespace
 from typing import NamedTuple
 
 import numpy as np
-from mpmath import mp
 
 from .errors import (
     ExcludedRadius,
@@ -28,6 +27,7 @@ from .errors import (
     RootOutOfRange,
     UnsupportedFamily,
     check_integer,
+    mp,
     to_floats,
     to_mpf,
 )
@@ -117,9 +117,7 @@ class HypersurfaceFamily:
     k: int | None = None
 
     def __post_init__(self):
-        tag = _TAGS.get(self.tag) if isinstance(self.tag, str) else None
-        if tag is None:
-            raise InvalidFamily(f"not a family tag: {self.tag!r}")
+        tag = _check_tag(self.tag)
         n = check_integer(self.n, "n")  # an np.int64 n would overflow the exact lane
         k = None if self.k is None else check_integer(self.k, "k")
         for name, value in (("tag", tag), ("n", n), ("k", k)):
@@ -161,6 +159,12 @@ class HypersurfaceFamily:
         return None
 
 
+def _check_tag(tag) -> FamilyTag:
+    if isinstance(tag, str) and tag in _TAGS:
+        return _TAGS[tag]
+    raise InvalidFamily(f"not a family tag: {tag!r}")
+
+
 def fixed_dimension(tag: FamilyTag) -> int | None:
     """The one admissible n of a family that exists in a single dimension (D, E)."""
     row = _FAMILIES[tag]
@@ -169,7 +173,7 @@ def fixed_dimension(tag: FamilyTag) -> int | None:
 
 def admissible_families(tag: FamilyTag, n_max: int):
     """Every family of one tag with n <= n_max, in increasing (n, k)."""
-    row = _FAMILIES[tag]
+    row, n_max = _FAMILIES[_check_tag(tag)], check_integer(n_max, "n_max")
     n_min, step = row.n_min, row.step
     for n in range(n_min, (n_max if step else min(n_max, n_min)) + 1, step or 1):
         for k in range(1, n - 1) if row.takes_k else (None,):
@@ -296,12 +300,12 @@ def curvature_spectrum(family: HypersurfaceFamily, t=None) -> CurvatureSpectrum:
 
 
 def trace_shape(spectrum: CurvatureSpectrum):
-    """Trace of the shape operator: alpha + sum of m_i * lambda_i."""
+    """Trace of the shape operator, alpha + sum of m_i * lambda_i, of a spectrum the package made."""
     return spectrum.alpha + mp.fsum(m * lam for lam, m in spectrum.branches)
 
 
 def trace_shape_squared(spectrum: CurvatureSpectrum):
-    """Trace of the squared shape operator: alpha^2 + sum of m_i * lambda_i^2."""
+    """Trace of the squared shape operator, alpha^2 + sum of m_i * lambda_i^2, of a spectrum the package made."""
     return spectrum.alpha**2 + mp.fsum(m * lam**2 for lam, m in spectrum.branches)
 
 

@@ -1,6 +1,7 @@
-import mpmath
 import pytest
 from hypothesis import HealthCheck, settings
+
+import hopfharmonic
 
 settings.register_profile(
     "default",
@@ -14,7 +15,7 @@ settings.load_profile("default")
 
 @pytest.fixture(autouse=True)
 def _working_precision():
-    old = mpmath.mp.dps
-    mpmath.mp.dps = 40
+    old = hopfharmonic.mp.dps
+    hopfharmonic.mp.dps = 40
     yield
-    mpmath.mp.dps = old
+    hopfharmonic.mp.dps = old

@@ -9,8 +9,8 @@ import time
 from fractions import Fraction
 
 import numpy as np
-from mpmath import mp
 
+from hopfharmonic import mp
 from hopfharmonic import (
     FamilyTag,
     HypersurfaceFamily,

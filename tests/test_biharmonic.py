@@ -3,8 +3,8 @@ from types import SimpleNamespace
 
 import pytest
 import sympy
-from mpmath import mp
 
+from hopfharmonic import mp
 from hopfharmonic import (
     FamilyTag,
     HypersurfaceFamily,
@@ -259,6 +259,14 @@ class TestAsymptotics:
         large = asymptotic_check(1, 16 * 10**4)
         for field in ("cot2_2t", "cot2_t", "tan2_t", "trace"):
             assert getattr(small, field) / getattr(large, field) >= 2
+
+    @pytest.mark.parametrize("p, n", [(1, 10**4), (3, 10**6)])
+    def test_cot2_2t_matches_the_cotangent_of_the_tube_radius(self, p, n):
+        # 4 cot^2 2t from mp.cot, not from (c - s)^2 / (c s); (c - s)^3 passed the other tests
+        t = stability_condition(n, p, "plus").t
+        with mp.workdps(60):
+            expected = abs(4 * mp.cot(2 * t) ** 2 - mp.mpf(2 * n) / (2 * p - 1)) / n
+        assert abs(asymptotic_check(p, n).cot2_2t / expected - 1) < 1e-20
 
     def test_holds_where_cos_sq_t_rounds_to_one(self):
         # cos^2 t = 1 - 1/(2n) rounds to 1 at the suite's 40 digits; 1 - c once divided by zero

@@ -12,8 +12,8 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from mpmath import mp
 
+from hopfharmonic import mp
 from hopfharmonic import (
     FamilyTag,
     HypersurfaceFamily,
@@ -219,7 +219,7 @@ WRONG_INPUTS = [
     ("exact", "biquadratic-relation", CLI + "build_quartic", _moved_quartic(FamilyTag.CP_A2), "relation failed"),
     ("exact", "biquadratic-relation", CLI + "a2_closed_form", _closed_form_moved, "closed-form root misses"),
     ("exact", "offset-probe-poly", CLI + "a1_offset_probe_poly", _offset_probe_poly_moved, "offset-probe polynomial"),
-    ("trig", "quarter-turn-identities", "mpmath.mp.cot", lambda t: _cot(t + mp.mpf("1e-6")), "cotangent identity"),
+    ("trig", "quarter-turn-identities", CLI + "mp.cot", lambda t: _cot(t + mp.mpf("1e-6")), "cotangent identity"),
     ("ch-nonexistence", "hyperbolic-negativity", CLI + "chn_scan", lambda family, r, grid: 0.0, "not negative"),
     ("roundtrip", "root-residual-roundtrip", CLI + "certify_radii", _residuals_moved, "too large"),
     ("roundtrip", "root-residual-roundtrip", CLI + "certify_radii", lambda *args: certify_radii(*args)[1:],

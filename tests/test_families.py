@@ -6,8 +6,8 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
-from mpmath import mp
 
+from hopfharmonic import mp
 from hopfharmonic import (
     ExcludedRadius,
     FamilyTag,

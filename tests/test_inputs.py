@@ -27,6 +27,7 @@ from hopfharmonic import (
     RootOutOfRange,
     ToleranceNotReached,
     UnsupportedFamily,
+    a1_offset_probe_poly,
     a2_closed_form,
     a2_k_thresholds,
     admissible_families,
@@ -38,6 +39,8 @@ from hopfharmonic import (
     count_real_roots,
     count_solutions,
     curvature_spectrum,
+    eta1,
+    eta2,
     guaranteed_thresholds,
     index_threshold_scan,
     is_proper_r_harmonic,
@@ -108,11 +111,18 @@ def test_integer_like_order_gives_the_same_result(entry):
         lambda: tube_family(3, True),
         lambda: F(CP.CP_A1, True),
         lambda: index_threshold_scan(True, 50),
+        # the integer formulas raised TypeError, returned -21.0 and floats, and a KeyError
+        lambda: eta1("a", 2),
+        lambda: eta2(5, 2.5),
+        lambda: a1_offset_probe_poly(2.5),
+        lambda: list(admissible_families("x", 3)),
+        lambda: list(admissible_families(CP.CP_A1, 3.0)),
     ],
     ids=[
         "scan-p-float", "scan-n_max-float", "scan-p-str", "branch", "k-thresholds-n2",
         "k-thresholds-n-float", "closed-form-n-float", "closed-form-n-str", "tube-n-none", "stability-p-float",
-        "tube-p-true", "family-n-true", "scan-p-true",
+        "tube-p-true", "family-n-true", "scan-p-true", "eta1-n-str", "eta2-k-float", "offset-probe-n-float",
+        "families-tag-str", "families-n_max-float",
     ],
 )
 def test_biharmonic_and_window_inputs_raise_invalid_family(call):
@@ -445,11 +455,16 @@ CLOSED = {
     "a2_k_thresholds": (a2_k_thresholds, (DIM,)),
     "k_below_k1": (k_below_k1, (DIM, DIM)),
     "k_above_k2": (k_above_k2, (DIM, DIM)),
+    "eta1": (eta1, (DIM, DIM)),
+    "eta2": (eta2, (DIM, DIM)),
+    "a1_offset_probe_poly": (a1_offset_probe_poly, (DIM,)),
+    "admissible_families": (lambda tag, n_max: list(admissible_families(tag, n_max)),
+                            (st.sampled_from([*CP, *(tag.value for tag in CP)]), DIM)),
 }
 
 
 @pytest.mark.parametrize("name", CLOSED)
-@settings(max_examples=30)  # keeps the 30 entries near 4 s together
+@settings(max_examples=30)  # keeps the 34 entries near 4 s together
 @given(data=st.data())
 def test_every_call_returns_or_raises_a_hopf_error(name, data):
     # one argument hostile and the rest well-typed, so the bad one meets the
@@ -469,12 +484,12 @@ def test_every_call_returns_or_raises_a_hopf_error(name, data):
         pass
 
 
-# Public functions the closure property leaves out: formulas of integers or
-# of a spectrum that check nothing, and index_threshold_scan, whose n_max
-# alone sets its running time.
+# Public functions the closure property leaves out: formulas of a spectrum or
+# a trace the package made, which check nothing, and index_threshold_scan,
+# whose n_max alone sets its running time.
 PURE_HELPERS = {
-    "eta1", "eta2", "a1_offset_probe_poly", "trace_shape", "trace_shape_squared",
-    "lambda_min_squared", "first_eigenvalue_bound", "admissible_families", "fixed_dimension", "index_threshold_scan",
+    "trace_shape", "trace_shape_squared", "lambda_min_squared", "first_eigenvalue_bound", "fixed_dimension",
+    "index_threshold_scan",
 }
 
 

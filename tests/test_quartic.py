@@ -3,8 +3,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from mpmath import mp
 
+from hopfharmonic import mp
 from hopfharmonic import (
     FamilyTag,
     HypersurfaceFamily,

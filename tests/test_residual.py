@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
-from mpmath import mp
 
+from hopfharmonic import mp
 from hopfharmonic import (
     FamilyTag,
     HypersurfaceFamily,
