@@ -10,6 +10,7 @@ from fractions import Fraction
 
 import numpy as np
 from mpmath import MPContext
+from mpmath.libmp import to_rational
 
 mp = MPContext()
 mp.dps = 30
@@ -98,7 +99,10 @@ def check_tol(tol):
 
 
 def to_fraction(value, error=InvalidRootSearch) -> Fraction:
-    """Exact value of an int, float, numpy float, Fraction or mpf (all binary-exact); ``error`` if not one or not finite."""
+    """Exact value of an int, float, numpy float, Fraction or mpf (all binary-exact); ``error`` if not one or not finite.
+
+    An mpf, from any mpmath context, is read at its own precision, never rounded to ``mp``'s.
+    """
     try:
         if isinstance(value, Fraction):
             return value
@@ -106,10 +110,8 @@ def to_fraction(value, error=InvalidRootSearch) -> Fraction:
             return Fraction(value)
         if isinstance(value, np.floating):  # float32, float16, longdouble: Fraction refuses them
             return Fraction(*value.as_integer_ratio())
-        if not isinstance(value, (str, tuple)) and mp.isfinite(x := mp.mpf(value)):
-            sign, man, exp, _ = x._mpf_
-            frac = Fraction(man << exp) if exp >= 0 else Fraction(man, 1 << -exp)
-            return -frac if sign else frac
+        if not isinstance(value, (str, tuple)) and mp.isfinite(x := value if hasattr(value, "_mpf_") else mp.mpf(value)):
+            return Fraction(*to_rational(x._mpf_))
     except (TypeError, ValueError, OverflowError):
         pass
     raise error(f"not a finite number: {value!r}")

@@ -5,7 +5,8 @@ so every sign is the sign of an integer den^deg * P(num/den); the family
 quartics are built with scale 1.  One primitive pseudo-remainder sequence
 of P is its Sturm chain; only when roots repeat does its last element,
 gcd(P, P'), give the square-free part, whose own sequence is then the chain.
-Isolation halves intervals and evaluates the chain once per split.
+One pass over the chain at a point gives its sign variations and whether
+it is a root; isolation halves intervals and makes one pass per split.
 Refinement is one loop over one cell of bisection's dyadic grid, two
 integer numerators over a shared denominator: while the width test cannot
 pass yet, a secant step verified with two signs jumps several levels down,
@@ -58,10 +59,6 @@ def _int_value(ip, num: int, den: int) -> int:
         dpow *= den
         acc = acc * num + c * dpow
     return acc
-
-
-def _is_root(ip, x: Fraction) -> bool:
-    return _int_value(ip, x.numerator, x.denominator) == 0
 
 
 def _sign(v) -> int:
@@ -127,22 +124,17 @@ class _SturmChain:
         self._chain = chain
         self.sf = chain[0]
 
-    def variations(self, x: Fraction) -> int:
-        num, den = x.numerator, x.denominator
-        signs = []
-        for ip in self._chain:
-            s = _sign(_int_value(ip, num, den))
-            if s:
-                signs.append(s)
-        return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+    def at(self, x: Fraction):
+        """(V, root) at x from one pass over the chain: V sign variations with zero signs dropped, root sf(x) == 0.
 
-    def count(self, lo: Fraction, hi: Fraction) -> int:
-        """Number of roots in the half-open (lo, hi], for lo < hi.
-
-        Exact whatever the ends: a root at lo adds no variation (Sturm's
-        theorem with zero signs dropped), and a root at hi is counted.
+        V(lo) - V(hi) is the number of roots in the half-open (lo, hi], for
+        lo < hi, exact whatever the ends: a root at lo adds no variation
+        (Sturm's theorem with zero signs dropped), and a root at hi is counted.
         """
-        return self.variations(lo) - self.variations(hi)
+        num, den = x.numerator, x.denominator
+        signs = [_sign(_int_value(ip, num, den)) for ip in self._chain]
+        nonzero = [s for s in signs if s]
+        return sum(1 for a, b in zip(nonzero, nonzero[1:]) if a != b), signs[0] == 0
 
 
 # ---------------------------------------------------------------------------
@@ -281,7 +273,8 @@ def count_real_roots(poly: QuarticPoly, lo, hi) -> int:
     The ends may be roots themselves; they are not counted.
     """
     _, chain, lo, hi = _prepare(poly, lo, hi)
-    return chain.count(lo, hi) - _is_root(chain.sf, hi)
+    (v_lo, _), (v_hi, root_hi) = chain.at(lo), chain.at(hi)
+    return v_lo - v_hi - root_hi
 
 
 def _isolate_exact_root(chain, m: Fraction, half: Fraction, tol: Fraction):
@@ -289,12 +282,14 @@ def _isolate_exact_root(chain, m: Fraction, half: Fraction, tol: Fraction):
 
     m is the midpoint of an interval of half-width ``half``; the window
     starts at radius min(half, tol) / 2, so it stays inside that interval.
+    Returns (lo, hi, V(lo), V(hi)); neither end is a root.
     """
     delta = min(half, tol) / 2
     for _ in range(_MAX_STEPS):
         lo, hi = m - delta, m + delta
-        if not _is_root(chain.sf, lo) and not _is_root(chain.sf, hi) and chain.count(lo, hi) == 1:
-            return lo, hi
+        (v_lo, root_lo), (v_hi, root_hi) = chain.at(lo), chain.at(hi)
+        if not root_lo and not root_hi and v_lo - v_hi == 1:
+            return lo, hi, v_lo, v_hi
         delta /= 2
     raise ToleranceNotReached(f"no window around the root {m} isolated it in {_MAX_STEPS} halvings")
 
@@ -303,8 +298,8 @@ def isolate_and_refine(poly: QuarticPoly, lo, hi, tol) -> list:
     """One certificate per distinct real root of poly in (lo, hi).
 
     Isolation halves (lo, hi) until each piece holds one root; each stack
-    entry carries the chain's variations at its ends, so a split evaluates
-    the chain only at its midpoint, and past ``_MAX_STEPS`` halvings it raises
+    entry carries the chain's (V, root) at its ends, so a split makes one
+    pass, at its midpoint, and past ``_MAX_STEPS`` halvings it raises
     ``ToleranceNotReached``.  Each piece is then refined to the interval
     plain bisection would return: narrower than tol with the exact |P| at
     its midpoint at most tol.  When the certified polynomial carries a
@@ -312,32 +307,28 @@ def isolate_and_refine(poly: QuarticPoly, lo, hi, tol) -> list:
     """
     tol_frac = to_fraction(check_tol(tol), InvalidTolerance)
     ints, chain, lo, hi = _prepare(poly, lo, hi)
-    # Midpoints and exact-root windows are tested for roots, so only the
-    # caller's ends can be roots, and of the right ends only hi.
-    end_roots = tuple(x for x in (lo, hi) if _is_root(chain.sf, x))
-    variations = chain.variations
     intervals = []  # (lo, hi) each holding exactly one root, with nonzero signs at both ends
-    stack = [(lo, hi, variations(lo), variations(hi), 0)]  # (a, b, V(a), V(b), halvings)
+    stack = [(lo, hi, *chain.at(lo), *chain.at(hi), 0)]  # (a, b, V(a), root(a), V(b), root(b), halvings)
     while stack:
-        a, b, va, vb, depth = stack.pop()
-        cnt = va - vb - (b in end_roots)
+        a, b, va, ra, vb, rb, depth = stack.pop()
+        cnt = va - vb - rb
         if cnt == 0:
             continue
-        if cnt == 1 and a not in end_roots and b not in end_roots:
+        if cnt == 1 and not ra and not rb:
             intervals.append((a, b))
             continue
         if depth == _MAX_STEPS:
             raise ToleranceNotReached(f"isolation did not separate the roots in {_MAX_STEPS} halvings")
         m = (a + b) / 2
-        if _is_root(chain.sf, m):
-            win = _isolate_exact_root(chain, m, b - m, tol_frac)
-            intervals.append(win)
-            stack.append((a, win[0], va, variations(win[0]), depth + 1))
-            stack.append((win[1], b, variations(win[1]), vb, depth + 1))
+        vm, rm = chain.at(m)
+        if rm:
+            w_lo, w_hi, v_lo, v_hi = _isolate_exact_root(chain, m, b - m, tol_frac)
+            intervals.append((w_lo, w_hi))
+            stack.append((a, w_lo, va, ra, v_lo, False, depth + 1))
+            stack.append((w_hi, b, v_hi, False, vb, rb, depth + 1))
         else:
-            vm = variations(m)
-            stack.append((a, m, va, vm, depth + 1))
-            stack.append((m, b, vm, vb, depth + 1))
+            stack.append((a, m, va, ra, vm, False, depth + 1))
+            stack.append((m, b, vm, False, vb, rb, depth + 1))
 
     certs = []
     for a, b in sorted(intervals):
@@ -407,7 +398,7 @@ def _refine(ints, lcm: int, chain: _SturmChain, a: Fraction, b: Fraction, tol: F
             return Fraction(lo, den), Fraction(hi, den)
         fm = _int_value(sf, mid, mid_den)
         if fm == 0:
-            return _isolate_exact_root(chain, Fraction(mid, mid_den), Fraction(w, mid_den), tol)
+            return _isolate_exact_root(chain, Fraction(mid, mid_den), Fraction(w, mid_den), tol)[:2]
         if (fm > 0) == (f_lo > 0):
             lo, hi, f_lo, f_hi = mid, 2 * hi, fm, f_hi << shift
         else:

@@ -4,10 +4,12 @@ import math
 from decimal import Decimal
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from mpmath.libmp import to_rational
 
 import hopfharmonic
 from hopfharmonic import (
@@ -62,6 +64,7 @@ from hopfharmonic import (
     tube_family,
     x_from_radius,
 )
+from hopfharmonic.errors import to_fraction
 
 F = HypersurfaceFamily
 CP = FamilyTag
@@ -347,6 +350,18 @@ def test_numpy_floats_enter_the_exact_and_mp_lanes_at_their_exact_value(dtype):
     assert count_real_roots(poly, value, 1) == count_real_roots(poly, float(value), 1)
     with pytest.raises(RadiusOutOfDomain):
         residual(A1, dtype("nan"), 3)
+
+
+@pytest.mark.parametrize("p, q", [(1, 3), (1, 5), (3, 11)])
+def test_an_mpf_enters_the_exact_lane_at_its_own_precision(p, q):
+    # a 60-digit p/q is wider than the package context (40 digits in these tests); rounded
+    # to it, x can cross p/q, and (x, 1) would gain or lose the root p/q
+    for ctx in (mpmath.mp, hopfharmonic.mp):
+        with ctx.workdps(60):
+            x = ctx.mpf(p) / q
+        exact = Fraction(*to_rational(x._mpf_))
+        assert to_fraction(x) == exact
+        assert count_real_roots(QuarticPoly(q, -p), x, 1) == (exact < Fraction(p, q))
 
 
 # One input per exported error class that raises exactly that class; a class

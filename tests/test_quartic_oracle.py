@@ -21,7 +21,12 @@ from hypothesis import strategies as st
 from sympy import Poly, Rational, Symbol
 
 from hopfharmonic import QuarticPoly, count_real_roots, isolate_and_refine
-from hopfharmonic.quartic import _MAX_STEPS, _int_value, _is_root, _isolate_exact_root, _prepare, _sign
+from hopfharmonic.quartic import _MAX_STEPS, _int_value, _isolate_exact_root, _prepare, _sign
+
+
+def _is_root(ip, x):
+    return _int_value(ip, x.numerator, x.denominator) == 0
+
 
 # factors low -> high degree: q + p x and c + b x + a x^2
 _FACTOR = st.one_of(
@@ -117,7 +122,7 @@ def _plain_bisection_intervals(poly, lo, hi, tol):
     intervals, stack = [], [(lo, hi)]
     while stack:
         a, b = stack.pop()
-        cnt = chain.count(a, b) - (b in end_roots)
+        cnt = chain.at(a)[0] - chain.at(b)[0] - (b in end_roots)
         if cnt == 0:
             continue
         if cnt == 1 and a not in end_roots and b not in end_roots:
@@ -125,7 +130,7 @@ def _plain_bisection_intervals(poly, lo, hi, tol):
             continue
         m = (a + b) / 2
         if _is_root(sf, m):
-            win = _isolate_exact_root(chain, m, b - m, tol)
+            win = _isolate_exact_root(chain, m, b - m, tol)[:2]
             intervals.append(win)
             stack += [(a, win[0]), (win[1], b)]
         else:
@@ -147,7 +152,7 @@ def _plain_bisection(ints, lcm, sf, chain, a, b, tol):
             return Fraction(lo, den), Fraction(hi, den)
         s = _sign(_int_value(sf, mid, mid_den))
         if s == 0:
-            return _isolate_exact_root(chain, Fraction(mid, mid_den), Fraction(hi - lo, mid_den), tol)
+            return _isolate_exact_root(chain, Fraction(mid, mid_den), Fraction(hi - lo, mid_den), tol)[:2]
         if s == sign_lo:
             lo, hi = mid, 2 * hi
         else:
