@@ -66,8 +66,6 @@ def _solve_rows(family: HypersurfaceFamily, r: int):
     rows = []
     for cert in certify_radii(family, r, _ROOT_TOL):
         lo, hi = cert.isolating_interval
-        if family.tag is FamilyTag.CP_A1 and family.n == 1 and hi > Fraction(1, 2):
-            continue  # n = 1 is self-dual (k = 0 = n-1-k): roots pair up as x <-> 1-x, keep x < 1/2
         rep = cert.residual_report
         rows.append({
             "x": fmt(cert.refined_root),

@@ -8,6 +8,7 @@ over CP^k is the tube of radius pi/2 - t over CP^(n-1-k) (Takagi's list;
 Cecil & Ryan, *Geometry of Hypersurfaces*, 2015): P_{n,k}(x) =
 P_{n,n-1-k}(1 - x), and A1 is A2 at k = 0.  So k > k2 exactly when
 n-1-k < k1; that side's test, eta2, k2 and probes are the dual's k < k1 ones.
+Self-dual families, 2k = n - 1 (for A1: n = 1), have proper roots x and 1 - x.
 """
 
 from __future__ import annotations
@@ -42,8 +43,8 @@ class ProbeReport:
 class ThresholdPair(NamedTuple):
     """Orders guaranteeing at least two, and exactly four, proper tubes.
 
-    ``r_four`` is None for the self-dual families, k = n-1-k (balanced A2 and
-    the A1 curve n = 1): P(x) = P(1 - x) has two proper roots for every order.
+    ``r_four`` is None for the self-dual families, 2k = n - 1 (balanced A2 and
+    the A1 curve n = 1): P(x) = P(1 - x), and both x and 1 - x are proper roots.
     """
 
     r_two: int
@@ -88,8 +89,10 @@ def guaranteed_thresholds(family: HypersurfaceFamily) -> ThresholdPair:
     """Orders past which the family certifiably has >= 2, resp. exactly 4, tubes."""
     check_family(family, projective=True)
     n, k, tag = family.n, family.k, family.tag
+    if 2 * (k or 0) == n - 1:  # self-dual: balanced A2 (2k = n - 1) and the A1 curve (n = 1, read as k = 0)
+        return ThresholdPair(2, None)
     if tag is FamilyTag.CP_A1:
-        return ThresholdPair(2, None if n == 1 else 2 * n + 13)
+        return ThresholdPair(2, 2 * n + 13)
     if tag is FamilyTag.CP_B:
         poly_bound = 12 * n * n + 16 * n - 19
         return ThresholdPair(min(6001, poly_bound), max(6001, poly_bound))
@@ -99,8 +102,6 @@ def guaranteed_thresholds(family: HypersurfaceFamily) -> ThresholdPair:
         return ThresholdPair(32, 89)
     if tag is FamilyTag.CP_E:
         return ThresholdPair(27, 100)
-    if 2 * k == n - 1:
-        return ThresholdPair(2, None)
     if k_below_k1(n, k):
         return ThresholdPair(2, 4 * (22 * k**4 + 85 * k**3 + 123 * k**2 + 54 * k + 8) * k * k)
     if k_above_k2(n, k):

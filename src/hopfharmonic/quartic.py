@@ -33,6 +33,8 @@ from .errors import (
 from .families import HypersurfaceFamily, check_family, quarter_turn, radius_from_x
 from .residual import residual
 
+root_to_radius = radius_from_x  # a root's tube radius, under the name bench/tracing.py looks up
+
 # Bound on the halvings of one isolation path, one refinement or one exact-root window.
 _MAX_STEPS = 4000
 
@@ -405,8 +407,3 @@ def _refine(ints, lcm: int, chain: _SturmChain, a: Fraction, b: Fraction, tol: F
             lo, hi, f_lo, f_hi = 2 * lo, mid, f_lo << shift, fm
         den, level = mid_den, level + 1
     raise ToleranceNotReached(f"bisection did not reach the requested tolerance in {_MAX_STEPS} steps")
-
-
-def root_to_radius(family: HypersurfaceFamily, x):
-    """Tube radius for a root of the family's quartic; x must lie in (0, 1)."""
-    return radius_from_x(family, x)

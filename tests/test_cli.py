@@ -60,16 +60,30 @@ class TestSolve:
     def test_curve_one_row_with_closed_form(self, capsys, r):
         code, doc = run_json(capsys, "solve", "--type", "A1", "--n", "1", "--r", str(r))
         assert code == 0
-        assert len(doc["rows"]) == 1
-        row = doc["rows"][0]
-        # x(1 - x) = 1/(4r): the root below 1/2 of the mirror pair x <-> 1 - x
+        low, high = doc["rows"]
+        # x(1 - x) = 1/(4r) on the low row; the high row is its mirror x <-> 1 - x
         x = (1 - mp.sqrt(1 - mp.mpf(1) / r)) / 2
-        lo, hi = Fraction(row["interval_lo"]), Fraction(row["interval_hi"])
+        lo, hi = Fraction(low["interval_lo"]), Fraction(low["interval_hi"])
         assert hi < Fraction(1, 2)
+        assert (Fraction(high["interval_lo"]), Fraction(high["interval_hi"])) == (1 - hi, 1 - lo)
         assert mp.mpf(lo.numerator) / lo.denominator < x < mp.mpf(hi.numerator) / hi.denominator
         assert hi - lo < Fraction(1, 10**20)
-        assert abs(mp.mpf(row["x"]) - x) <= 1e-16 * x
-        assert math.sin(2 * float(row["t"])) ** 2 == pytest.approx(1 / r, abs=1e-12)
+        assert abs(mp.mpf(low["x"]) - x) <= 1e-16 * x
+        for row in (low, high):
+            assert math.sin(2 * float(row["t"])) ** 2 == pytest.approx(1 / r, abs=1e-12)
+
+    @pytest.mark.parametrize("family", [HypersurfaceFamily(FamilyTag.CP_A1, 1)] + [
+        HypersurfaceFamily(FamilyTag.CP_A2, 2 * k + 1, k) for k in (1, 2, 3, 4)
+    ], ids=lambda f: f"{f.tag.value}-{f.n}-{f.k}")
+    def test_self_dual_rows_are_the_counted_mirror_pairs(self, capsys, family):
+        flags = ["--type", family.tag.value[3:], "--n", str(family.n)]
+        flags += [] if family.k is None else ["--k", str(family.k)]
+        for r in range(2, 41):
+            code, doc = run_json(capsys, "solve", *flags, "--r", str(r))
+            assert code == 0
+            intervals = {(Fraction(row["interval_lo"]), Fraction(row["interval_hi"])) for row in doc["rows"]}
+            assert len(doc["rows"]) == count_solutions(family, r)
+            assert {(1 - hi, 1 - lo) for lo, hi in intervals} == intervals
 
     def test_minimal_root_not_reported_as_proper(self, capsys):
         _, doc = run_json(capsys, "solve", "--type", "A1", "--n", "1", "--r", "9")
@@ -431,6 +445,13 @@ def test_readme_reports_keep_their_digests(capsys, command, digest):
     code, out = run(capsys, *command.split())
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_readme_command_list_is_the_pinned_list():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"```sh\n(.*?)```", readme.split("## Command line", 1)[1], re.S).group(1)
+    commands = [line.removeprefix("hopfharmonic ") for line in block.splitlines() if line and not line.startswith("#")]
+    assert commands == [command for command, _ in README_REPORTS]
 
 
 # SHA-256 of every `biharmonic --n N --p P` report for 2 <= N <= 30 and all P,

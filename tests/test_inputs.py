@@ -499,6 +499,69 @@ def test_every_call_returns_or_raises_a_hopf_error(name, data):
         pass
 
 
+# One fixed list of hostile values, and one well-typed base call per CLOSED
+# entry that returns; the grid puts each hostile value at each argument
+# position of each entry, so every single fault is tried on every run,
+# whichever modules are loaded.  Sizes stay bounded: the largest int is 3.
+HOSTILE_VALUES = [
+    None, "", "x", "0.3", "nan", "CP_A1", True, False, math.nan, math.inf, -math.inf,
+    np.float64(0.3), np.float32(0.5), np.int64(3), np.int8(-2), np.bool_(True), np.str_("0.3"),
+    [0.3], [], (1, -2), 1 / 3, -7 / 2, -1, 0, F(CP.CH_B, 3), F(CP.CP_A1, 1),
+]
+CH = F(CP.CH_B, 3)
+BASE_ARGS = {
+    "build_quartic": (A1, 3),
+    "count_solutions": (A1, 3),
+    "certify_radii": (A1, 3, 1e-12),
+    "probe_values": (A1, 3),
+    "guaranteed_thresholds": (A1,),
+    "curvature_spectrum": (A1, 0.3),
+    "residual": (A1, 0.3, 3),
+    "is_proper_r_harmonic": (A1, 0.3, 3, 1e-12),
+    "spectrum_arrays": (A1, [0.3, 0.6]),
+    "residual_grid": (A1, 3, [0.3, 0.6]),
+    "chn_scan": (CH, 3, [0.3, 0.6]),
+    "tail_residual": (CH, 3),
+    "minimal_x": (A1,),
+    "r_independent_x": (A1,),
+    "radius_from_x": (A1, 0.3),
+    "root_to_radius": (A1, 0.3),
+    "x_from_radius": (A1, 0.3),
+    "special_radii": (A1,),
+    "scaled_curvature_spectrum": (A1, 0.3, 0.5),
+    "count_real_roots": (build_quartic(A1, 3), 0, 1),
+    "isolate_and_refine": (build_quartic(A1, 3), 0, 1, 1e-12),
+    "QuarticPoly": (1, -3, 2, A1, 3),
+    "HypersurfaceFamily": (CP.CP_A2, 5, 2),
+    "stability_condition": (3, 1, "plus"),
+    "biharmonic_radii": (3, 1),
+    "tube_family": (3, 1),
+    "asymptotic_check": (1, 3),
+    "a2_closed_form": (3, 2),
+    "a2_k_thresholds": (3,),
+    "k_below_k1": (5, 1),
+    "k_above_k2": (5, 1),
+    "eta1": (5, 1),
+    "eta2": (5, 1),
+    "a1_offset_probe_poly": (3,),
+    "admissible_families": (CP.CP_A2, 6),
+}
+
+
+@pytest.mark.parametrize("name", CLOSED)
+def test_every_single_fault_returns_or_raises_a_hopf_error(name):
+    call, strategies = CLOSED[name]
+    base = BASE_ARGS[name]
+    assert len(base) == len(strategies)
+    call(*base)
+    for position in range(len(base)):
+        for value in HOSTILE_VALUES:
+            try:
+                call(*base[:position], value, *base[position + 1:])
+            except HopfError:
+                pass
+
+
 # Public functions the closure property leaves out: formulas of a spectrum or
 # a trace the package made, which check nothing, and index_threshold_scan,
 # whose n_max alone sets its running time.
