@@ -145,7 +145,7 @@ class HypersurfaceFamily:
         return _FAMILIES[self.tag].substitution
 
     def radius_domain(self):
-        """Open interval of admissible radii as mpf bounds, or None (horosphere)."""
+        """The mathematical domain, an open interval of mpf radii, or None (horosphere); every lane's floor is the least normal float64."""
         sub = self.substitution
         if sub is not None:
             return (mp.mpf(0), mp.pi / (2 * sub.s))
@@ -189,9 +189,8 @@ def quarter_turn(family: HypersurfaceFamily):
     return a, n - 1 - a, row.d, row.mirror
 
 
-@dataclass(frozen=True)
-class CurvatureSpectrum:
-    """Hopf curvature alpha plus (principal curvature, multiplicity) branches."""
+class CurvatureSpectrum(NamedTuple):
+    """Hopf curvature alpha and the tuple of (curvature, multiplicity) branches, in every lane's arithmetic."""
 
     alpha: object
     branches: tuple
@@ -207,14 +206,18 @@ def check_family(family, projective: bool | None = None) -> HypersurfaceFamily:
     return family
 
 
+_TINY = mp.mpf(np.finfo(float).tiny)  # the least normal float64, the floor of every lane's radii; an mpf compares fastest
+
+
 def _check_radius(family: HypersurfaceFamily, t):
+    """t as an mpf; ``RadiusOutOfDomain`` unless _TINY <= t < the domain's end (so not NaN), ``ExcludedRadius``
+    at CH_B's excluded radius.  This is every lane's radius rule; ``spectrum_arrays`` applies it in float64."""
     domain = check_family(family).radius_domain()
     if domain is None:  # the horosphere's spectrum ignores the value of t, not a non-number
         return None if t is None else to_mpf(t, RadiusOutOfDomain)
     t = to_mpf(t, RadiusOutOfDomain)
-    lo, hi = domain
-    if not lo < t < hi:
-        raise RadiusOutOfDomain(f"radius {mp.nstr(t, 12)} outside open interval (0, {mp.nstr(hi, 12)})")
+    if not _TINY <= t < domain[1]:
+        raise RadiusOutOfDomain(f"radius {mp.nstr(t, 12)} below the least normal float64 or outside (0, {mp.nstr(domain[1], 12)})")
     excl = family.excluded_radius
     if excl is not None and abs(t - excl) < mp.mpf(10) ** (-15):
         raise ExcludedRadius("CH_B is not defined at t = log(2 + sqrt(3))/2")
@@ -222,7 +225,7 @@ def _check_radius(family: HypersurfaceFamily, t):
 
 
 def _spectrum(family: HypersurfaceFamily, t, lib, one):
-    """Alpha and the (lambda, m) branches with m > 0, evaluated with lib.
+    """The ``CurvatureSpectrum`` of alpha and the (lambda, m) branches with m > 0, evaluated with lib.
 
     ``lib`` is ``mp``, the float64 ``_FLOAT64`` or the (cos, sin) ``_ANGLE``
     and ``one`` the matching unit (an mpf, or an array of ones shaped like t).
@@ -253,10 +256,8 @@ def _spectrum(family: HypersurfaceFamily, t, lib, one):
         else:
             alpha, far, near = 2 * lib.coth(2 * t), lib.coth, lib.tanh
         row = [(far, 2 * (n - 1 - k)), (near, 2 * k)]
-    return alpha, [(curvature(t), m) for curvature, m in row if m > 0]
+    return CurvatureSpectrum(alpha, tuple((curvature(t), m) for curvature, m in row if m > 0))
 
-
-_TINY = np.finfo(float).tiny  # the least normal float64; every radius domain starts at 0
 
 # cot and coth as reciprocals: 2 * (1 / tan(x)) has the bits of 2 / tan(x).
 _FLOAT64 = SimpleNamespace(
@@ -285,8 +286,7 @@ def angle_spectrum(family: HypersurfaceFamily, cos_t, sin_t) -> CurvatureSpectru
     operations alone; CP_A1, CP_A2 and CP_B only."""
     if family.tag not in (FamilyTag.CP_A1, FamilyTag.CP_A2, FamilyTag.CP_B):
         raise UnsupportedFamily(f"{family.tag.value} needs more than t and 2t")
-    alpha, branches = _spectrum(family, _Angle(cos_t, sin_t), _ANGLE, mp.mpf(1))
-    return CurvatureSpectrum(alpha=alpha, branches=tuple(branches))
+    return _spectrum(family, _Angle(cos_t, sin_t), _ANGLE, mp.mpf(1))
 
 
 def curvature_spectrum(family: HypersurfaceFamily, t=None) -> CurvatureSpectrum:
@@ -295,8 +295,7 @@ def curvature_spectrum(family: HypersurfaceFamily, t=None) -> CurvatureSpectrum:
     Branches with zero multiplicity (the n = 1 curve case) are dropped, so the
     invariant 1 + sum(multiplicities) = 2n - 1 holds for every admissible n.
     """
-    alpha, branches = _spectrum(family, _check_radius(family, t), mp, mp.mpf(1))
-    return CurvatureSpectrum(alpha=alpha, branches=tuple(branches))
+    return _spectrum(family, _check_radius(family, t), mp, mp.mpf(1))
 
 
 def trace_shape(spectrum: CurvatureSpectrum):
@@ -379,21 +378,17 @@ def scaled_curvature_spectrum(family: HypersurfaceFamily, t, c) -> CurvatureSpec
     s = mp.sqrt(abs(c)) / 2
     t = None if t is None else s * to_mpf(t, RadiusOutOfDomain)
     base = curvature_spectrum(family, t)
-    return CurvatureSpectrum(
-        alpha=s * base.alpha,
-        branches=tuple((s * lam, m) for lam, m in base.branches),
-    )
+    return CurvatureSpectrum(s * base.alpha, tuple((s * lam, m) for lam, m in base.branches))
 
 
 def spectrum_arrays(family: HypersurfaceFamily, ts: np.ndarray):
-    """Vectorised float64 spectrum over an array of radii.
+    """Vectorised float64 spectrum over an array of radii: a ``CurvatureSpectrum`` of arrays.
 
-    Returns (alpha, [(lambda_i, m_i), ...]) with numpy arrays.  This is the
-    fast lane used for sign-level grid scans; certified quantities always go
-    through the mpmath path.  Every radius must pass ``_check_radius``'s
-    tests: inside the open domain, NaN and +/-inf excluded, and off CH_B's
-    excluded radius.  It must also be a normal float64, at least 2.2e-308,
-    so that every curvature, at most about 2 / t, is finite.
+    This is the fast lane used for sign-level grid scans; certified quantities
+    always go through the mpmath path.  Its radii pass ``_check_radius``'s rule
+    compared in float64: at least ``_TINY``, the least normal float64, so that
+    every curvature, at most about 2 / t, is finite, below the float64 nearest
+    the domain's end, and off CH_B's excluded radius.
     """
     ts = to_floats(ts, RadiusOutOfDomain)
     domain = check_family(family).radius_domain()  # a NaN radius makes both extremes NaN and fails the test

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidFamily, InvalidOrder, InvalidTolerance, RadiusOutOfDomain, check_order, check_tol, to_floats, to_mpf
+from .errors import InvalidFamily, InvalidOrder, InvalidTolerance, RadiusOutOfDomain, check_order, check_tol, to_mpf
 from .families import (
     FamilyTag,
     HypersurfaceFamily,
@@ -69,11 +69,13 @@ def is_proper_r_harmonic(family: HypersurfaceFamily, t, r: int, tol: float) -> b
 
 @np.errstate(over="ignore", invalid="ignore")  # a value float64 cannot hold is refused below
 def residual_grid(family: HypersurfaceFamily, r: int, ts) -> np.ndarray:
-    """Vectorised float64 residual over radii that ``spectrum_arrays`` accepts (sign-scan lane)."""
+    """Vectorised float64 residual over radii that ``spectrum_arrays`` accepts, r and 2(n + 1) <= 2**53 (sign-scan lane)."""
     r = check_order(r)
-    alpha, branches = spectrum_arrays(family, ts)
-    to_floats(r, InvalidOrder)  # the lane's integers fit a float64: r, and 2(n + 1) bounds the multiplicities
-    to_floats(2 * (family.n + 1), InvalidFamily)
+    alpha, branches = spectrum_arrays(family, ts)  # checks family before its n is read
+    if r > 2**53:  # the lane's integers are exact float64s: r, and 2(n + 1), which bounds the multiplicities
+        raise InvalidOrder("order r is past 2**53, the float64 lane's exact integers")
+    if 2 * (family.n + 1) > 2**53:
+        raise InvalidFamily(f"{family.tag.value}'s 2(n + 1) is past 2**53, the float64 lane's exact integers")
     trace = alpha + sum(m * lam for lam, m in branches)
     trace_sq = alpha**2 + sum(m * lam**2 for lam, m in branches)
     values = _residual_value(family.space_form_sign, family.n, r, trace, trace_sq, alpha)

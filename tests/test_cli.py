@@ -5,7 +5,10 @@ import importlib
 import io
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -445,6 +448,17 @@ def test_readme_reports_keep_their_digests(capsys, command, digest):
     code, out = run(capsys, *command.split())
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_the_module_runs_as_a_script():
+    # python -m hopfharmonic.cli, in a fresh interpreter at the package's own precision
+    command = "probes --type D --r 89 --format text"
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-m", "hopfharmonic.cli", *command.split()],
+                          env={**os.environ, "PYTHONPATH": path, "PYTHONIOENCODING": "utf-8"}, capture_output=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert hashlib.sha256(proc.stdout).hexdigest() == dict(README_REPORTS)[command]
 
 
 def test_readme_command_list_is_the_pinned_list():

@@ -29,7 +29,7 @@ from hopfharmonic import (
     tube_family,
     x_from_radius,
 )
-from hopfharmonic.families import _spectrum, angle_spectrum, fixed_dimension
+from hopfharmonic.families import _Angle, _spectrum, angle_spectrum, fixed_dimension
 from hopfharmonic.residual import residual
 
 CP = FamilyTag
@@ -426,3 +426,14 @@ class TestAngleLane:
     def test_other_families_are_unsupported(self, fam):
         with pytest.raises(UnsupportedFamily):
             angle_spectrum(fam, mp.cos(mp.mpf("0.3")), mp.sin(mp.mpf("0.3")))
+
+    def test_only_the_double_angle_is_defined(self):
+        # the table's rows use t and 2t alone; any other multiple must not pass as a tuple repeat
+        t = mp.mpf("0.3")
+        angle = _Angle(mp.cos(t), mp.sin(t))
+        double = 2 * angle
+        assert type(double) is _Angle
+        assert abs(double.cos - mp.cos(2 * t)) < mp.mpf(10) ** (-35)
+        assert abs(double.sin - mp.sin(2 * t)) < mp.mpf(10) ** (-35)
+        with pytest.raises(TypeError):
+            3 * angle

@@ -1,8 +1,10 @@
 """Rejected inputs: every library entry point raises a HopfError for them."""
 
+import importlib.util
 import math
 from decimal import Decimal
 from fractions import Fraction
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -64,7 +66,8 @@ from hopfharmonic import (
     tube_family,
     x_from_radius,
 )
-from hopfharmonic.errors import to_fraction
+from hopfharmonic.errors import mp, to_fraction
+from hopfharmonic.families import CurvatureSpectrum, angle_spectrum
 
 F = HypersurfaceFamily
 CP = FamilyTag
@@ -239,7 +242,8 @@ def test_the_horosphere_takes_any_real_radius():
         (lambda: spectrum_arrays(A1, [0.3, 5e-324]), RadiusOutOfDomain),
         (lambda: residual_grid(A1, 2, [5e-324]), RadiusOutOfDomain),
         (lambda: chn_scan(F(CP.CH_A1_GEODESIC, 2), 2, [2.8e-306]), RadiusOutOfDomain),
-        (lambda: residual_grid(F(CP.CP_A1, 10**300), 2, [0.3]), RadiusOutOfDomain),
+        # 2(n + 1) past 2**53, not the radius: n, not the grid, is what float64 cannot hold
+        (lambda: residual_grid(F(CP.CP_A1, 10**300), 2, [0.3]), InvalidFamily),
     ],
     ids=["order-10^400", "n-2^1024", "n-2^1023", "chn-scan-n-2^1024", "spectrum-subnormal-radius", "grid-subnormal-radius",
          "chn-scan-radius-near-0", "grid-n-10^300"],
@@ -247,6 +251,72 @@ def test_the_horosphere_takes_any_real_radius():
 def test_float64_lane_refuses_what_it_cannot_hold(call, error):
     with pytest.raises(error):
         call()
+
+
+CH_B = F(CP.CH_B, 3)
+
+# Every call that takes one radius t of a family, in the mp lane and in the float64 lane.
+RADIUS_CALLS = {
+    "residual": lambda family, t: residual(family, t, 2),
+    "curvature_spectrum": curvature_spectrum,
+    "scaled_curvature_spectrum": lambda family, t: scaled_curvature_spectrum(family, t, 4 * family.space_form_sign),
+    "x_from_radius": x_from_radius,
+    "spectrum_arrays": lambda family, t: spectrum_arrays(family, [t]),
+    "residual_grid": lambda family, t: residual_grid(family, 2, [t]),
+}
+
+
+def _raised(call):
+    try:
+        call()
+    except HopfError as exc:
+        return type(exc)
+    return None
+
+
+@pytest.mark.parametrize(
+    "family,radius,error",
+    [
+        (A1, lambda family: 5e-324, RadiusOutOfDomain),  # subnormal: 1 / t overflows float64
+        (CH_B, lambda family: 5e-324, RadiusOutOfDomain),
+        (A1, lambda family: 0, RadiusOutOfDomain),
+        (CH_B, lambda family: 0, RadiusOutOfDomain),
+        (A1, lambda family: math.nan, RadiusOutOfDomain),
+        (CH_B, lambda family: math.nan, RadiusOutOfDomain),
+        (A1, lambda family: family.radius_domain()[1], RadiusOutOfDomain),
+        (CH_B, lambda family: family.radius_domain()[1], RadiusOutOfDomain),
+        (A1, lambda family: CH_B.excluded_radius, None),
+        (CH_B, lambda family: CH_B.excluded_radius, ExcludedRadius),
+        (CH_B, lambda family: CH_B.excluded_radius + mp.mpf("5e-16"), ExcludedRadius),  # both lanes' 1e-15
+        (CH_B, lambda family: CH_B.excluded_radius - mp.mpf("2e-15"), None),
+    ],
+    ids=["A1-subnormal", "CH_B-subnormal", "A1-zero", "CH_B-zero", "A1-nan", "CH_B-nan", "A1-end", "CH_B-end",
+         "A1-at-CH_B-excluded", "CH_B-excluded", "CH_B-near-excluded", "CH_B-past-excluded"],
+)
+def test_every_lane_refuses_the_same_radii(family, radius, error):
+    # the domain's end is read at the test's precision, so the mp lane sees the end itself
+    t = radius(family)
+    calls = {name: call for name, call in RADIUS_CALLS.items() if family.is_projective or name != "x_from_radius"}
+    assert {name: _raised(lambda: call(family, t)) for name, call in calls.items()} == dict.fromkeys(calls, error)
+
+
+def test_every_lane_returns_the_tables_curvature_spectrum():
+    t = mp.mpf("0.3")
+    for spectrum in (curvature_spectrum(A1, t), angle_spectrum(A1, mp.cos(t), mp.sin(t)), spectrum_arrays(A1, [0.3])):
+        assert type(spectrum) is CurvatureSpectrum and type(spectrum.branches) is tuple
+
+
+@pytest.mark.parametrize(
+    "n,r,error",
+    [(2**52 - 1, 2, None), (2**52, 2, InvalidFamily), (3, 2**53, None), (3, 2**53 + 1, InvalidOrder)],
+    ids=["n-2^52-1", "n-2^52", "r-2^53", "r-2^53+1"],
+)
+def test_float64_lane_takes_integers_up_to_2_53(n, r, error):
+    # r and 2(n + 1), which bounds the multiplicities, must be exact float64 integers
+    family = F(CP.CP_A1, n)
+    assert _raised(lambda: residual_grid(family, r, [0.3])) == error
+    if error is None:
+        assert np.isfinite(residual_grid(family, r, [0.3])).all()
 
 
 def test_grid_at_the_excluded_radius_is_rejected():
@@ -580,3 +650,15 @@ def test_every_public_function_is_placed():
     }
     assert not CLOSED.keys() & PURE_HELPERS
     assert public - PURE_HELPERS <= CLOSED.keys()
+
+
+def test_every_name_the_benchmark_looks_up_exists():
+    # bench/tracing.py wraps its TARGETS by name and bench/workloads.py reads
+    # RootCertificate.residual_at_radius; a removed name showed only as a failed benchmark run
+    spec = importlib.util.spec_from_file_location("tracing", Path(__file__).resolve().parents[1] / "bench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)  # the standard library only; it stays out of sys.modules
+    for short, names in tracing.TARGETS.items():
+        module = importlib.import_module(f"{tracing.PACKAGE}.{short}")
+        assert [name for name in names if not hasattr(module, name)] == [], short
+    assert hasattr(hopfharmonic.RootCertificate, "residual_at_radius")
