@@ -19,6 +19,29 @@ normal index is exactly one when
 
 holds with T = tr S and L the minimum squared principal curvature, via the
 first-eigenvalue bound mu_1 >= (n+1) - |tr S|/2.
+
+The condition is decided exactly, in integer pairs u + v sqrt D.  With
+N = n + 1 and q = +1 (plus) or -1 (minus),
+
+    C = 4N cos^2 t = 3N - 2p + q sqrt D,   S = 4N sin^2 t = N + 2p - q sqrt D
+
+are positive (above).  With sigma = sqrt(CS), alpha = (C - S)/sigma,
+cot t = C/sigma and -tan t = -S/sigma, so T = X/sigma with
+
+    X = (C - S) + 2(p-1) C - 2(n-p) S,
+
+and L = M/(CS) with M the square of the least of |C - S|, S and C, where C
+counts only for p > 1 (cot t has multiplicity 2(p-1)).  C - S = 2N - 4p +
+2q sqrt D has the sign of q, as D = (N - 2p)^2 + 4N; so the least is C - S
+or S on the plus branch and S - C or C on the minus branch, one linear sign
+test.  Multiplied by CS > 0 the condition reads 4A > 4B/sigma with
+
+    4A = 4N(4M + N CS) - 15 X^2 - 48 (C - S) X,   B = (2M + N CS)|X| >= 0,
+
+so it holds iff 4A > 0 and (4A)^2 CS > 16 B^2.  u + v sqrt D has the sign of
+the nonzero one of u and v (0 if both are 0) unless their signs are strictly
+opposite, and then the sign of u times that of u^2 - v^2 D.  The decision
+makes no mp operation, so it does not depend on the working precision.
 """
 
 from __future__ import annotations
@@ -38,6 +61,7 @@ from .families import (
 )
 
 BRANCHES = ("plus", "minus")
+_FIFTEEN_QUARTERS = mp.mpf(15) / 4  # exact in binary, so one constant serves every precision
 
 
 class IndexClaim(str, Enum):
@@ -142,12 +166,56 @@ def first_eigenvalue_bound(n: int, trace):
     return (n + 1) - abs(trace) / 2
 
 
+def _sign(u: int, v: int, d: int) -> int:
+    """Sign of u + v sqrt(d) for ints u, v and d > 0."""
+    if u > 0 > v or v > 0 > u:
+        w = u * u - v * v * d
+        return (w > 0) - (w < 0) if u > 0 else (w < 0) - (w > 0)
+    return (u > 0) - (u < 0) or (v > 0) - (v < 0)
+
+
+def _index_one_margin(n: int, p: int, branch: str):
+    """The exact (u, v) pairs of X, M, CS, 4A and B of the module docstring, for int n and p."""
+    big, q, d = n + 1, 1 if branch == "plus" else -1, _discriminant(n, p)
+    c0, s0 = 3 * big - 2 * p, big + 2 * p
+    du, dv = c0 - s0, 2 * q  # C - S
+    ku, kv = c0 * s0 - d, q * (s0 - c0)  # CS
+    xu, xv = du + 2 * (p - 1) * c0 - 2 * (n - p) * s0, 2 * q * n  # X
+    if q > 0:  # C > S: the least of C - S and S
+        if _sign(du - s0, 3, d) <= 0:
+            lu, lv = du, dv
+        else:
+            lu, lv = s0, -1
+    elif p == 1 or _sign(s0 - 2 * c0, 3, d) <= 0:  # C < S: the least of S - C and, for p > 1, C
+        lu, lv = -du, 2
+    else:
+        lu, lv = c0, -1
+    mu, mv = lu * lu + lv * lv * d, 2 * lu * lv  # M
+    gu, gv = big * ku, big * kv  # N CS
+    au = 4 * big * (4 * mu + gu) - 15 * (xu * xu + xv * xv * d) - 48 * (du * xu + dv * xv * d)
+    av = 4 * big * (4 * mv + gv) - 30 * xu * xv - 48 * (du * xv + dv * xu)
+    hu, hv, sx = 2 * mu + gu, 2 * mv + gv, _sign(xu, xv, d)  # B = (2M + N CS) sign(X) X
+    bu, bv = sx * (hu * xu + hv * xv * d), sx * (hu * xv + hv * xu)
+    return (xu, xv), (mu, mv), (ku, kv), (au, av), (bu, bv)
+
+
+def _index_one_holds(n: int, p: int, branch: str) -> bool:
+    """Whether the index-one condition holds on one tube, decided exactly: 4A > 0 and (4A)^2 CS > 16 B^2."""
+    _, _, (ku, kv), (au, av), (bu, bv) = _index_one_margin(n, p, branch)
+    d = _discriminant(n, p)
+    if _sign(au, av, d) <= 0:
+        return False
+    su, sv = au * au + av * av * d, 2 * au * av
+    return _sign(su * ku + sv * kv * d - 16 * (bu * bu + bv * bv * d), su * kv + sv * ku - 32 * bu * bv, d) > 0
+
+
 def stability_condition(n: int, p: int, branch: str) -> StabilityReport:
     """Evaluate the index-one sufficient condition on one biharmonic tube.
 
     The constant-function witness tr S (tr S + 3 alpha) > 0 certifies
     instability unconditionally; when the condition holds the normal index is
-    exactly one, otherwise only index >= 1 is claimed.
+    exactly one, otherwise only index >= 1 is claimed.  ``lhs`` and ``rhs``
+    are its two sides in mp; whether it holds is decided exactly.
     """
     if branch not in BRANCHES:
         raise InvalidFamily(f"branch must be one of {BRANCHES}, got {branch!r}")
@@ -160,9 +228,9 @@ def stability_condition(n: int, p: int, branch: str) -> StabilityReport:
         tr2 = trace_shape_squared(spec)
         lam_min = lambda_min_squared(spec)
         lhs = (n + 1) * (4 * lam_min + n + 1)
-        rhs = mp.mpf(15) / 4 * tr**2 + (2 * lam_min + n + 1) * abs(tr) + 12 * spec.alpha * tr
+        rhs = _FIFTEEN_QUARTERS * tr**2 + (2 * lam_min + n + 1) * abs(tr) + 12 * spec.alpha * tr
         witness = tr * (tr + 3 * spec.alpha)
-    holds = lhs > rhs
+    holds = _index_one_holds(n, p, branch)
     return StabilityReport(
         **vars(tube),
         trace=tr,
@@ -180,14 +248,15 @@ def stability_condition(n: int, p: int, branch: str) -> StabilityReport:
 
 def index_threshold_scan(p: int, n_max: int) -> ThresholdScan:
     """Smallest n in (p+1, n_max] whose plus branch satisfies the condition,
-    together with whether it keeps holding up to n_max."""
+    together with whether it keeps holding up to n_max; each step is the exact
+    decision, with no report and no mp operation."""
     p, n_max = check_integer(p, "p"), check_integer(n_max, "n_max")
     if p < 1 or n_max <= p + 1:
         raise InvalidFamily(f"need p >= 1 and n_max > p+1, got p={p}, n_max={n_max}")
     threshold = None
     holds_above = True
     for n in range(p + 2, n_max + 1):
-        holds = stability_condition(n, p, "plus").condition_holds
+        holds = _index_one_holds(n, p, "plus")
         if threshold is None:
             if holds:
                 threshold = n

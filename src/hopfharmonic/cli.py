@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import random
@@ -345,6 +346,7 @@ def _render_text(result) -> str:
     return "\n".join(lines) + "\n"
 
 
+@functools.cache  # parse_args leaves the parser as it found it, so one serves every main()
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="hopfharmonic", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)

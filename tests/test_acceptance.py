@@ -226,7 +226,7 @@ def test_criterion_09_stability():
     large = asymptotic_check(1, 16 * 10**4)
     for field in ("cot2_2t", "cot2_t", "tan2_t", "trace"):
         assert getattr(small, field) / getattr(large, field) >= 2
-    _report(9, f"all tubes unstable; empirical index-one onsets {thresholds}")
+    _report(9, f"all tubes unstable; exact index-one onsets {thresholds}")
 
 
 def test_criterion_10_trigonometric_identities():

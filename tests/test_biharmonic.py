@@ -1,5 +1,5 @@
+import math
 from fractions import Fraction
-from types import SimpleNamespace
 
 import pytest
 import sympy
@@ -24,7 +24,7 @@ from hopfharmonic import (
     x_from_radius,
 )
 from hopfharmonic.errors import to_fraction
-from hopfharmonic.biharmonic import _discriminant
+from hopfharmonic.biharmonic import BRANCHES, _discriminant, _index_one_margin, _sign
 
 F = HypersurfaceFamily
 CP = FamilyTag
@@ -224,12 +224,95 @@ class TestThresholdScan:
 
         def scripted(n, p_, branch):
             seen.append((n, p_, branch))
-            return SimpleNamespace(condition_holds=holds[len(seen) - 1])
+            return holds[len(seen) - 1]
 
-        monkeypatch.setattr("hopfharmonic.biharmonic.stability_condition", scripted)
+        monkeypatch.setattr("hopfharmonic.biharmonic._index_one_holds", scripted)
         scan = index_threshold_scan(p, n_max)
         assert seen == [(n, p, "plus") for n in range(p + 2, n_max + 1)]
         assert (scan.threshold, scan.holds_for_all_larger) == expected
+
+
+def _at_60_digits(n, p, *pairs):
+    """The pairs (u, v) as mpf values u + v sqrt D at 60 digits, with sqrt D from mp."""
+    root = mp.sqrt(_discriminant(n, p))
+    return [u + v * root for u, v in pairs]
+
+
+def _close(value, expected):
+    return abs(value - expected) <= mp.mpf("1e-25") * abs(expected)
+
+
+class TestExactIndexOne:
+    def test_sign_of_u_plus_v_sqrt_d(self):
+        for d in range(1, 30):
+            root = math.isqrt(d)
+            for u in range(-12, 13):
+                for v in range(-12, 13):
+                    # u + v sqrt d is 0 only for a square d, and else |u^2 - v^2 d| / |u - v sqrt d| >= 1/80
+                    value = u + v * root if root * root == d else u + v * mp.sqrt(d)
+                    assert _sign(u, v, d) == (value > 0) - (value < 0), (u, v, d)
+
+    def test_exact_decision_matches_the_mp_comparison(self):
+        tubes = [(n, p, branch) for n in range(2, 61) for p in range(1, n) for branch in BRANCHES]
+        tubes += [(n, p, "plus") for p in (1, 2, 3) for n in range(p + 2, 501)]
+        outcomes = set()
+        for n, p, branch in tubes:
+            rep = stability_condition(n, p, branch)
+            assert rep.condition_holds == (rep.lhs > rep.rhs), (n, p, branch)
+            outcomes.add(rep.condition_holds)
+        assert outcomes == {False, True}
+
+    def test_margin_values_match_the_report(self):
+        # X/sigma = tr S, M/(CS) = lambda_min^2 and (4A/4 - B/sigma)/(CS) = lhs - rhs
+        for n in range(2, 31):
+            for p in range(1, n):
+                for branch in BRANCHES:
+                    rep = stability_condition(n, p, branch)
+                    with mp.workdps(60):
+                        x, m, cs, a4, b = _at_60_digits(n, p, *_index_one_margin(n, p, branch))
+                        sigma = mp.sqrt(cs)
+                        assert _close(x / sigma, rep.trace), (n, p, branch)
+                        assert _close(m / cs, rep.lambda_min_sq), (n, p, branch)
+                        assert _close((a4 / 4 - b / sigma) / cs, rep.lhs - rep.rhs), (n, p, branch)
+
+    def test_every_tube_is_unstable_exactly(self):
+        # T (T + 3 alpha) CS = X (X + 3(C - S)) > 0, with C - S = 2(n+1) - 4p +/- 2 sqrt D
+        for n in range(2, 201):
+            for p in range(1, n):
+                d = _discriminant(n, p)
+                for branch, q in zip(BRANCHES, (1, -1)):
+                    (xu, xv), _, (ku, kv), _, _ = _index_one_margin(n, p, branch)
+                    yu, yv = xu + 3 * (2 * (n + 1) - 4 * p), xv + 6 * q
+                    wu, wv = xu * yu + xv * yv * d, xu * yv + xv * yu
+                    assert _sign(wu, wv, d) > 0, (n, p, branch)
+                    if n <= 30 or n % 50 == 0:
+                        rep = stability_condition(n, p, branch)
+                        with mp.workdps(60):
+                            w, cs = _at_60_digits(n, p, (wu, wv), (ku, kv))
+                            assert _close(w / cs, rep.constant_witness), (n, p, branch)
+
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    def test_scan_does_not_depend_on_the_precision(self, p):
+        with mp.workdps(15):
+            low = index_threshold_scan(p, 500)
+        with mp.workdps(60):
+            high = index_threshold_scan(p, 500)
+        assert low == high
+
+    def test_scan_makes_no_report_and_no_mp_operation(self, monkeypatch):
+        expected = index_threshold_scan(2, 120)
+
+        class Refused:
+            def __getattr__(self, name):
+                raise AssertionError(f"mp.{name} used")
+
+        def refused(*args):
+            raise AssertionError("stability_condition called")
+
+        monkeypatch.setattr("hopfharmonic.biharmonic.stability_condition", refused)
+        monkeypatch.setattr("hopfharmonic.biharmonic.mp", Refused())
+        monkeypatch.setattr("hopfharmonic.families.mp", Refused())
+        assert index_threshold_scan(2, 120) == expected
 
 
 class TestAsymptotics:

@@ -28,7 +28,7 @@ from hopfharmonic import (
     certify_radii,
     count_solutions,
 )
-from hopfharmonic.cli import main
+from hopfharmonic.cli import _build_parser, main
 
 
 def run(capsys, *argv):
@@ -493,6 +493,15 @@ def test_threshold_scans_keep_their_digests(capsys, p):
     code, out = run(capsys, "biharmonic", "--scan-threshold", "--p", str(p), "--n-max", "500")
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == THRESHOLD_SCAN_DIGESTS[p]
+
+
+def test_one_parser_serves_every_main_call(capsys):
+    _build_parser.cache_clear()
+    for command in ("biharmonic --n 2 --p 1", "probes --type D --r 89 --format text"):
+        code, out = run(capsys, *command.split())
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == dict(README_REPORTS)[command]
+    assert (_build_parser.cache_info().misses, _build_parser.cache_info().hits) == (1, 1)
 
 
 def test_readme_library_example_runs(capsys):
