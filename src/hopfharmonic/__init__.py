@@ -27,7 +27,6 @@ from .families import (
     CurvatureSpectrum,
     FamilyTag,
     HypersurfaceFamily,
-    SpecialRadii,
     Substitution,
     admissible_families,
     curvature_spectrum,
@@ -35,7 +34,6 @@ from .families import (
     r_independent_x,
     radius_from_x,
     scaled_curvature_spectrum,
-    special_radii,
     spectrum_arrays,
     trace_shape,
     trace_shape_squared,
@@ -44,7 +42,6 @@ from .families import (
 from .residual import (
     ResidualReport,
     chn_scan,
-    is_proper_r_harmonic,
     residual,
     residual_grid,
     tail_residual,
@@ -59,16 +56,13 @@ from .quartic import (
 )
 from .existence import (
     BalancedTubeRoots,
-    KWindow,
     ProbeReport,
     ThresholdPair,
     a1_offset_probe_poly,
     a2_closed_form,
-    a2_k_thresholds,
     certify_radii,
     count_solutions,
     eta1,
-    eta2,
     guaranteed_thresholds,
     k_above_k2,
     k_below_k1,

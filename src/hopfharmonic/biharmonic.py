@@ -55,7 +55,7 @@ from .families import (
     CurvatureSpectrum,
     FamilyTag,
     HypersurfaceFamily,
-    angle_spectrum,
+    _angle_spectrum,
     trace_shape,
     trace_shape_squared,
 )
@@ -223,7 +223,7 @@ def stability_condition(n: int, p: int, branch: str) -> StabilityReport:
     n, p = family.n, check_integer(p, "p")
     with _workdps(n):
         tube, cos_t, sin_t = _tube(n, p, branch)
-        spec = angle_spectrum(family, cos_t, sin_t)
+        spec = _angle_spectrum(family, cos_t, sin_t)
         tr = trace_shape(spec)
         tr2 = trace_shape_squared(spec)
         lam_min = lambda_min_squared(spec)

@@ -7,7 +7,8 @@ every probe value evaluated in exact arithmetic.  The A2 tube of radius t
 over CP^k is the tube of radius pi/2 - t over CP^(n-1-k) (Takagi's list;
 Cecil & Ryan, *Geometry of Hypersurfaces*, 2015): P_{n,k}(x) =
 P_{n,n-1-k}(1 - x), and A1 is A2 at k = 0.  So k > k2 exactly when
-n-1-k < k1; that side's test, eta2, k2 and probes are the dual's k < k1 ones.
+n-1-k < k1; that side's test, k2 and probes are the dual's k < k1 ones, and
+the paper's eta2(n, k) is eta1(n, n-1-k).
 Self-dual families, 2k = n - 1 (for A1: n = 1), have proper roots x and 1 - x.
 """
 
@@ -164,24 +165,6 @@ def a2_closed_form(n: int, r: int) -> BalancedTubeRoots:
     return BalancedTubeRoots(x_plus=x_plus, x_minus=x_minus, cos_4t=cos_4t)
 
 
-@dataclass(frozen=True)
-class KWindow:
-    """Bounds of the k-window outside which exact four-root counts hold."""
-
-    k1: object
-    k2: object
-
-
-def a2_k_thresholds(n: int) -> KWindow:
-    """Numeric k1, k2 bracketing the A2 k-window for ambient dimension n."""
-    n = check_integer(n, "n")
-    if n < 3:
-        raise InvalidFamily(f"need n >= 3, got {n}")
-    sqrt_d = mp.sqrt(13 * n * n - 8 * n + 4)
-    k1 = (5 * n * n - 4 * n + 2 - n * sqrt_d) / (4 * (n - 1))
-    return KWindow(k1=k1, k2=n - 1 - k1)
-
-
 def k_below_k1(n: int, k: int) -> bool:
     """Exact integer test for k < k1, for n >= 2 and 0 <= k <= n - 1.
 
@@ -205,11 +188,6 @@ def eta1(n: int, k: int) -> int:
     """Positivity witness for the lower A2 branch (positive iff k < k1 side)."""
     n, k = check_integer(n, "n"), check_integer(k, "k")
     return 4 * (n - 1) * k * k - (10 * n * n - 8 * n + 4) * k + 3 * n**3 - 5 * n * n + 3 * n - 1
-
-
-def eta2(n: int, k: int) -> int:
-    """Positivity witness for the upper A2 branch (positive iff k > k2 side): eta1 of the dual."""
-    return eta1(n, check_integer(n, "n") - 1 - check_integer(k, "k"))
 
 
 def a1_offset_probe_poly(n: int) -> tuple:

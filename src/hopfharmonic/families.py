@@ -281,7 +281,7 @@ class _Angle(NamedTuple):
 _ANGLE = SimpleNamespace(tan=lambda a: a.sin / a.cos, cot=lambda a: a.cos / a.sin)
 
 
-def angle_spectrum(family: HypersurfaceFamily, cos_t, sin_t) -> CurvatureSpectrum:
+def _angle_spectrum(family: HypersurfaceFamily, cos_t, sin_t) -> CurvatureSpectrum:
     """Spectrum at the radius t with (cos t, sin t) = (cos_t, sin_t), by field
     operations alone; CP_A1, CP_A2 and CP_B only."""
     if family.tag not in (FamilyTag.CP_A1, FamilyTag.CP_A2, FamilyTag.CP_B):
@@ -342,27 +342,6 @@ def x_from_radius(family: HypersurfaceFamily, t):
     sub = check_family(family, projective=True).substitution
     t = _check_radius(family, t)
     return sub.trig(sub.s * t) ** 2
-
-
-@dataclass(frozen=True)
-class SpecialRadii:
-    """Distinguished radii of a projective family."""
-
-    t_minimal: object
-    t_r_independent: object
-
-
-def special_radii(family: HypersurfaceFamily) -> SpecialRadii:
-    """Radii solving trace = 0 and trace + 3*alpha = 0.
-
-    Both are computed exactly in the substitution variable and converted to t
-    only here; both always exist inside the open domain for every projective
-    family.
-    """
-    return SpecialRadii(
-        t_minimal=radius_from_x(family, minimal_x(family)),
-        t_r_independent=radius_from_x(family, r_independent_x(family)),
-    )
 
 
 def scaled_curvature_spectrum(family: HypersurfaceFamily, t, c) -> CurvatureSpectrum:

@@ -199,11 +199,6 @@ class RootCertificate:
         """The residual value of ``residual_report``, or None without a family."""
         return None if self.residual_report is None else self.residual_report.residual
 
-    @property
-    def midpoint(self) -> Fraction:
-        lo, hi = self.isolating_interval
-        return (lo + hi) / 2
-
 
 # ---------------------------------------------------------------------------
 # construction

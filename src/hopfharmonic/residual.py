@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidFamily, InvalidOrder, InvalidTolerance, RadiusOutOfDomain, check_order, check_tol, to_mpf
+from .errors import InvalidFamily, InvalidOrder, RadiusOutOfDomain, check_order
 from .families import (
     FamilyTag,
     HypersurfaceFamily,
@@ -58,13 +58,6 @@ def residual(family: HypersurfaceFamily, t=None, r: int = 2) -> ResidualReport:
         alpha=spec.alpha,
         r=r,
     )
-
-
-def is_proper_r_harmonic(family: HypersurfaceFamily, t, r: int, tol: float) -> bool:
-    """True iff the residual vanishes within tol while the trace does not."""
-    tol = to_mpf(check_tol(tol), InvalidTolerance)
-    report = residual(family, t, r)
-    return abs(report.residual) <= tol and abs(report.trace) > tol
 
 
 @np.errstate(over="ignore", invalid="ignore")  # a value float64 cannot hold is refused below

@@ -21,12 +21,10 @@ from hopfharmonic import (
     a1_offset_probe_poly,
     admissible_families,
     a2_closed_form,
-    a2_k_thresholds,
     build_quartic,
     certify_radii,
     count_solutions,
     eta1,
-    eta2,
     guaranteed_thresholds,
     isolate_and_refine,
     k_above_k2,
@@ -279,7 +277,8 @@ certs = h.certify_radii(family, 89, 1e-24)
 assert len(certs) == 4
 for cert in certs:
     assert abs(cert.residual_report.residual) <= 1e-20, cert.residual_report.residual
-    assert h.is_proper_r_harmonic(family, cert.radius, 89, 1e-15), cert.radius
+    rep = h.residual(family, cert.radius, 89)
+    assert abs(rep.residual) <= 1e-15 and abs(rep.trace) > 1e-15, cert.radius
 """
         src = str(Path(hopfharmonic.__file__).resolve().parents[1])
         path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
@@ -337,26 +336,23 @@ class TestBalancedClosedForm:
             a2_closed_form(4, 2)
 
 
-class TestKWindow:
-    def test_n3_values(self):
-        window = a2_k_thresholds(3)
-        sqrt97 = mp.sqrt(97)
-        assert abs(window.k1 - (35 - 3 * sqrt97) / 8) < 1e-30
-        assert abs(window.k2 - (3 * sqrt97 - 19) / 8) < 1e-30
+def _paper_k1(n):
+    # the paper's k1, the reference for the exact window tests; its k2 is n - 1 - k1
+    return (5 * n * n - 4 * n + 2 - n * mp.sqrt(13 * n * n - 8 * n + 4)) / (4 * (n - 1))
 
+
+class TestKWindow:
     def test_upper_side_is_the_dual_lower_side(self):
         # the paper's own k > k2 expressions, now derived from k < k1 at n-1-k
         n, k = sympy.symbols("n k")
         paper_eta2 = 4 * (n - 1) * k * k + 2 * (n * n + 4 * n - 2) * k - 3 * n**3 + n * n + 3 * n - 1
-        # eta2 takes integers; both sides have degree <= 3 in n and <= 2 in k, so
-        # agreeing on an 11 x 11 integer grid makes them the same polynomial
-        assert all(eta2(m, j) == paper_eta2.subs({n: m, k: j}) for m in range(-5, 6) for j in range(-5, 6))
+        # eta1 takes integers; eta1(n, n-1-k) and paper_eta2 have degree <= 3 in n and <= 2 in k,
+        # so agreeing on an 11 x 11 integer grid makes them the same polynomial
+        assert all(eta1(m, m - 1 - j) == paper_eta2.subs({n: m, k: j}) for m in range(-5, 6) for j in range(-5, 6))
         sqrt_d = sympy.sqrt(13 * n * n - 8 * n + 4)
         paper_k1 = (5 * n * n - 4 * n + 2 - n * sqrt_d) / (4 * (n - 1))
         paper_k2 = (n * sqrt_d - n * n - 4 * n + 2) / (4 * (n - 1))
         assert sympy.cancel(n - 1 - paper_k1 - paper_k2) == 0
-        for m in (3, 10, 41, 399):
-            assert abs(a2_k_thresholds(m).k2 - mp.mpf(sympy.N(paper_k2.subs(n, m), 40))) < 1e-28
         for m in range(3, 201):
             for j in range(1, m - 1):
                 lhs = 4 * (m - 1) * j + m * m + 4 * m - 2
@@ -387,20 +383,20 @@ class TestKWindow:
 
     def test_exact_comparators_agree_with_numeric(self):
         for n in range(3, 60):
-            window = a2_k_thresholds(n)
+            k1 = _paper_k1(n)
             for k in range(1, n - 1):
-                assert k_below_k1(n, k) == (mp.mpf(k) < window.k1)
-                assert k_above_k2(n, k) == (mp.mpf(k) > window.k2)
+                assert k_below_k1(n, k) == (mp.mpf(k) < k1)
+                assert k_above_k2(n, k) == (mp.mpf(k) > n - 1 - k1)
 
     def test_eta_positivity_at_window_edges(self):
         for n in range(3, 101):
-            window = a2_k_thresholds(n)
-            floor_k1 = int(mp.floor(window.k1))
+            k1 = _paper_k1(n)
+            floor_k1 = int(mp.floor(k1))
             if floor_k1 >= 1:
                 assert eta1(n, floor_k1) > 0
-            ceil_k2 = int(mp.ceil(window.k2))
+            ceil_k2 = int(mp.ceil(n - 1 - k1))
             if ceil_k2 <= n - 2:
-                assert eta2(n, ceil_k2) > 0
+                assert eta1(n, n - 1 - ceil_k2) > 0
 
     def test_eta_sign_matches_side(self):
         for n in (5, 12, 31):
@@ -408,7 +404,7 @@ class TestKWindow:
                 if k_below_k1(n, k):
                     assert eta1(n, k) > 0
                 if k_above_k2(n, k):
-                    assert eta2(n, k) > 0
+                    assert eta1(n, n - 1 - k) > 0
 
 
 class TestOffsetProbePoly:

@@ -1,5 +1,6 @@
 import hashlib
 import random
+from dataclasses import dataclass
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -22,14 +23,13 @@ from hopfharmonic import (
     r_independent_x,
     radius_from_x,
     scaled_curvature_spectrum,
-    special_radii,
     spectrum_arrays,
     trace_shape,
     trace_shape_squared,
     tube_family,
     x_from_radius,
 )
-from hopfharmonic.families import _Angle, _spectrum, angle_spectrum, fixed_dimension
+from hopfharmonic.families import _Angle, _angle_spectrum, _spectrum, fixed_dimension
 from hopfharmonic.residual import residual
 
 CP = FamilyTag
@@ -227,22 +227,21 @@ class TestTraces:
 class TestSpecialRadii:
     def test_a1_closed_forms(self):
         for n in (2, 3, 10):
-            radii = special_radii(F(CP.CP_A1, n))
-            assert abs(radii.t_minimal - mp.atan(mp.sqrt(mp.mpf(1) / (2 * n - 1)))) < 1e-30
-            assert abs(radii.t_r_independent - mp.atan(mp.sqrt(mp.mpf(2) / (n + 1)))) < 1e-30
+            fam = F(CP.CP_A1, n)
+            assert abs(radius_from_x(fam, minimal_x(fam)) - mp.atan(mp.sqrt(mp.mpf(1) / (2 * n - 1)))) < 1e-30
+            assert abs(radius_from_x(fam, r_independent_x(fam)) - mp.atan(mp.sqrt(mp.mpf(2) / (n + 1)))) < 1e-30
 
     def test_b_closed_form(self):
         for n in (2, 5, 11):
-            radii = special_radii(F(CP.CP_B, n))
-            assert abs(radii.t_minimal - mp.atan(mp.sqrt(n - 1)) / 2) < 1e-30
+            fam = F(CP.CP_B, n)
+            assert abs(radius_from_x(fam, minimal_x(fam)) - mp.atan(mp.sqrt(n - 1)) / 2) < 1e-30
 
     @pytest.mark.parametrize("fam", [f for f in sample_families(10) if f.is_projective],
                              ids=lambda f: f"{f.tag.value}-n{f.n}-k{f.k}")
     def test_reevaluation_tolerances(self, fam):
-        radii = special_radii(fam)
-        spec_min = curvature_spectrum(fam, radii.t_minimal)
+        spec_min = curvature_spectrum(fam, radius_from_x(fam, minimal_x(fam)))
         assert abs(trace_shape(spec_min)) < 1e-12
-        spec_ind = curvature_spectrum(fam, radii.t_r_independent)
+        spec_ind = curvature_spectrum(fam, radius_from_x(fam, r_independent_x(fam)))
         assert abs(trace_shape(spec_ind) + 3 * spec_ind.alpha) < 1e-12
 
     @pytest.mark.parametrize(
@@ -261,7 +260,7 @@ class TestSpecialRadii:
 
     def test_hyperbolic_families_unsupported(self):
         with pytest.raises(UnsupportedFamily):
-            special_radii(F(CP.CH_A0, 2))
+            minimal_x(F(CP.CH_A0, 2))
         with pytest.raises(UnsupportedFamily):
             minimal_x(F(CP.CH_B, 3))
         for call in (r_independent_x, lambda f: radius_from_x(f, 0.5), lambda f: x_from_radius(f, 0.3)):
@@ -291,6 +290,12 @@ class TestConversions:
 FAMILY_TABLE_DIGEST = "3f58bb390bb2f7a417c058ad045a7b21aa12963a46956cbd1eb2acc86ba123de"
 
 
+@dataclass(frozen=True)
+class SpecialRadii:  # the record of the two special radii whose repr the digest holds
+    t_minimal: object
+    t_r_independent: object
+
+
 def _family_table_lines():
     for dps in (30, 50):
         with mp.workdps(dps):
@@ -301,7 +306,7 @@ def _family_table_lines():
                            fam.radius_domain()]
                     if fam.is_projective:
                         specials = (minimal_x(fam), r_independent_x(fam))
-                        row += [*specials, special_radii(fam)]
+                        row += [*specials, SpecialRadii(*(radius_from_x(fam, x) for x in specials))]
                         for x in (*specials, Fraction(1, 7), Fraction(1, 2), Fraction(6, 7)):
                             t = radius_from_x(fam, x)
                             row += [t, x_from_radius(fam, t)]
@@ -315,7 +320,7 @@ def test_family_table_values_keep_their_digest():
 
 # SHA-256 of the spectrum table in every lane, for every admissible family
 # with n <= 12 and D and E at their one n, at three radii: the exact mpf
-# tuples of curvature_spectrum and angle_spectrum at 30 and at 50 digits,
+# tuples of curvature_spectrum and _angle_spectrum at 30 and at 50 digits,
 # and the float64 bytes of spectrum_arrays.
 SPECTRUM_DIGEST = "ef2e040349ce74758097b7b44d1e0a766df4b5499f4afe6785ceb3339c1e29c2"
 
@@ -334,7 +339,7 @@ def _spectrum_values():
                     radii = [hi * mp.mpf(j) / 8 for j in (1, 3, 7)]
                     spectra = [curvature_spectrum(fam, t) for t in radii]
                     if tag in (CP.CP_A1, CP.CP_A2, CP.CP_B):
-                        spectra += [angle_spectrum(fam, mp.cos(t), mp.sin(t)) for t in radii]
+                        spectra += [_angle_spectrum(fam, mp.cos(t), mp.sin(t)) for t in radii]
                     for spec in spectra:
                         yield repr((dps, fam, _exact(spec.alpha), [(_exact(lam), m) for lam, m in spec.branches]))
                     alpha, branches = spectrum_arrays(fam, [float(t) for t in radii])
@@ -407,7 +412,7 @@ class TestAngleLane:
         hi = fam.radius_domain()[1]
         for _ in range(25):
             t = hi * mp.mpf(rng.uniform(1e-3, 1 - 1e-3))
-            angle = angle_spectrum(fam, mp.cos(t), mp.sin(t))
+            angle = _angle_spectrum(fam, mp.cos(t), mp.sin(t))
             assert_spectra_agree(angle, curvature_spectrum(fam, t))
 
     def test_agrees_with_mpmath_lane_at_every_biharmonic_tube(self):
@@ -415,7 +420,7 @@ class TestAngleLane:
             for p in range(1, n):
                 fam = tube_family(n, p)
                 for tube in biharmonic_radii(n, p):
-                    angle = angle_spectrum(fam, mp.sqrt(tube.cos_sq_t), mp.sqrt(1 - tube.cos_sq_t))
+                    angle = _angle_spectrum(fam, mp.sqrt(tube.cos_sq_t), mp.sqrt(1 - tube.cos_sq_t))
                     assert_spectra_agree(angle, curvature_spectrum(fam, tube.t))
 
     @pytest.mark.parametrize(
@@ -425,7 +430,7 @@ class TestAngleLane:
     )
     def test_other_families_are_unsupported(self, fam):
         with pytest.raises(UnsupportedFamily):
-            angle_spectrum(fam, mp.cos(mp.mpf("0.3")), mp.sin(mp.mpf("0.3")))
+            _angle_spectrum(fam, mp.cos(mp.mpf("0.3")), mp.sin(mp.mpf("0.3")))
 
     def test_only_the_double_angle_is_defined(self):
         # the table's rows use t and 2t alone; any other multiple must not pass as a tuple repeat

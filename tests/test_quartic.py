@@ -239,6 +239,11 @@ class TestCountRealRoots:
             assert 0 < lo < root < hi < 1
             assert square_free.evaluate(lo) * square_free.evaluate(hi) < 0
 
+    def test_a_nonzero_constant_has_no_roots(self):
+        # a constant's Sturm sequence is the constant alone: it has no derivative to take
+        assert count_real_roots(QuarticPoly(5), 0, 1) == 0
+        assert isolate_and_refine(QuarticPoly(0, 0, 3), 0, 1, Fraction(1, 10**6)) == []
+
     def test_roots_at_both_ends(self):
         poly = quartic(0, 3, -4, 1, 0)  # x (x - 1) (3x - 1)
         assert count_real_roots(poly, 0, 1) == 1
@@ -263,7 +268,7 @@ class TestCountRealRoots:
 class TestIsolateAndRefine:
     def test_exact_rational_roots(self):
         certs = isolate_and_refine(quartic(128, -256, 200, -72, 9), 0, 1, Fraction(1, 10**20))
-        roots = [cert.midpoint for cert in certs]
+        roots = [sum(cert.isolating_interval) / 2 for cert in certs]
         assert len(roots) == 2
         assert abs(roots[0] - Fraction(1, 4)) <= Fraction(1, 10**20)
         assert abs(roots[1] - Fraction(3, 4)) <= Fraction(1, 10**20)
@@ -271,8 +276,8 @@ class TestIsolateAndRefine:
     def test_bracketed_irrational_roots(self):
         certs = isolate_and_refine(quartic(72, -108, 58, -14, 1), 0, 1, Fraction(1, 10**15))
         assert len(certs) == 2
-        assert Fraction(1, 10) < certs[0].midpoint < Fraction(15, 100)
-        assert Fraction(7, 10) < certs[1].midpoint < Fraction(3, 4)
+        assert Fraction(1, 10) < sum(certs[0].isolating_interval) / 2 < Fraction(15, 100)
+        assert Fraction(7, 10) < sum(certs[1].isolating_interval) / 2 < Fraction(3, 4)
 
     def test_quadruple_root_certified_once(self):
         certs = isolate_and_refine(quartic(1, -4, 6, -4, 1), 0, 2, Fraction(1, 10**10))
@@ -282,7 +287,7 @@ class TestIsolateAndRefine:
 
     def test_symmetric_triple(self):
         certs = isolate_and_refine(quartic(1, 0, -1, 0, 0), -2, 2, Fraction(1, 10**12))
-        mids = [cert.midpoint for cert in certs]
+        mids = [sum(cert.isolating_interval) / 2 for cert in certs]
         assert len(mids) == 3
         for mid, target in zip(mids, (-1, 0, 1)):
             assert abs(mid - target) <= Fraction(1, 10**12)
@@ -298,8 +303,7 @@ class TestIsolateAndRefine:
             assert prev_hi < lo < hi
             prev_hi = hi
             assert hi - lo < tol
-            assert lo < cert.midpoint < hi
-            assert abs(poly.evaluate(cert.midpoint)) <= tol
+            assert abs(poly.evaluate((lo + hi) / 2)) <= tol
             # exactly one sign change of the (square-free) quartic across the interval
             assert poly.evaluate(lo) * poly.evaluate(hi) < 0
             assert count_real_roots(poly, lo, hi) == 1
@@ -322,6 +326,12 @@ class TestIsolateAndRefine:
         (cert,) = isolate_and_refine(quartic(0, 0, 1, 0, -2), 1, 2, Fraction(1, 2**3998))
         lo, hi = cert.isolating_interval
         assert hi - lo == Fraction(1, 2**3999)
+
+    def test_refinement_stops_where_the_value_equals_tol(self):
+        # 12x - 4 with tol 1/4: on (1/4, 3/8) the width 1/8 is below tol and
+        # |P(5/16)| = 1/4 is tol itself, which the stop test accepts
+        (cert,) = isolate_and_refine(QuarticPoly(12, -4), 0, 1, Fraction(1, 4))
+        assert cert.isolating_interval == (Fraction(1, 4), Fraction(3, 8))
 
     @pytest.mark.parametrize("tol", [Fraction(1, 10**20), Fraction(1, 2**4100)])
     def test_refinement_lands_on_a_rational_root(self, tol):

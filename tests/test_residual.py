@@ -1,5 +1,3 @@
-from fractions import Fraction
-
 import numpy as np
 import pytest
 from hypothesis import given
@@ -14,7 +12,6 @@ from hopfharmonic import (
     UnsupportedFamily,
     chn_scan,
     curvature_spectrum,
-    is_proper_r_harmonic,
     r_independent_x,
     radius_from_x,
     residual,
@@ -36,15 +33,15 @@ class TestResidualValues:
         # exactly when sin^2(2t) = 1/r
         fam = F(CP.CP_A1, 1)
         t = mp.asin(1 / mp.sqrt(r)) / 2
-        assert abs(residual(fam, t, r).residual) < 1e-30
-        assert is_proper_r_harmonic(fam, t, r, 1e-12)
-        assert is_proper_r_harmonic(fam, t, r, Fraction(1, 10**12))  # mpf <= Fraction raised a bare TypeError
+        rep = residual(fam, t, r)
+        assert abs(rep.residual) < 1e-30
+        assert abs(rep.residual) <= 1e-12 and abs(rep.trace) > 1e-12
 
     def test_a2_exact_zero_at_pi_six(self):
         fam = F(CP.CP_A2, 3, 1)
         rep = residual(fam, mp.pi / 6, 2)
         assert abs(rep.residual) < 1e-30
-        assert is_proper_r_harmonic(fam, mp.pi / 6, 2, 1e-10)
+        assert abs(rep.residual) <= 1e-10 and abs(rep.trace) > 1e-10
 
     def test_horosphere_constant(self):
         rep = residual(F(CP.CH_A0, 2), None, 2)
@@ -53,14 +50,15 @@ class TestResidualValues:
 
     def test_minimal_radius_is_not_proper(self):
         fam = F(CP.CP_A1, 2)
-        assert abs(residual(fam, mp.pi / 6, 5).trace) < 1e-30
-        assert not is_proper_r_harmonic(fam, mp.pi / 6, 5, 1e-10)
+        rep = residual(fam, mp.pi / 6, 5)
+        assert abs(rep.trace) < 1e-30
+        assert not (abs(rep.residual) <= 1e-10 and abs(rep.trace) > 1e-10)
 
     def test_generic_radius_is_not_proper(self):
         fam = F(CP.CP_A1, 2)
         rep = residual(fam, mp.pi / 5, 2)
         assert rep.residual < -0.3  # decisively nonzero
-        assert not is_proper_r_harmonic(fam, mp.pi / 5, 2, 1e-10)
+        assert not (abs(rep.residual) <= 1e-10 and abs(rep.trace) > 1e-10)
 
     def test_rejects_low_order(self):
         with pytest.raises(InvalidOrder):
