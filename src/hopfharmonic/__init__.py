@@ -42,6 +42,7 @@ from .families import (
 from .residual import (
     ResidualReport,
     chn_scan,
+    chn_sweep,
     residual,
     residual_grid,
     tail_residual,

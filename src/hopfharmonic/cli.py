@@ -32,7 +32,7 @@ from .existence import (
 )
 from .families import FamilyTag, HypersurfaceFamily, admissible_families, fixed_dimension, x_from_radius
 from .quartic import build_quartic
-from .residual import chn_scan, residual_grid
+from .residual import chn_sweep, residual_grid
 
 _CP_TYPES = {tag.value[3:]: tag for tag in FamilyTag if tag.value.startswith("CP_")}  # --type A1 is CP_A1
 _CH_TAGS = [tag for tag in FamilyTag if tag not in _CP_TYPES.values()]
@@ -232,10 +232,10 @@ def _check_offset_probe_poly():
 def _check_trig_identities():
     rng = random.Random(_TRIG_SEED)
     with mp.workdps(max(mp.dps, 35)):
-        quarter = mp.pi / 4
+        shifts, t_max = [j * (mp.pi / 4) for j in range(4)], float(mp.pi) / 4 - 1e-3
         for _ in range(1000):
-            t = mp.mpf(rng.uniform(1e-3, float(mp.pi) / 4 - 1e-3))
-            lams = [mp.cot(t - j * quarter) for j in range(4)]
+            t = mp.mpf(rng.uniform(1e-3, t_max))
+            lams = [mp.cot(t - shift) for shift in shifts]
             cot4 = mp.cot(4 * t)
             lhs1, rhs1 = mp.fsum(lams), 4 * cot4
             lhs2, rhs2 = mp.fsum(l * l for l in lams), 12 + 16 * cot4**2
@@ -245,11 +245,11 @@ def _check_trig_identities():
 
 
 def _check_ch_negativity(r_max):
-    grid = np.linspace(0.01, 12.0, 2000)
+    grid, orders = np.linspace(0.01, 12.0, 2000), range(2, r_max + 1)
     worst = -np.inf
     for family in (f for tag in _CH_TAGS for f in admissible_families(tag, 5)):
-        for r in range(2, r_max + 1):
-            worst = max(worst, chn_scan(family, r, grid))
+        for r, value in zip(orders, chn_sweep(family, orders, grid).tolist()):
+            worst = max(worst, value)
             if worst >= -1e-6:
                 return False, f"residual not negative for {family.tag.value} n={family.n} r={r}"
     return True, f"hyperbolic residuals stay below -1e-6 (worst {worst:.6g}) for r <= {r_max}"

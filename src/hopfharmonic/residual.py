@@ -7,8 +7,9 @@ holomorphic curvature c is properly r-harmonic exactly when
 
 vanishes.  With c fixed at +/-4 the leading factor is +/-1.  For hyperbolic
 families every term is strictly negative, so the residual never vanishes;
-``chn_scan`` verifies this empirically on a grid (float64 fast lane), with
-``tail_residual`` covering the large-radius limit.
+``chn_sweep`` verifies this empirically on a grid (float64 fast lane), at
+every order from one spectrum, with ``tail_residual`` covering the
+large-radius limit.
 """
 
 from __future__ import annotations
@@ -60,34 +61,47 @@ def residual(family: HypersurfaceFamily, t=None, r: int = 2) -> ResidualReport:
     )
 
 
-@np.errstate(over="ignore", invalid="ignore")  # a value float64 cannot hold is refused below
-def residual_grid(family: HypersurfaceFamily, r: int, ts) -> np.ndarray:
-    """Vectorised float64 residual over radii that ``spectrum_arrays`` accepts, r and 2(n + 1) <= 2**53 (sign-scan lane)."""
-    r = check_order(r)
+def _float64_sums(family: HypersurfaceFamily, orders, ts):
+    """alpha, tr S and tr S^2 over ts as float64 arrays: one spectrum for every order, once r and 2(n + 1) <= 2**53."""
     alpha, branches = spectrum_arrays(family, ts)  # checks family before its n is read
-    if r > 2**53:  # the lane's integers are exact float64s: r, and 2(n + 1), which bounds the multiplicities
+    if max(orders) > 2**53:  # the lane's integers are exact float64s: r, and 2(n + 1), which bounds the multiplicities
         raise InvalidOrder("order r is past 2**53, the float64 lane's exact integers")
     if 2 * (family.n + 1) > 2**53:
         raise InvalidFamily(f"{family.tag.value}'s 2(n + 1) is past 2**53, the float64 lane's exact integers")
     trace = alpha + sum(m * lam for lam, m in branches)
     trace_sq = alpha**2 + sum(m * lam**2 for lam, m in branches)
+    return alpha, trace, trace_sq
+
+
+def _float64_residual(family: HypersurfaceFamily, r: int, alpha, trace, trace_sq) -> np.ndarray:
     values = _residual_value(family.space_form_sign, family.n, r, trace, trace_sq, alpha)
     if not np.isfinite(values).all():
         raise RadiusOutOfDomain(f"the {family.tag.value} residual overflows float64 on this grid")
     return values
 
 
-def chn_scan(family: HypersurfaceFamily, r: int, grid) -> float:
-    """Maximum residual of a hyperbolic family over a radius grid.
+@np.errstate(over="ignore", invalid="ignore")  # a value float64 cannot hold is refused in _float64_residual
+def residual_grid(family: HypersurfaceFamily, r: int, ts) -> np.ndarray:
+    """Vectorised float64 residual over radii that ``spectrum_arrays`` accepts, r and 2(n + 1) <= 2**53 (sign-scan lane)."""
+    r = check_order(r)
+    return _float64_residual(family, r, *_float64_sums(family, [r], ts))
 
-    The scan passes when the maximum is strictly negative.  The grid must be
-    nonempty, stay inside the open domain and avoid the CH_B forbidden radius.
-    """
+
+@np.errstate(over="ignore", invalid="ignore")  # as in residual_grid
+def chn_sweep(family: HypersurfaceFamily, orders, grid) -> np.ndarray:
+    """Maximum residual of a hyperbolic family over a nonempty grid that ``residual_grid`` takes, at each order (float64)."""
     check_family(family, projective=False)
-    values = residual_grid(family, r, grid)
-    if values.size == 0:
+    if not np.iterable(orders) or not (orders := [check_order(r) for r in orders]):
+        raise InvalidOrder(f"orders must be a nonempty iterable of integers >= 2, got {orders!r}")
+    alpha, trace, trace_sq = _float64_sums(family, orders, grid)
+    if alpha.size == 0:
         raise RadiusOutOfDomain("the grid holds no radius")
-    return float(np.max(values))
+    return np.array([np.max(_float64_residual(family, r, alpha, trace, trace_sq)) for r in orders])
+
+
+def chn_scan(family: HypersurfaceFamily, r: int, grid) -> float:
+    """``chn_sweep`` at the one order r; the scan passes when the maximum is strictly negative."""
+    return float(chn_sweep(family, (r,), grid)[0])
 
 
 def tail_residual(family: HypersurfaceFamily, r: int):

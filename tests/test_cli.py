@@ -12,6 +12,7 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -237,7 +238,8 @@ WRONG_INPUTS = [
     ("exact", "biquadratic-relation", CLI + "a2_closed_form", _closed_form_moved, "closed-form root misses"),
     ("exact", "offset-probe-poly", CLI + "a1_offset_probe_poly", _offset_probe_poly_moved, "offset-probe polynomial"),
     ("trig", "quarter-turn-identities", CLI + "mp.cot", lambda t: _cot(t + mp.mpf("1e-6")), "cotangent identity"),
-    ("ch-nonexistence", "hyperbolic-negativity", CLI + "chn_scan", lambda family, r, grid: 0.0, "not negative"),
+    ("ch-nonexistence", "hyperbolic-negativity", CLI + "chn_sweep", lambda family, orders, grid: np.zeros(len(orders)),
+     "not negative"),
     ("roundtrip", "root-residual-roundtrip", CLI + "certify_radii", _residuals_moved, "too large"),
     ("roundtrip", "root-residual-roundtrip", CLI + "certify_radii", lambda *args: certify_radii(*args)[1:],
      "outside certificates"),
@@ -459,6 +461,35 @@ def test_the_module_runs_as_a_script():
                           env={**os.environ, "PYTHONPATH": path, "PYTHONIOENCODING": "utf-8"}, capture_output=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert hashlib.sha256(proc.stdout).hexdigest() == dict(README_REPORTS)[command]
+
+
+def test_the_hyperbolic_check_builds_one_spectrum_per_family(capsys, monkeypatch):
+    # the spectrum does not depend on r: one float64 spectrum serves every order of a family
+    residual_module = importlib.import_module("hopfharmonic.residual")
+    built, build = [], residual_module.spectrum_arrays
+    monkeypatch.setattr(residual_module, "spectrum_arrays", lambda family, ts: built.append(family) or build(family, ts))
+    command = "verify --suite ch-nonexistence --r-max 20"
+    code, out = run(capsys, *command.split())
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == dict(README_REPORTS)[command]
+    assert len(built) == len(set(built)) == 22
+
+
+def test_the_hyperbolic_check_names_the_first_failing_order(capsys, monkeypatch):
+    # each family is swept at r = 2..r_max, and the check stops at the first (family, r) not below -1e-6
+    cli = importlib.import_module("hopfharmonic.cli")
+    swept = []
+
+    def sweep(family, orders, grid):
+        swept.append((family, list(orders)))
+        return np.array([0.0 if (len(swept), r) == (3, 5) else -1.0 for r in orders])
+
+    monkeypatch.setattr(cli, "chn_sweep", sweep)
+    code, out = run(capsys, "verify", "--suite", "ch-nonexistence", "--r-max", "6", "--format", "text")
+    assert code == 1
+    assert [orders for _, orders in swept] == [[2, 3, 4, 5, 6]] * 3
+    family = swept[2][0]
+    assert f"residual not negative for {family.tag.value} n={family.n} r=5" in out
 
 
 def test_readme_command_list_is_the_pinned_list():

@@ -39,6 +39,7 @@ from hopfharmonic import (
     build_quartic,
     certify_radii,
     chn_scan,
+    chn_sweep,
     count_real_roots,
     count_solutions,
     curvature_spectrum,
@@ -79,6 +80,7 @@ ORDER_ENTRY_POINTS = {
     "residual": lambda r: residual(A1, 0.3, r),
     "residual_grid": lambda r: residual_grid(A1, r, np.linspace(0.1, 1.4, 9)).tolist(),
     "chn_scan": lambda r: chn_scan(F(CP.CH_A1_GEODESIC, 3), r, GRID),
+    "chn_sweep": lambda r: chn_sweep(F(CP.CH_A1_GEODESIC, 3), [2, r], GRID).tolist(),
     "tail_residual": lambda r: tail_residual(F(CP.CH_A2, 4, 1), r),
     "a2_closed_form": lambda r: a2_closed_form(5, r),
 }
@@ -370,6 +372,7 @@ FAMILY_ENTRY_POINTS = {
     "spectrum_arrays": lambda f: spectrum_arrays(f, [0.3]),
     "residual_grid": lambda f: residual_grid(f, 2, [0.3]),
     "chn_scan": lambda f: chn_scan(f, 2, [0.3]),
+    "chn_sweep": lambda f: chn_sweep(f, [2], [0.3]),
     "tail_residual": lambda f: tail_residual(f, 2),
     "minimal_x": minimal_x,
     "r_independent_x": r_independent_x,
@@ -501,6 +504,7 @@ CLOSED = {
     "spectrum_arrays": (spectrum_arrays, (FAMILY, RADII)),
     "residual_grid": (residual_grid, (FAMILY, ORDER, RADII)),
     "chn_scan": (chn_scan, (FAMILY, ORDER, RADII)),
+    "chn_sweep": (chn_sweep, (FAMILY, st.lists(ORDER, max_size=4), RADII)),
     "tail_residual": (tail_residual, (FAMILY, ORDER)),
     "minimal_x": (minimal_x, (FAMILY,)),
     "r_independent_x": (r_independent_x, (FAMILY,)),
@@ -528,7 +532,7 @@ CLOSED = {
 
 
 @pytest.mark.parametrize("name", CLOSED)
-@settings(max_examples=30)  # keeps the 31 entries near 4 s together
+@settings(max_examples=30)  # keeps the 32 entries near 4 s together
 @given(data=st.data())
 def test_every_call_returns_or_raises_a_hopf_error(name, data):
     # one argument hostile and the rest well-typed, so the bad one meets the
@@ -569,6 +573,7 @@ BASE_ARGS = {
     "spectrum_arrays": (A1, [0.3, 0.6]),
     "residual_grid": (A1, 3, [0.3, 0.6]),
     "chn_scan": (CH, 3, [0.3, 0.6]),
+    "chn_sweep": (CH, [2, 3], [0.3, 0.6]),
     "tail_residual": (CH, 3),
     "minimal_x": (A1,),
     "r_independent_x": (A1,),

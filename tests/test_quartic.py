@@ -31,6 +31,13 @@ def quartic(*coeffs):
     return QuarticPoly(*map(Fraction, coeffs))
 
 
+def _monic(roots):
+    coeffs = [Fraction(1)]  # highest degree first
+    for x in roots:
+        coeffs = [a - x * b for a, b in zip(coeffs + [0], [0] + coeffs)]
+    return QuarticPoly(*coeffs)
+
+
 class TestBuild:
     def test_a1_n2_r2(self):
         poly = build_quartic(F(CP.CP_A1, 2), 2)
@@ -327,6 +334,11 @@ class TestIsolateAndRefine:
         lo, hi = cert.isolating_interval
         assert hi - lo == Fraction(1, 2**3999)
 
+    def test_refinement_refuses_the_level_at_the_bound(self):
+        # the width test first passes at level 4000, one past the last level the bound allows
+        with pytest.raises(ToleranceNotReached):
+            isolate_and_refine(quartic(0, 0, 1, 0, -2), 1, 2, Fraction(1, 2**3999))
+
     def test_refinement_stops_where_the_value_equals_tol(self):
         # 12x - 4 with tol 1/4: on (1/4, 3/8) the width 1/8 is below tol and
         # |P(5/16)| = 1/4 is tol itself, which the stop test accepts
@@ -381,12 +393,23 @@ class TestIsolateAndRefine:
         ids=["pair", "pair-left-of-an-exact-root", "pair-right-of-an-exact-root"],
     )
     def test_isolation_may_take_every_halving(self, roots):
-        coeffs = [Fraction(1)]  # highest degree first
-        for x in roots:
-            coeffs = [a - x * b for a, b in zip(coeffs + [0], [0] + coeffs)]
-        certs = isolate_and_refine(QuarticPoly(*coeffs), 0, 1, Fraction(1, 10**6))
+        certs = isolate_and_refine(_monic(roots), 0, 1, Fraction(1, 10**6))
         assert len(certs) == len(roots)
         assert all(cert.isolating_interval[0] < x < cert.isolating_interval[1] for cert, x in zip(certs, roots))
+
+    @pytest.mark.parametrize(
+        "roots",
+        [
+            # the first midpoint is a root; beside its window a pair parts only at the 4002nd halving,
+            # so the bound refuses it, as it would not if the window's split did not count
+            [Fraction(1, 7), Fraction(1, 7) + Fraction(1, 2**4002), Fraction(1, 2)],
+            [Fraction(1, 2), Fraction(5, 7), Fraction(5, 7) + Fraction(1, 2**4002)],
+        ],
+        ids=["pair-left-of-an-exact-root", "pair-right-of-an-exact-root"],
+    )
+    def test_isolation_beside_an_exact_root_counts_its_halving(self, roots):
+        with pytest.raises(ToleranceNotReached):
+            isolate_and_refine(_monic(roots), 0, 1, Fraction(1, 10**6))
 
     def test_free_polynomials_have_no_radius(self):
         certs = isolate_and_refine(quartic(1, 0, -1, 0, 0), -2, 2, Fraction(1, 10**8))

@@ -6,11 +6,14 @@ from hypothesis import strategies as st
 from hopfharmonic import mp
 from hopfharmonic import (
     FamilyTag,
+    HopfError,
     HypersurfaceFamily,
     InvalidOrder,
     RadiusOutOfDomain,
     UnsupportedFamily,
+    admissible_families,
     chn_scan,
+    chn_sweep,
     curvature_spectrum,
     r_independent_x,
     radius_from_x,
@@ -160,6 +163,47 @@ class TestHyperbolicScan:
         limit = tail_residual(fam, 6)
         far = residual(fam, 25, 6).residual
         assert abs(far - limit) < 1e-12
+
+
+CH_B3 = F(CP.CH_B, 3)
+# one bad input each, as chn_scan(family, r, grid); the sweep gets r among good orders
+SCAN_FAULTS = {
+    "order-1": (CH_B3, 1, [0.3]),
+    "order-float": (CH_B3, 2.5, [0.3]),
+    "order-str": (CH_B3, "3", [0.3]),
+    "order-none": (CH_B3, None, [0.3]),
+    "order-past-2^53": (CH_B3, 2**53 + 1, [0.3]),
+    "empty-grid": (CH_B3, 3, []),
+    "projective": (F(CP.CP_A1, 3), 3, [0.3]),
+    "excluded-radius": (CH_B3, 3, [0.3, float(CH_B3.excluded_radius)]),
+    "2(n+1)-past-2^53": (F(CP.CH_A0, 2**52), 3, [0.3]),
+}
+
+
+class TestHyperbolicSweep:
+    def test_equals_the_scan_at_every_order(self):
+        grid = np.linspace(0.01, 12, 2000)
+        orders = range(2, 41)
+        families = [f for tag in CP if not tag.value.startswith("CP_") for f in admissible_families(tag, 12)]
+        assert len(families) > 22
+        for fam in families:
+            sweep = chn_sweep(fam, orders, grid)
+            assert sweep.dtype == np.float64
+            assert sweep.tobytes() == np.array([chn_scan(fam, r, grid) for r in orders]).tobytes(), fam
+
+    @pytest.mark.parametrize("family,r,grid", SCAN_FAULTS.values(), ids=SCAN_FAULTS)
+    def test_refuses_what_the_scan_refuses(self, family, r, grid):
+        with pytest.raises(HopfError) as scan:
+            chn_scan(family, r, grid)
+        for orders in ([r], [r, 5], [2, r, 5], [2, r]):  # the order first, inside and last
+            with pytest.raises(HopfError) as sweep:
+                chn_sweep(family, orders, grid)
+            assert type(sweep.value) is type(scan.value), orders
+
+    @pytest.mark.parametrize("orders", [[], (), range(2, 2), None, 3], ids=repr)
+    def test_refuses_no_orders(self, orders):
+        with pytest.raises(InvalidOrder):
+            chn_sweep(CH_B3, orders, [0.3])
 
 
 class TestGridLane:
