@@ -492,6 +492,18 @@ def test_the_hyperbolic_check_names_the_first_failing_order(capsys, monkeypatch)
     assert f"residual not negative for {family.tag.value} n={family.n} r=5" in out
 
 
+def test_the_trig_check_samples_1000_radii_across_the_quarter_turn(monkeypatch):
+    # five cotangents per radius, the first at t itself, at 35 digits at least; the radii reach past pi/5
+    cli = importlib.import_module("hopfharmonic.cli")
+    calls, cot = [], cli.mp.cot
+    monkeypatch.setattr(cli.mp, "cot", lambda x: calls.append((x, cli.mp.dps)) or cot(x))
+    with cli.mp.workdps(30):  # the shipped precision, below the check's floor
+        assert cli._check_trig_identities()[0]
+    assert len(calls) == 5000 and {dps for _, dps in calls} == {35}
+    ts = [t for t, _ in calls[::5]]
+    assert 1e-3 < min(ts) and mp.pi / 5 < max(ts) < mp.pi / 4 - 1e-3
+
+
 def test_readme_command_list_is_the_pinned_list():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     block = re.search(r"```sh\n(.*?)```", readme.split("## Command line", 1)[1], re.S).group(1)
