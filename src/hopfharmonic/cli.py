@@ -13,6 +13,7 @@ import csv
 import functools
 import io
 import json
+import math
 import random
 import sys
 from fractions import Fraction
@@ -230,16 +231,18 @@ def _check_offset_probe_poly():
 
 
 def _check_trig_identities():
+    # The 35-digit cotangents are tested in float64: sum lambda^2 = 12 + rhs1^2 = rhs2 bounds each lambda^2 by rhs2 and
+    # |lambda| by 4 max(1, |rhs1|), so each residual errs by a few 1e-15 of its tolerance's scale, far below 1e-10.
     rng = random.Random(_TRIG_SEED)
     with mp.workdps(max(mp.dps, 35)):
         shifts, t_max = [j * (mp.pi / 4) for j in range(4)], float(mp.pi) / 4 - 1e-3
         for _ in range(1000):
             t = mp.mpf(rng.uniform(1e-3, t_max))
-            lams = [mp.cot(t - shift) for shift in shifts]
-            cot4 = mp.cot(4 * t)
-            lhs1, rhs1 = mp.fsum(lams), 4 * cot4
-            lhs2, rhs2 = mp.fsum(l * l for l in lams), 12 + 16 * cot4**2
-            if abs(lhs1 - rhs1) > 1e-10 * max(1, abs(rhs1)) or abs(lhs2 - rhs2) > 1e-10 * abs(rhs2):
+            lams = [float(mp.cot(t - shift)) for shift in shifts]
+            cot4 = float(mp.cot(4 * t))
+            rhs1, rhs2 = 4 * cot4, 12 + 16 * cot4**2
+            res1, res2 = math.fsum([*lams, -rhs1]), math.fsum([*(l * l for l in lams), -rhs2])
+            if abs(res1) > 1e-10 * max(1, abs(rhs1)) or abs(res2) > 1e-10 * abs(rhs2):
                 return False, f"quarter-turn cotangent identity failed at t={mp.nstr(t, 12)}"
     return True, "quarter-turn cotangent identities hold at 1000 random radii"
 
@@ -277,9 +280,7 @@ def _check_roundtrip():
                     return False, f"residual {mp.nstr(res, 4)} too large for {family.tag.value} r={r}"
             values = residual_grid(family, r, ts)
             intervals = [cert.isolating_interval for cert in certs]
-            for i in range(len(ts) - 1):
-                if values[i] == 0 or values[i] * values[i + 1] >= 0:
-                    continue
+            for i in np.flatnonzero(values[:-1] * values[1:] < 0):
                 xa = to_fraction(float(x_from_radius(family, ts[i])))
                 xb = to_fraction(float(x_from_radius(family, ts[i + 1])))
                 xlo, xhi = min(xa, xb), max(xa, xb)

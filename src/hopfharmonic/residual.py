@@ -5,11 +5,12 @@ holomorphic curvature c is properly r-harmonic exactly when
 
     (4/c) (tr S^2)^2 - 2 (n+1) tr S^2 - (r-2) (tr S)^2 - 3 alpha (r-2) tr S
 
-vanishes.  With c fixed at +/-4 the leading factor is +/-1.  For hyperbolic
-families every term is strictly negative, so the residual never vanishes;
-``chn_sweep`` verifies this empirically on a grid (float64 fast lane), at
-every order from one spectrum, with ``tail_residual`` covering the
-large-radius limit.
+vanishes.  With c fixed at +/-4 the leading factor is +/-1.  The float64
+lane evaluates it as base - (r-2) slope, with base = +/-(tr S^2)^2 - 2 (n+1)
+tr S^2 and slope = tr S (tr S + 3 alpha) computed once for every order.  For
+hyperbolic families every term is strictly negative, so the residual never
+vanishes; ``chn_sweep`` verifies this empirically on a grid (float64 fast
+lane), with ``tail_residual`` covering the large-radius limit.
 """
 
 from __future__ import annotations
@@ -62,7 +63,7 @@ def residual(family: HypersurfaceFamily, t=None, r: int = 2) -> ResidualReport:
 
 
 def _float64_sums(family: HypersurfaceFamily, orders, ts):
-    """alpha, tr S and tr S^2 over ts as float64 arrays: one spectrum for every order, once r and 2(n + 1) <= 2**53."""
+    """The residual's order-free base and its slope in r - 2 over ts as float64 arrays, once r and 2(n + 1) <= 2**53."""
     alpha, branches = spectrum_arrays(family, ts)  # checks family before its n is read
     if max(orders) > 2**53:  # the lane's integers are exact float64s: r, and 2(n + 1), which bounds the multiplicities
         raise InvalidOrder("order r is past 2**53, the float64 lane's exact integers")
@@ -70,11 +71,11 @@ def _float64_sums(family: HypersurfaceFamily, orders, ts):
         raise InvalidFamily(f"{family.tag.value}'s 2(n + 1) is past 2**53, the float64 lane's exact integers")
     trace = alpha + sum(m * lam for lam, m in branches)
     trace_sq = alpha**2 + sum(m * lam**2 for lam, m in branches)
-    return alpha, trace, trace_sq
+    return family.space_form_sign * trace_sq**2 - 2 * (family.n + 1) * trace_sq, trace * (trace + 3 * alpha)
 
 
-def _float64_residual(family: HypersurfaceFamily, r: int, alpha, trace, trace_sq) -> np.ndarray:
-    values = _residual_value(family.space_form_sign, family.n, r, trace, trace_sq, alpha)
+def _float64_residual(family: HypersurfaceFamily, r: int, base, slope) -> np.ndarray:
+    values = base - (r - 2) * slope
     if not np.isfinite(values).all():
         raise RadiusOutOfDomain(f"the {family.tag.value} residual overflows float64 on this grid")
     return values
@@ -93,10 +94,10 @@ def chn_sweep(family: HypersurfaceFamily, orders, grid) -> np.ndarray:
     check_family(family, projective=False)
     if not np.iterable(orders) or not (orders := [check_order(r) for r in orders]):
         raise InvalidOrder(f"orders must be a nonempty iterable of integers >= 2, got {orders!r}")
-    alpha, trace, trace_sq = _float64_sums(family, orders, grid)
-    if alpha.size == 0:
+    base, slope = _float64_sums(family, orders, grid)
+    if base.size == 0:
         raise RadiusOutOfDomain("the grid holds no radius")
-    return np.array([np.max(_float64_residual(family, r, alpha, trace, trace_sq)) for r in orders])
+    return np.array([np.max(_float64_residual(family, r, base, slope)) for r in orders])
 
 
 def chn_scan(family: HypersurfaceFamily, r: int, grid) -> float:

@@ -3,6 +3,7 @@ import dataclasses
 import hashlib
 import importlib
 import io
+import itertools
 import json
 import math
 import os
@@ -502,6 +503,48 @@ def test_the_trig_check_samples_1000_radii_across_the_quarter_turn(monkeypatch):
     assert len(calls) == 5000 and {dps for _, dps in calls} == {35}
     ts = [t for t, _ in calls[::5]]
     assert 1e-3 < min(ts) and mp.pi / 5 < max(ts) < mp.pi / 4 - 1e-3
+
+
+def test_the_trig_check_tests_the_residuals_formed_at_35_digits(monkeypatch):
+    # the two float64 residuals the check tests at each radius are the 35-digit ones to 1e-12 max(1, |rhs|)
+    cli = importlib.import_module("hopfharmonic.cli")
+    cots, sums = [], []
+    cot, fsum = cli.mp.cot, math.fsum
+    monkeypatch.setattr(cli.mp, "cot", lambda x: cots.append(cot(x)) or cots[-1])
+    monkeypatch.setattr(cli.math, "fsum", lambda terms: sums.append(fsum(terms)) or sums[-1])
+    with cli.mp.workdps(30):
+        assert cli._check_trig_identities()[0]
+    assert len(cots) == 5000 and len(sums) == 2000
+    with mp.workdps(35):
+        for i in range(1000):
+            *lams, cot4 = cots[5 * i:5 * i + 5]
+            identities = ((mp.fsum(lams), 4 * cot4), (mp.fsum(l * l for l in lams), 12 + 16 * cot4**2))
+            for res, (lhs, rhs) in zip(sums[2 * i:2 * i + 2], identities):
+                assert abs(res - (lhs - rhs)) <= 1e-12 * max(1, abs(rhs)), (i, res, lhs - rhs)
+
+
+def test_the_trig_check_fails_where_4_cot_4t_is_small(monkeypatch):
+    # cot 4t alone moves by 3.75e-11, so sum lambda - 4 cot 4t is off by 1.5e-10 at every radius: past the first
+    # tolerance, 1e-10 max(1, |4 cot 4t|), where |4 cot 4t| < 1.5, while the second identity moves by
+    # 32 |cot 4t| 3.75e-11 < 1e-10 (12 + 16 cot^2 4t) at every radius
+    cli = importlib.import_module("hopfharmonic.cli")
+    args, cot = [], cli.mp.cot
+    shift = mp.mpf("3.75e-11")
+    monkeypatch.setattr(cli.mp, "cot", lambda x: args.append(x) or cot(x) + (shift if len(args) % 5 == 0 else 0))
+    passed, detail = cli._check_trig_identities()
+    t = args[-5]  # the failing radius, the first cotangent's argument
+    assert not passed and detail == f"quarter-turn cotangent identity failed at t={mp.nstr(t, 12)}"
+    assert abs(4 * mp.cot(4 * t)) < 1.5
+
+
+@pytest.mark.parametrize("residuals", [(1e-10, 0.0), (0.0, 1e-10 * 12)], ids=["sum", "sum-of-squares"])
+def test_the_trig_check_passes_a_residual_equal_to_its_tolerance(monkeypatch, residuals):
+    # every cotangent 0 makes the tolerances 1e-10 max(1, 0) and 1e-10 * 12; one residual sits at its tolerance
+    cli = importlib.import_module("hopfharmonic.cli")
+    sums = itertools.cycle(residuals)
+    monkeypatch.setattr(cli.mp, "cot", lambda x: mp.mpf(0))
+    monkeypatch.setattr(cli.math, "fsum", lambda terms: next(sums))
+    assert cli._check_trig_identities() == (True, "quarter-turn cotangent identities hold at 1000 random radii")
 
 
 def test_readme_command_list_is_the_pinned_list():

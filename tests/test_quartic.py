@@ -420,6 +420,14 @@ class TestIsolateAndRefine:
         (cert,) = isolate_and_refine(QuarticPoly(2, -3, family=F(CP.CP_A1, 2), r=3), 0, 2, Fraction(1, 10**8))
         assert cert.radius is None and cert.residual_report is None
 
+    @pytest.mark.parametrize("lo,hi,tol", [(-0.5, 0.5, 2), (0.5, 1.5, 10)], ids=["centred-on-0", "centred-on-1"])
+    def test_a_root_read_at_an_end_of_the_unit_interval_has_no_radius(self, lo, hi, tol):
+        # the cell holds one root of the A1 quartic (n = 2, r = 2), and a tol above |P| there (1 at x = 0, 9 at
+        # x = 1) stops refinement at once, so the root is read at the cell's midpoint, where no tube is
+        (cert,) = isolate_and_refine(build_quartic(F(CP.CP_A1, 2), 2), lo, hi, tol)
+        assert cert.refined_root == (lo + hi) / 2
+        assert cert.radius is None and cert.residual_report is None
+
 
 class TestRootToRadius:
     def test_is_the_family_radius_map(self):

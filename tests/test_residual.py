@@ -19,11 +19,13 @@ from hopfharmonic import (
     radius_from_x,
     residual,
     residual_grid,
+    spectrum_arrays,
     tail_residual,
     trace_shape,
     trace_shape_squared,
 )
 from hopfharmonic.errors import ExcludedRadius
+from hopfharmonic.residual import _residual_value
 
 F = HypersurfaceFamily
 CP = FamilyTag
@@ -177,6 +179,7 @@ SCAN_FAULTS = {
     "projective": (F(CP.CP_A1, 3), 3, [0.3]),
     "excluded-radius": (CH_B3, 3, [0.3, float(CH_B3.excluded_radius)]),
     "2(n+1)-past-2^53": (F(CP.CH_A0, 2**52), 3, [0.3]),
+    "overflow": (CH_B3, 3, [0.3, 1e-160]),  # (tr S^2)^2 past float64
 }
 
 
@@ -222,3 +225,19 @@ class TestGridLane:
         for t, v in zip(ts, vals):
             exact = float(residual(fam, t, 5).residual)
             assert abs(v - exact) <= 1e-9 * max(1.0, abs(exact))
+
+    @pytest.mark.parametrize("tag", list(CP), ids=lambda tag: tag.value)
+    def test_factored_lane_is_the_expanded_residual(self, tag):
+        # base - (r - 2) slope against _residual_value on the same float64 sums, over the benchmark's 1000-point grids:
+        # each side rounds a few products and sums of the four terms, so they agree to 8 ulps of the largest term
+        for fam in admissible_families(tag, 12):
+            hi = float(fam.radius_domain()[1]) if fam.is_projective else 12.0
+            ts = np.linspace(hi / 1001, hi * 1000 / 1001, 1000)
+            alpha, branches = spectrum_arrays(fam, ts)
+            trace = alpha + sum(m * lam for lam, m in branches)
+            trace_sq = alpha**2 + sum(m * lam**2 for lam, m in branches)
+            for r in (2, 17, 89):
+                expanded = _residual_value(fam.space_form_sign, fam.n, r, trace, trace_sq, alpha)
+                terms = (trace_sq**2, 2 * (fam.n + 1) * trace_sq, (r - 2) * trace**2, 3 * alpha * (r - 2) * trace)
+                ulp = np.spacing(np.max(np.abs(terms), axis=0))
+                assert np.all(np.abs(residual_grid(fam, r, ts) - expanded) <= 8 * ulp), (fam, r)
