@@ -19,6 +19,7 @@ import sys
 from fractions import Fraction
 
 import numpy as np
+from mpmath.libmp import fone, from_float, mpf_div, mpf_pos, mpf_shift, mpf_sub, mpf_tan, round_nearest, to_float
 
 from . import __version__
 from .biharmonic import BRANCHES, index_threshold_scan, stability_condition
@@ -230,20 +231,29 @@ def _check_offset_probe_poly():
     return True, "offset-probe coefficients exact up to n=30"
 
 
+def _cot(x, prec) -> float:
+    """float(mp.cot(x)) at precision prec for a raw mpf x, with mpmath 1.3.0's own steps and roundings:
+    ``functions.cot`` is 1 / tan(x), which ``_wrap_specfun`` works out at prec + 10 and rounds back with +retval."""
+    rnd = round_nearest
+    return to_float(mpf_pos(mpf_div(fone, mpf_tan(x, prec + 10, rnd), prec + 10, rnd), prec, rnd), rnd=rnd)
+
+
 def _check_trig_identities():
     # The 35-digit cotangents are tested in float64: sum lambda^2 = 12 + rhs1^2 = rhs2 bounds each lambda^2 by rhs2 and
     # |lambda| by 4 max(1, |rhs1|), so each residual errs by a few 1e-15 of its tolerance's scale, far below 1e-10.
-    rng = random.Random(_TRIG_SEED)
+    # The arguments are raw mpf tuples, rounded as the mpf operations t - shift and 4 * t round them.
+    rng, rnd = random.Random(_TRIG_SEED), round_nearest
     with mp.workdps(max(mp.dps, 35)):
-        shifts, t_max = [j * (mp.pi / 4) for j in range(4)], float(mp.pi) / 4 - 1e-3
+        prec = mp.prec
+        shifts, t_max = [(j * (mp.pi / 4))._mpf_ for j in range(4)], float(mp.pi) / 4 - 1e-3
         for _ in range(1000):
-            t = mp.mpf(rng.uniform(1e-3, t_max))
-            lams = [float(mp.cot(t - shift)) for shift in shifts]
-            cot4 = float(mp.cot(4 * t))
+            t = from_float(rng.uniform(1e-3, t_max))
+            lams = [_cot(mpf_sub(t, shift, prec, rnd), prec) for shift in shifts]
+            cot4 = _cot(mpf_shift(t, 2), prec)
             rhs1, rhs2 = 4 * cot4, 12 + 16 * cot4**2
             res1, res2 = math.fsum([*lams, -rhs1]), math.fsum([*(l * l for l in lams), -rhs2])
             if abs(res1) > 1e-10 * max(1, abs(rhs1)) or abs(res2) > 1e-10 * abs(rhs2):
-                return False, f"quarter-turn cotangent identity failed at t={mp.nstr(t, 12)}"
+                return False, f"quarter-turn cotangent identity failed at t={mp.nstr(mp.make_mpf(t), 12)}"
     return True, "quarter-turn cotangent identities hold at 1000 random radii"
 
 

@@ -140,6 +140,35 @@ def test_isolate_and_refine_rejects_tolerance(tol):
         isolate_and_refine(build_quartic(A1, 3), 0, 1, tol)
 
 
+def test_an_infinite_tolerance_is_refused_as_not_finite():
+    # the tolerance check itself refuses inf, so the message names the rule, not the later exact conversion
+    with pytest.raises(InvalidTolerance, match="^tolerance must be a finite positive number, got inf$"):
+        isolate_and_refine(build_quartic(A1, 3), 0, 1, math.inf)
+
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan], ids=repr)
+def test_a_non_finite_mpf_is_refused_as_its_float_is(value):
+    # an mpf reaches the domain, range or sign rule as it is, so an infinite or NaN mpf gets the float's message
+    for call, error in (
+        (lambda v: x_from_radius(A1, v), RadiusOutOfDomain),
+        (lambda v: radius_from_x(A1, v), RootOutOfRange),
+        (lambda v: scaled_curvature_spectrum(A1, 0.3, v), UnsupportedFamily),
+    ):
+        messages = []
+        for v in (value, mp.mpf(value)):
+            with pytest.raises(error) as info:
+                call(v)
+            messages.append(str(info.value))
+        assert messages[0] == messages[1]
+
+
+def test_a_str_in_an_object_array_of_radii_is_refused():
+    # astype(float) would read "0.3" as 0.3, so an object array is searched for strings and bytes
+    for bad in ("0.3", b"0.3"):
+        with pytest.raises(RadiusOutOfDomain):
+            residual_grid(A1, 2, np.array([Fraction(3, 10), bad], dtype=object))
+
+
 @pytest.mark.parametrize("x", [2, 0, 1, -0.5, float("nan"), None, "abc", "0.25", (1, -2)], ids=repr)
 def test_x_outside_the_unit_interval_gives_no_radius(x):
     # without the check, radius_from_x(A1, 2) is the complex asin(sqrt(2));
