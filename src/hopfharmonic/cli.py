@@ -23,7 +23,7 @@ from mpmath.libmp import fone, from_float, mpf_div, mpf_pos, mpf_shift, mpf_sub,
 
 from . import __version__
 from .biharmonic import BRANCHES, index_threshold_scan, stability_condition
-from .errors import HopfError, NoExactCountGuarantee, ProbesCollide, mp, to_fraction
+from .errors import HopfError, NoExactCountGuarantee, ProbesCollide, mp, to_fraction, to_mpf
 from .existence import (
     a1_offset_probe_poly,
     a2_closed_form,
@@ -34,7 +34,7 @@ from .existence import (
 )
 from .families import FamilyTag, HypersurfaceFamily, admissible_families, fixed_dimension, x_from_radius
 from .quartic import build_quartic
-from .residual import chn_sweep, residual_grid
+from .residual import chn_sweep, residual, residual_grid
 
 _CP_TYPES = {tag.value[3:]: tag for tag in FamilyTag if tag.value.startswith("CP_")}  # --type A1 is CP_A1
 _CH_TAGS = [tag for tag in FamilyTag if tag not in _CP_TYPES.values()]
@@ -69,7 +69,7 @@ def _solve_rows(family: HypersurfaceFamily, r: int):
     rows = []
     for cert in certify_radii(family, r, _ROOT_TOL):
         lo, hi = cert.isolating_interval
-        rep = cert.residual_report
+        rep = residual(family, cert.radius, r)  # the mp residual; the certificate's exact one is not printed
         rows.append({
             "x": fmt(cert.refined_root),
             "interval_lo": str(lo),
@@ -285,9 +285,10 @@ def _check_roundtrip():
         for r in orders:
             certs = certify_radii(family, r, Fraction(1, 10**18))
             for cert in certs:
-                res = cert.residual_report.residual
+                res = cert.residual_at_radius
                 if abs(res) > 1e-9:
-                    return False, f"residual {mp.nstr(res, 4)} too large for {family.tag.value} r={r}"
+                    shown = mp.nstr(to_mpf(res, HopfError), 4)  # mp.nstr and mp.mpf take no Fraction
+                    return False, f"residual {shown} too large for {family.tag.value} r={r}"
             values = residual_grid(family, r, ts)
             intervals = [cert.isolating_interval for cert in certs]
             for i in np.flatnonzero(values[:-1] * values[1:] < 0):

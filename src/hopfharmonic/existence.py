@@ -123,7 +123,7 @@ def count_solutions(family: HypersurfaceFamily, r: int) -> int:
 def certify_radii(family: HypersurfaceFamily, r: int, tol) -> list:
     """Certificates of the proper r-harmonic radii, one per root that
     ``count_solutions`` counts: each root of the family quartic in (0, 1),
-    refined to tol, with its radius and residual report; a root at the
+    refined to tol, with its radius and exact residual; a root at the
     minimal radius (exact rational test) is not proper and is dropped."""
     poly = build_quartic(family, r)
     certs = isolate_and_refine(poly, 0, 1, tol)

@@ -11,8 +11,8 @@ Refinement is one loop over one cell of bisection's dyadic grid, two
 integer numerators over a shared denominator: while the width test cannot
 pass yet, a secant step verified with two signs jumps several levels down,
 and otherwise one halving step moves one level, so each interval it
-returns is the one plain bisection returns.  Only the final trigonometric
-back-substitution from a certified root to a tube radius is numerical.
+returns is the one plain bisection returns.  Only the back-substitution from
+a certified root to a tube radius is numerical; the residual there is exact.
 """
 
 from __future__ import annotations
@@ -31,7 +31,6 @@ from .errors import (
     to_mpf,
 )
 from .families import HypersurfaceFamily, check_family, quarter_turn, radius_from_x
-from .residual import residual
 
 root_to_radius = radius_from_x  # a root's tube radius, under the name bench/tracing.py looks up
 
@@ -186,18 +185,16 @@ class RootCertificate:
 
     The interval endpoints are exact rationals; the square-free part of the
     certified polynomial changes sign exactly once across the interval and
-    its Sturm count over the interval is one.
+    its Sturm count over the interval is one.  A family quartic's midpoint x
+    in (0, 1) gets ``radius``, the mpf tube radius of x, and
+    ``residual_at_radius``, the exact ``Fraction`` residual there (see
+    ``build_quartic``); both are None otherwise.
     """
 
     isolating_interval: tuple
     refined_root: object
     radius: object = None
-    residual_report: object = None
-
-    @property
-    def residual_at_radius(self):
-        """The residual value of ``residual_report``, or None without a family."""
-        return None if self.residual_report is None else self.residual_report.residual
+    residual_at_radius: Fraction | None = None
 
 
 # ---------------------------------------------------------------------------
@@ -208,11 +205,13 @@ def build_quartic(family: HypersurfaceFamily, r: int) -> QuarticPoly:
     """Integer-coefficient quartic whose roots in (0, 1) correspond to proper
     r-harmonic tube radii of a projective family.
 
-    x^2 (1 - x)^2 times the residual at the radius of x is w P(x), w > 0.  A2
-    (cot t and -tan t, multiplicities 2(n - 1 - k) and 2k, x = cos^2 t) has
-    w = 1, and A1 is its row at k = 0.  B-E share cot(t - j pi/4), j = 1, 3,
-    2, 0, multiplicities (a, a, b, b), x = cos^2 2t: one Q in (n, a, b, r) of
-    content d, w = 4d; B, the pattern with a = n - 1 at pi/4 - t, is Q(1 - x).
+    x^2 (1 - x)^2 times the residual at the radius of x is w P(x), w > 0, so
+    at a rational x the residual is the rational w P(x) / (x^2 (1 - x)^2)
+    that certificates carry.  A2 (cot t and -tan t, multiplicities
+    2(n - 1 - k) and 2k, x = cos^2 t) has w = 1, and A1 is its row at k = 0.
+    B-E share cot(t - j pi/4), j = 1, 3, 2, 0, multiplicities (a, a, b, b),
+    x = cos^2 2t: one Q in (n, a, b, r) of content d, w = 4d; B, the pattern
+    with a = n - 1 at pi/4 - t, is Q(1 - x).
     """
     check_family(family, projective=True)  # only CP^n has proper polyharmonic tubes
     r = check_order(r)
@@ -299,8 +298,9 @@ def isolate_and_refine(poly: QuarticPoly, lo, hi, tol) -> list:
     pass, at its midpoint, and past ``_MAX_STEPS`` halvings it raises
     ``ToleranceNotReached``.  Each piece is then refined to the interval
     plain bisection would return: narrower than tol with the exact |P| at
-    its midpoint at most tol.  When the certified polynomial carries a
-    family, the tube radius and its residual report are filled in.
+    its midpoint at most tol.  A polynomial with a family and an order
+    gives a midpoint x in (0, 1) its mpf tube radius and the exact residual
+    w P(x) / (x^2 (1 - x)^2) there, with no curvature spectrum.
     """
     tol_frac = to_fraction(check_tol(tol), InvalidTolerance)
     ints, chain, lo, hi = _prepare(poly, lo, hi)
@@ -327,16 +327,19 @@ def isolate_and_refine(poly: QuarticPoly, lo, hi, tol) -> list:
             stack.append((a, m, va, ra, vm, False, depth + 1))
             stack.append((m, b, vm, False, vb, rb, depth + 1))
 
+    family, deg = (poly.family if poly.r is not None else None), len(ints) - 1
     certs = []
     for a, b in sorted(intervals):
         a, b = _refine(ints, poly.scale, chain, a, b, tol_frac)
         mid = (a + b) / 2
         root = to_mpf(mid, InvalidRootSearch)
-        radius = report = None
-        if poly.family is not None and poly.r is not None and 0 < mid < 1:
-            radius = root_to_radius(poly.family, root)
-            report = residual(poly.family, radius, poly.r)
-        certs.append(RootCertificate((a, b), root, radius=radius, residual_report=report))
+        radius = exact = None
+        if family is not None and 0 < mid < 1:
+            radius = root_to_radius(family, root)  # checks the family before its row is read
+            w = 1 if (pattern := quarter_turn(family)) is None else 4 * pattern[2]  # 4d for B-E, as in build_quartic
+            m, den = mid.numerator, mid.denominator  # x^2 (1 - x)^2 = (m (den - m))^2 / den^4
+            exact = Fraction(w * _int_value(ints, m, den) * den**4, poly.scale * den**deg * (m * (den - m)) ** 2)
+        certs.append(RootCertificate((a, b), root, radius=radius, residual_at_radius=exact))
     return certs
 
 

@@ -223,7 +223,7 @@ def _closed_form_moved(n, r):
 
 def _residuals_moved(family, r, tol):
     return [
-        dataclasses.replace(cert, residual_report=dataclasses.replace(cert.residual_report, residual=mp.mpf("1e-6")))
+        dataclasses.replace(cert, residual_at_radius=Fraction(1, 10**6))
         for cert in certify_radii(family, r, tol)
     ]
 
@@ -290,6 +290,19 @@ class TestVerify:
         assert code == 1
         (row,) = [line for line in out.splitlines() if line.startswith(f"[FAIL] {name}: ")]
         assert detail in row
+
+    @pytest.mark.parametrize("value,line", [
+        (Fraction(123456, 10**11), "[FAIL] root-residual-roundtrip: residual 1.235e-6 too large for CP_A1 r=2"),
+        (Fraction(1e-9), "[PASS] root-residual-roundtrip"),  # the bound itself, exactly
+    ], ids=["shown-to-four-digits", "equal-to-the-bound"])
+    def test_the_roundtrip_bound_reads_the_exact_residual(self, capsys, monkeypatch, value, line):
+        def moved(family, r, tol):
+            return [dataclasses.replace(cert, residual_at_radius=value) for cert in certify_radii(family, r, tol)]
+
+        monkeypatch.setattr(CLI + "certify_radii", moved)
+        code, out = run(capsys, "verify", "--suite", "roundtrip", "--format", "text")
+        assert code == ("FAIL" in line)
+        assert line in out
 
 
 

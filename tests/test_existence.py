@@ -32,6 +32,7 @@ from hopfharmonic import (
     probe_values,
     residual,
 )
+from hopfharmonic.cli import _ROOT_TOL, _solve_rows, fmt
 
 F = HypersurfaceFamily
 CP = FamilyTag
@@ -241,8 +242,15 @@ class TestCertifyRadii:
         for r in (2, 3, 17, 89):
             certs = certify_radii(fam, r, 1e-20)
             assert len(certs) == count_solutions(fam, r)
-            for cert in certs:
-                assert cert.residual_report == residual(fam, cert.radius, r)
+            assert all(type(cert.residual_at_radius) is Fraction for cert in certs)
+            # solve prints, for the certificates at its own tolerance, the mp residual at each radius
+            solved = certify_radii(fam, r, _ROOT_TOL)
+            rows = _solve_rows(fam, r)
+            assert len(rows) == len(solved) == len(certs)
+            for row, cert in zip(rows, solved):
+                rep = residual(fam, cert.radius, r)
+                printed = (row["t"], row["residual"], row["trace"], row["trace_sq"])
+                assert printed == tuple(map(fmt, (cert.radius, rep.residual, rep.trace, rep.trace_sq)))
 
     def test_counts_and_intervals_keep_their_digest(self):
         # SHA-256 of the count and the isolating intervals of every CP family
@@ -276,9 +284,9 @@ family = h.HypersurfaceFamily(h.FamilyTag.CP_D, 9)
 certs = h.certify_radii(family, 89, 1e-24)
 assert len(certs) == 4
 for cert in certs:
-    assert abs(cert.residual_report.residual) <= 1e-20, cert.residual_report.residual
+    assert abs(cert.residual_at_radius) <= 1e-20, cert.residual_at_radius
     rep = h.residual(family, cert.radius, 89)
-    assert abs(rep.residual) <= 1e-15 and abs(rep.trace) > 1e-15, cert.radius
+    assert abs(rep.residual) <= 1e-20 and abs(rep.trace) > 1e-15, cert.radius
 """
         src = str(Path(hopfharmonic.__file__).resolve().parents[1])
         path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))

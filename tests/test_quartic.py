@@ -1,5 +1,7 @@
+import ast
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,6 +21,7 @@ from hopfharmonic import (
     build_quartic,
     count_real_roots,
     isolate_and_refine,
+    radius_from_x,
     residual,
     root_to_radius,
 )
@@ -192,6 +195,52 @@ class TestQuarterTurn:
                     value = w * poly.evaluate(x)
                     rhs = mp.mpf(value.numerator) / value.denominator
                     assert abs(lhs - rhs) <= mp.mpf(10) ** -40 * max(1, abs(rhs))
+
+
+class TestExactResidual:
+    """A family certificate's residual is w P(x) / (x^2 (1 - x)^2) at its midpoint x, an exact ``Fraction``."""
+
+    def test_is_the_mp_residual_at_the_radius_of_every_certified_root(self):
+        # 593 roots: every CP family with n <= 12 at three orders.  At 60 digits the radius and each of the
+        # residual's terms, none above 1e7 here, are off by a relative 1e-60, so the mp value is within about
+        # 1e-52 of the exact one (2.8e-53 measured); 1e-40 leaves 12 digits of margin and is far below the
+        # residuals themselves, which a wrong weight w scales
+        tol, checked = Fraction(1, 10**24), 0
+        fams = [f for tag in (CP.CP_A1, CP.CP_A2, CP.CP_B, CP.CP_C, CP.CP_D) for f in admissible_families(tag, 12)]
+        with mp.workdps(60):
+            for fam in fams:
+                for r in (2, 17, 89):
+                    for cert in isolate_and_refine(build_quartic(fam, r), 0, 1, tol):
+                        x = sum(cert.isolating_interval) / 2
+                        value = residual(fam, radius_from_x(fam, mp.mpf(x.numerator) / x.denominator), r).residual
+                        exact = cert.residual_at_radius
+                        assert abs(value - mp.mpf(exact.numerator) / exact.denominator) <= mp.mpf(10) ** -40
+                        checked += 1
+        assert checked == 593
+
+    def test_certificates_do_not_depend_on_the_working_precision(self):
+        def certificates(dps):
+            with mp.workdps(dps):
+                return [
+                    (cert.isolating_interval, cert.residual_at_radius)
+                    for fam, _ in TestQuarterTurn.WEIGHTED
+                    for r in (2, 89)
+                    for cert in isolate_and_refine(build_quartic(fam, r), 0, 1, Fraction(1, 10**24))
+                ]
+
+        at_30 = certificates(30)
+        assert at_30 == certificates(60)
+        assert all(type(exact) is Fraction for _, exact in at_30)
+
+    def test_the_exact_layer_imports_nothing_from_residual(self):
+        tree = ast.parse((Path(hopfharmonic.__file__).parent / "quartic.py").read_text(encoding="utf-8"))
+        names = []
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                names += [str(node.module), *(f"{node.module}.{alias.name}" for alias in node.names)]
+            elif isinstance(node, ast.Import):
+                names += [alias.name for alias in node.names]
+        assert [name for name in names if "residual" in name.split(".")] == []
 
 
 def _random_family_and_order(rng):
@@ -418,7 +467,7 @@ class TestIsolateAndRefine:
     def test_roots_outside_the_unit_interval_have_no_radius(self):
         # the family's x lies in (0, 1); its radius map refuses x = 3/2
         (cert,) = isolate_and_refine(QuarticPoly(2, -3, family=F(CP.CP_A1, 2), r=3), 0, 2, Fraction(1, 10**8))
-        assert cert.radius is None and cert.residual_report is None
+        assert cert.radius is None and cert.residual_at_radius is None
 
     @pytest.mark.parametrize("lo,hi,tol", [(-0.5, 0.5, 2), (0.5, 1.5, 10)], ids=["centred-on-0", "centred-on-1"])
     def test_a_root_read_at_an_end_of_the_unit_interval_has_no_radius(self, lo, hi, tol):
@@ -426,7 +475,7 @@ class TestIsolateAndRefine:
         # x = 1) stops refinement at once, so the root is read at the cell's midpoint, where no tube is
         (cert,) = isolate_and_refine(build_quartic(F(CP.CP_A1, 2), 2), lo, hi, tol)
         assert cert.refined_root == (lo + hi) / 2
-        assert cert.radius is None and cert.residual_report is None
+        assert cert.radius is None and cert.residual_at_radius is None
 
 
 class TestRootToRadius:
