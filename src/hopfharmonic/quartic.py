@@ -185,10 +185,11 @@ class RootCertificate:
 
     The interval endpoints are exact rationals; the square-free part of the
     certified polynomial changes sign exactly once across the interval and
-    its Sturm count over the interval is one.  A family quartic's midpoint x
-    in (0, 1) gets ``radius``, the mpf tube radius of x, and
-    ``residual_at_radius``, the exact ``Fraction`` residual there (see
-    ``build_quartic``); both are None otherwise.
+    its Sturm count over the interval is one.  A polynomial with a family
+    and an order gives a midpoint x in (0, 1) ``radius``, the mpf tube
+    radius of x, and, if it is that family's quartic, ``residual_at_radius``,
+    the exact ``Fraction`` residual there (see ``build_quartic``); each is
+    None otherwise.
     """
 
     isolating_interval: tuple
@@ -299,7 +300,8 @@ def isolate_and_refine(poly: QuarticPoly, lo, hi, tol) -> list:
     ``ToleranceNotReached``.  Each piece is then refined to the interval
     plain bisection would return: narrower than tol with the exact |P| at
     its midpoint at most tol.  A polynomial with a family and an order
-    gives a midpoint x in (0, 1) its mpf tube radius and the exact residual
+    gives a midpoint x in (0, 1) its mpf tube radius; if it equals
+    ``build_quartic(family, r)``, also the exact residual
     w P(x) / (x^2 (1 - x)^2) there, with no curvature spectrum.
     """
     tol_frac = to_fraction(check_tol(tol), InvalidTolerance)
@@ -327,7 +329,8 @@ def isolate_and_refine(poly: QuarticPoly, lo, hi, tol) -> list:
             stack.append((a, m, va, ra, vm, False, depth + 1))
             stack.append((m, b, vm, False, vb, rb, depth + 1))
 
-    family, deg = (poly.family if poly.r is not None else None), len(ints) - 1
+    family = poly.family if poly.r is not None else None
+    w = None  # build_quartic's weight, read at the first radius
     certs = []
     for a, b in sorted(intervals):
         a, b = _refine(ints, poly.scale, chain, a, b, tol_frac)
@@ -336,9 +339,12 @@ def isolate_and_refine(poly: QuarticPoly, lo, hi, tol) -> list:
         radius = exact = None
         if family is not None and 0 < mid < 1:
             radius = root_to_radius(family, root)  # checks the family before its row is read
-            w = 1 if (pattern := quarter_turn(family)) is None else 4 * pattern[2]  # 4d for B-E, as in build_quartic
-            m, den = mid.numerator, mid.denominator  # x^2 (1 - x)^2 = (m (den - m))^2 / den^4
-            exact = Fraction(w * _int_value(ints, m, den) * den**4, poly.scale * den**deg * (m * (den - m)) ** 2)
+            if w is None:  # 4d for B-E, 1 for A1 and A2; 0 leaves any other polynomial's residual None
+                pattern = quarter_turn(family)
+                w = (1 if pattern is None else 4 * pattern[2]) if poly == build_quartic(family, poly.r) else 0
+            if w:  # scale 1 and degree 4: P(x) and x^2 (1 - x)^2 = (m (den - m))^2 / den^4 share den^4
+                m, den = mid.numerator, mid.denominator
+                exact = Fraction(w * _int_value(ints, m, den), (m * (den - m)) ** 2)
         certs.append(RootCertificate((a, b), root, radius=radius, residual_at_radius=exact))
     return certs
 

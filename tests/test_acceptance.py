@@ -103,6 +103,7 @@ def test_criterion_03_cross_consistency():
             certs = isolate_and_refine(poly, 0, 1, tol_root)
             for cert in certs:
                 assert abs(cert.residual_at_radius) <= 1e-9, (fam, r, cert)
+                assert abs(residual(fam, cert.radius, r).residual) <= 1e-9, (fam, r, cert)
             roots = [float(cert.refined_root) for cert in certs]
             values = residual_grid(fam, r, ts)
             signs = np.sign(values)

@@ -30,9 +30,7 @@ from hopfharmonic import (
     k_above_k2,
     k_below_k1,
     probe_values,
-    residual,
 )
-from hopfharmonic.cli import _ROOT_TOL, _solve_rows, fmt
 
 F = HypersurfaceFamily
 CP = FamilyTag
@@ -243,14 +241,6 @@ class TestCertifyRadii:
             certs = certify_radii(fam, r, 1e-20)
             assert len(certs) == count_solutions(fam, r)
             assert all(type(cert.residual_at_radius) is Fraction for cert in certs)
-            # solve prints, for the certificates at its own tolerance, the mp residual at each radius
-            solved = certify_radii(fam, r, _ROOT_TOL)
-            rows = _solve_rows(fam, r)
-            assert len(rows) == len(solved) == len(certs)
-            for row, cert in zip(rows, solved):
-                rep = residual(fam, cert.radius, r)
-                printed = (row["t"], row["residual"], row["trace"], row["trace_sq"])
-                assert printed == tuple(map(fmt, (cert.radius, rep.residual, rep.trace, rep.trace_sq)))
 
     def test_counts_and_intervals_keep_their_digest(self):
         # SHA-256 of the count and the isolating intervals of every CP family

@@ -371,6 +371,22 @@ class TestIsolateAndRefine:
         assert abs(certs[1].radius - mp.pi / 6) < 1e-25
         for cert in certs:
             assert abs(cert.residual_at_radius) < 1e-9
+            assert abs(residual(F(CP.CP_A2, 3, 1), cert.radius, 2).residual) < 1e-9
+
+    def test_only_the_family_quartic_gets_an_exact_residual(self):
+        # w P(x) / (x^2 (1 - x)^2) is the residual only for P = build_quartic(family, r): 2x - 1 tagged with
+        # A1 (n = 2, r = 3) has its root at x = 1/2, where the residual is not 0, and 2 P scales the value
+        fam, tol = F(CP.CP_A1, 2), Fraction(1, 10**20)
+        (cert,) = isolate_and_refine(QuarticPoly(2, -1, family=fam, r=3), 0, 1, tol)
+        assert cert.radius == root_to_radius(fam, cert.refined_root)
+        assert cert.residual_at_radius is None
+        assert abs(residual(fam, cert.radius, 3).residual) > 1
+        quartic = build_quartic(fam, 3)
+        doubled = QuarticPoly(*(2 * c for c in quartic.coefficients()), family=fam, r=3)
+        assert [c.residual_at_radius for c in isolate_and_refine(doubled, 0, 1, tol)] == [None] * 2
+        # the same coefficients given anew are the family quartic
+        copied = QuarticPoly(*quartic.coefficients(), family=fam, r=3)
+        assert isolate_and_refine(copied, 0, 1, tol) == isolate_and_refine(quartic, 0, 1, tol)
 
     def test_unreachable_tolerance_is_a_hopf_error(self):
         # 4000 bisection steps from width 1 stop at width 2^-4000 > tol
