@@ -19,7 +19,6 @@ import sys
 from fractions import Fraction
 
 import numpy as np
-from mpmath.libmp import fone, from_float, mpf_div, mpf_pos, mpf_shift, mpf_sub, mpf_tan, round_nearest, to_float
 
 from . import __version__
 from .biharmonic import BRANCHES, index_threshold_scan, stability_condition
@@ -32,7 +31,7 @@ from .existence import (
     guaranteed_thresholds,
     probe_values,
 )
-from .families import FamilyTag, HypersurfaceFamily, admissible_families, fixed_dimension, x_from_radius
+from .families import FamilyTag, HypersurfaceFamily, admissible_families, fixed_dimension, spectrum_arrays, x_from_radius
 from .quartic import build_quartic
 from .residual import chn_sweep, residual, residual_grid
 
@@ -231,29 +230,24 @@ def _check_offset_probe_poly():
     return True, "offset-probe coefficients exact up to n=30"
 
 
-def _cot(x, prec) -> float:
-    """float(mp.cot(x)) at precision prec for a raw mpf x, with mpmath 1.3.0's own steps and roundings:
-    ``functions.cot`` is 1 / tan(x), which ``_wrap_specfun`` works out at prec + 10 and rounds back with +retval."""
-    rnd = round_nearest
-    return to_float(mpf_pos(mpf_div(fone, mpf_tan(x, prec + 10, rnd), prec + 10, rnd), prec, rnd), rnd=rnd)
-
-
 def _check_trig_identities():
-    # The 35-digit cotangents are tested in float64: sum lambda^2 = 12 + rhs1^2 = rhs2 bounds each lambda^2 by rhs2 and
-    # |lambda| by 4 max(1, |rhs1|), so each residual errs by a few 1e-15 of its tolerance's scale, far below 1e-10.
-    # The arguments are raw mpf tuples, rounded as the mpf operations t - shift and 4 * t round them.
-    rng, rnd = random.Random(_TRIG_SEED), round_nearest
-    with mp.workdps(max(mp.dps, 35)):
-        prec = mp.prec
-        shifts, t_max = [(j * (mp.pi / 4))._mpf_ for j in range(4)], float(mp.pi) / 4 - 1e-3
-        for _ in range(1000):
-            t = from_float(rng.uniform(1e-3, t_max))
-            lams = [_cot(mpf_sub(t, shift, prec, rnd), prec) for shift in shifts]
-            cot4 = _cot(mpf_shift(t, 2), prec)
-            rhs1, rhs2 = 4 * cot4, 12 + 16 * cot4**2
-            res1, res2 = math.fsum([*lams, -rhs1]), math.fsum([*(l * l for l in lams), -rhs2])
-            if abs(res1) > 1e-10 * max(1, abs(rhs1)) or abs(res2) > 1e-10 * abs(rhs2):
-                return False, f"quarter-turn cotangent identity failed at t={mp.nstr(mp.make_mpf(t), 12)}"
+    """Sum_j cot(t - j pi/4) = 4 cot 4t and sum_j cot^2(t - j pi/4) = 12 + 16 cot^2 4t on the package's float64 C row.
+
+    The four branches of ``spectrum_arrays`` for C (n = 5) are cot(t - j pi/4), j = 1, 3, 2, 0, and its alpha is
+    2 cot 2t, so cot 4t = (alpha^2 - 4) / (4 alpha).  The row computes alpha and the four lambda apart, each from
+    its own argument, so the identities are not a tautology of it: a wrong pi, cot, shift or alpha breaks them.
+    sum lambda^2 = 12 + rhs1^2 = rhs2 bounds each lambda^2 by rhs2 and |lambda| by 4 max(1, |rhs1|), so each
+    float64 residual errs by a few 1e-15 of its tolerance's scale, far below 1e-10.
+    """
+    rng = random.Random(_TRIG_SEED)
+    ts = np.array([rng.uniform(1e-3, math.pi / 4 - 1e-3) for _ in range(1000)])
+    alpha, branches = spectrum_arrays(HypersurfaceFamily(FamilyTag.CP_C, 5), ts)
+    for t, a, *lams in zip(ts.tolist(), alpha.tolist(), *(lam.tolist() for lam, _ in branches)):
+        cot4 = (a * a - 4) / (4 * a)
+        rhs1, rhs2 = 4 * cot4, 12 + 16 * cot4**2
+        res1, res2 = math.fsum([*lams, -rhs1]), math.fsum([*(l * l for l in lams), -rhs2])
+        if abs(res1) > 1e-10 * max(1, abs(rhs1)) or abs(res2) > 1e-10 * abs(rhs2):
+            return False, f"quarter-turn cotangent identity failed at t={mp.nstr(mp.mpf(t), 12)}"
     return True, "quarter-turn cotangent identities hold at 1000 random radii"
 
 
@@ -284,11 +278,11 @@ def _check_roundtrip():
         ts = np.linspace(float(hi) / 301, float(hi) * 300 / 301, 300)
         for r in orders:
             certs = certify_radii(family, r, Fraction(1, 10**18))
-            for cert in certs:
-                res = cert.residual_at_radius
-                if abs(res) > 1e-9:
-                    shown = mp.nstr(to_mpf(res, HopfError), 4)  # mp.nstr and mp.mpf take no Fraction
-                    return False, f"residual {shown} too large for {family.tag.value} r={r}"
+            for cert in certs:  # the exact residual at the root, and the mp one at its radius, as Criterion 03 reads it
+                for res in (cert.residual_at_radius, residual(family, cert.radius, r).residual):
+                    if abs(res) > 1e-9:
+                        shown = mp.nstr(to_mpf(res, HopfError), 4)  # mp.nstr and mp.mpf take no Fraction
+                        return False, f"residual {shown} too large for {family.tag.value} r={r}"
             values = residual_grid(family, r, ts)
             intervals = [cert.isolating_interval for cert in certs]
             for i in np.flatnonzero(values[:-1] * values[1:] < 0):

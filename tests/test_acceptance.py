@@ -191,6 +191,7 @@ def test_criterion_07_hyperbolic_nonexistence():
     _report(7, f"hyperbolic residuals negative on 1e4-point grids (max {worst:.3g})")
 
 
+@mp.workdps(40)
 def test_criterion_08_biharmonic_identity():
     for n in range(2, 61):
         for p in range(1, n):

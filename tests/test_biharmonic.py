@@ -92,6 +92,7 @@ class TestRadii:
                     spec = curvature_spectrum(tube_family(n, p), tube.t)
                     assert abs(trace_shape_squared(spec) - 2 * (n + 1)) < 1e-10
 
+    @mp.workdps(40)
     def test_tubes_are_roots_of_the_biharmonic_quartic(self):
         for n, p in ((2, 1), (3, 2), (6, 2), (9, 5), (12, 1)):
             fam = tube_family(n, p)

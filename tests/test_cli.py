@@ -7,7 +7,6 @@ import itertools
 import json
 import math
 import os
-import random
 import re
 import subprocess
 import sys
@@ -18,10 +17,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from mpmath.libmp import dps_to_prec
-
 from hopfharmonic import mp
 from hopfharmonic import (
+    CurvatureSpectrum,
     FamilyTag,
     HypersurfaceFamily,
     QuarticPoly,
@@ -31,8 +29,9 @@ from hopfharmonic import (
     build_quartic,
     certify_radii,
     count_solutions,
+    spectrum_arrays,
 )
-from hopfharmonic.cli import _TRIG_SEED, _build_parser, _cot, main
+from hopfharmonic.cli import _build_parser, main
 
 
 def run(capsys, *argv):
@@ -228,6 +227,19 @@ def _residuals_moved(family, r, tol):
     ]
 
 
+def _radii_moved(family, r, tol):
+    return [dataclasses.replace(cert, radius=cert.radius + mp.mpf("1e-6")) for cert in certify_radii(family, r, tol)]
+
+
+def _moved_spectrum(move):
+    """spectrum_arrays whose alpha and list of lambdas at the radii ts are replaced by move(ts, alpha, lambdas)."""
+    def spectrum(family, ts):
+        alpha, branches = spectrum_arrays(family, ts)
+        alpha, lams = move(ts, alpha, [lam for lam, _ in branches])
+        return CurvatureSpectrum(alpha, tuple((lam, m) for lam, (_, m) in zip(lams, branches)))
+    return spectrum
+
+
 CLI = "hopfharmonic.cli."
 # (suite, check, patched call, wrong version of it, detail of the failed row): one per failure branch
 WRONG_INPUTS = [
@@ -239,11 +251,12 @@ WRONG_INPUTS = [
     ("exact", "biquadratic-relation", CLI + "build_quartic", _moved_quartic(FamilyTag.CP_A2), "relation failed"),
     ("exact", "biquadratic-relation", CLI + "a2_closed_form", _closed_form_moved, "closed-form root misses"),
     ("exact", "offset-probe-poly", CLI + "a1_offset_probe_poly", _offset_probe_poly_moved, "offset-probe polynomial"),
-    ("trig", "quarter-turn-identities", CLI + "_cot", lambda x, prec: _cot((mp.make_mpf(x) + mp.mpf("1e-6"))._mpf_, prec),
-     "cotangent identity"),
+    ("trig", "quarter-turn-identities", CLI + "spectrum_arrays",
+     _moved_spectrum(lambda ts, alpha, lams: (2 / np.tan(2 * (ts + 1e-6)), lams)), "cotangent identity"),
     ("ch-nonexistence", "hyperbolic-negativity", CLI + "chn_sweep", lambda family, orders, grid: np.zeros(len(orders)),
      "not negative"),
     ("roundtrip", "root-residual-roundtrip", CLI + "certify_radii", _residuals_moved, "too large"),
+    ("roundtrip", "root-residual-roundtrip", CLI + "certify_radii", _radii_moved, "too large for CP_A1 r=2"),
     ("roundtrip", "root-residual-roundtrip", CLI + "certify_radii", lambda *args: certify_radii(*args)[1:],
      "outside certificates"),
 ]
@@ -303,6 +316,16 @@ class TestVerify:
         code, out = run(capsys, "verify", "--suite", "roundtrip", "--format", "text")
         assert code == ("FAIL" in line)
         assert line in out
+
+    def test_the_roundtrip_check_certifies_its_cases_to_1e_18(self, capsys, monkeypatch):
+        calls = []
+        monkeypatch.setattr(CLI + "certify_radii", lambda *args: calls.append(args) or certify_radii(*args))
+        code, _ = run(capsys, "verify", "--suite", "roundtrip")
+        cases = [(FamilyTag.CP_A1, 2, None, (2, 7, 17)), (FamilyTag.CP_A1, 5, None, (2, 17)),
+                 (FamilyTag.CP_A2, 4, 1, (2, 17)), (FamilyTag.CP_A2, 5, 2, (2, 17)), (FamilyTag.CP_B, 2, None, (2, 17)),
+                 (FamilyTag.CP_C, 5, None, (2, 17)), (FamilyTag.CP_D, 9, None, (2, 89)), (FamilyTag.CP_E, 15, None, (2, 100))]
+        assert code == 0
+        assert calls == [(HypersurfaceFamily(tag, n, k), r, Fraction(1, 10**18)) for tag, n, k, orders in cases for r in orders]
 
 
 
@@ -509,126 +532,82 @@ def test_the_hyperbolic_check_names_the_first_failing_order(capsys, monkeypatch)
 
 
 def test_the_trig_check_samples_1000_radii_across_the_quarter_turn(monkeypatch):
-    # five cotangents per radius, the first at t itself, at 35 digits at least; the radii reach past pi/5
+    # one float64 spectrum of the C row (n = 5) at 1000 radii, which reach past pi/5
     cli = importlib.import_module("hopfharmonic.cli")
     calls = []
-    monkeypatch.setattr(cli, "_cot", lambda x, prec: calls.append((x, prec)) or _cot(x, prec))
-    with cli.mp.workdps(30):  # the shipped precision, below the check's floor
-        assert cli._check_trig_identities()[0]
-    assert len(calls) == 5000 and {prec for _, prec in calls} == {dps_to_prec(35)}
-    ts = [mp.make_mpf(x) for x, _ in calls[::5]]
-    assert 1e-3 < min(ts) and mp.pi / 5 < max(ts) < mp.pi / 4 - 1e-3
+    monkeypatch.setattr(cli, "spectrum_arrays", lambda family, ts: calls.append((family, ts)) or spectrum_arrays(family, ts))
+    assert cli._check_trig_identities()[0]
+    ((family, ts),) = calls
+    assert family == HypersurfaceFamily(FamilyTag.CP_C, 5) and ts.shape == (1000,)
+    assert 1e-3 < ts.min() and math.pi / 5 < ts.max() < math.pi / 4 - 1e-3
 
 
-def test_the_trig_check_tests_the_residuals_formed_at_35_digits(monkeypatch):
-    # the two float64 residuals the check tests at each radius are the 35-digit ones to 1e-12 max(1, |rhs|)
+@pytest.mark.parametrize("dps", [30, 60, 100])
+def test_the_trig_check_does_not_depend_on_the_precision(monkeypatch, dps):
+    # the passing path makes no mp operation of its own
     cli = importlib.import_module("hopfharmonic.cli")
-    args, sums = [], []
-    fsum = math.fsum
-    monkeypatch.setattr(cli, "_cot", lambda x, prec: args.append(x) or _cot(x, prec))
-    monkeypatch.setattr(cli.math, "fsum", lambda terms: sums.append(fsum(terms)) or sums[-1])
-    with cli.mp.workdps(30):
-        assert cli._check_trig_identities()[0]
-    assert len(args) == 5000 and len(sums) == 2000
-    with mp.workdps(35):
-        cots = [mp.cot(mp.make_mpf(x)) for x in args]
-        for i in range(1000):
-            *lams, cot4 = cots[5 * i:5 * i + 5]
-            identities = ((mp.fsum(lams), 4 * cot4), (mp.fsum(l * l for l in lams), 12 + 16 * cot4**2))
-            for res, (lhs, rhs) in zip(sums[2 * i:2 * i + 2], identities):
-                assert abs(res - (lhs - rhs)) <= 1e-12 * max(1, abs(rhs)), (i, res, lhs - rhs)
+
+    class Refused:
+        def __getattr__(self, name):
+            raise AssertionError(f"mp.{name} used")
+
+    monkeypatch.setattr(cli, "mp", Refused())
+    with mp.workdps(dps):
+        assert cli._check_trig_identities() == (True, "quarter-turn cotangent identities hold at 1000 random radii")
 
 
 def test_the_trig_check_fails_where_4_cot_4t_is_small(monkeypatch):
-    # cot 4t alone moves by 3.75e-11, so sum lambda - 4 cot 4t is off by 1.5e-10 at every radius: past the first
-    # tolerance, 1e-10 max(1, |4 cot 4t|), where |4 cot 4t| < 1.5, while the second identity moves by
-    # 32 |cot 4t| 3.75e-11 < 1e-10 (12 + 16 cot^2 4t) at every radius
+    # every lambda moves by 3.75e-11, so sum lambda - 4 cot 4t is off by 1.5e-10 at every radius: past the first
+    # tolerance, 1e-10 max(1, |4 cot 4t|), where |4 cot 4t| < 1.5, while sum lambda^2 moves by
+    # 8 cot 4t 3.75e-11 + 4 (3.75e-11)^2 < 1e-10 (12 + 16 cot^2 4t) at every radius
     cli = importlib.import_module("hopfharmonic.cli")
-    args = []
-    monkeypatch.setattr(cli, "_cot", lambda x, prec: args.append(x) or _cot(x, prec) + (3.75e-11 if len(args) % 5 == 0 else 0))
+    radii = []
+    monkeypatch.setattr(cli, "spectrum_arrays", _moved_spectrum(
+        lambda ts, alpha, lams: radii.extend(ts.tolist()) or (alpha, [lam + 3.75e-11 for lam in lams])))
     passed, detail = cli._check_trig_identities()
-    t = mp.make_mpf(args[-5])  # the failing radius, the first cotangent's argument
+    t = next(mp.mpf(t) for t in radii if abs(4 * mp.cot(4 * mp.mpf(t))) < 1.5)
     assert not passed and detail == f"quarter-turn cotangent identity failed at t={mp.nstr(t, 12)}"
-    assert abs(4 * mp.cot(4 * t)) < 1.5
 
 
 def test_the_trig_check_prints_the_failing_radius_to_12_digits(monkeypatch):
-    # the 11th cotangent is the third radius's first, at t = 0.1546022825484..., which 13 digits would print in full
+    # the third radius, t = 0.1546022825484..., which 13 digits would print in full, has its cot(t - pi/4) moved by 1
     cli = importlib.import_module("hopfharmonic.cli")
-    args = []
-    monkeypatch.setattr(cli, "_cot", lambda x, prec: args.append(x) or _cot(x, prec) + (1.0 if len(args) == 11 else 0.0))
+    radii = []
+
+    def move(ts, alpha, lams):
+        radii.extend(ts.tolist())
+        return alpha, [lams[0] + (np.arange(ts.size) == 2), *lams[1:]]
+
+    monkeypatch.setattr(cli, "spectrum_arrays", _moved_spectrum(move))
     assert cli._check_trig_identities() == (False, "quarter-turn cotangent identity failed at t=0.154602282548")
-    assert len(args) == 15 and mp.nstr(mp.make_mpf(args[10]), 13) == "0.1546022825484"
+    assert mp.nstr(mp.mpf(radii[2]), 13) == "0.1546022825484"
 
 
 @pytest.mark.parametrize("residuals", [(1e-10, 0.0), (0.0, 1e-10 * 12)], ids=["sum", "sum-of-squares"])
 def test_the_trig_check_passes_a_residual_equal_to_its_tolerance(monkeypatch, residuals):
-    # every cotangent 0 makes the tolerances 1e-10 max(1, 0) and 1e-10 * 12; one residual sits at its tolerance
+    # alpha = 2 and every lambda 0 make cot 4t = 0 and the tolerances 1e-10 max(1, 0) and 1e-10 * 12; one residual
+    # sits at its tolerance
     cli = importlib.import_module("hopfharmonic.cli")
     sums = itertools.cycle(residuals)
-    monkeypatch.setattr(cli, "_cot", lambda x, prec: 0.0)
+    monkeypatch.setattr(cli, "spectrum_arrays", _moved_spectrum(
+        lambda ts, alpha, lams: (np.full_like(ts, 2.0), [np.zeros_like(ts)] * 4)))
     monkeypatch.setattr(cli.math, "fsum", lambda terms: next(sums))
     assert cli._check_trig_identities() == (True, "quarter-turn cotangent identities hold at 1000 random radii")
 
 
-def _cot_arguments(dps):
-    """Every argument of the trig check's cotangents in quarter-turn form t - j pi/4 (j = 0..3) and 4t, in mpf."""
-    rng = random.Random(_TRIG_SEED)
-    with mp.workdps(max(dps, 35)):
-        t_max = float(mp.pi) / 4 - 1e-3
-        ts = [mp.mpf(rng.uniform(1e-3, t_max)) for _ in range(1000)]
-        return [x for t in ts for x in (*(t - j * (mp.pi / 4) for j in range(4)), 4 * t)]
-
-
-@pytest.mark.parametrize("dps", [30, 60, 100])
-def test_the_trig_check_takes_mp_cot_at_its_own_precision(monkeypatch, dps):
-    # the check's 5000 cotangents are float(mp.cot(x)) at the precision of max(dps, 35) digits, at the mpf arguments
-    # t - j pi/4 and 4t, bit for bit
+@pytest.mark.parametrize("target,wrong", [
+    ("hopfharmonic.families._FLOAT64.pi", np.pi * (1 + 1e-9)),  # the shifts j pi/4
+    ("hopfharmonic.families._FLOAT64.cot", lambda x: (1 + 1e-9) / np.tan(x)),
+    (CLI + "spectrum_arrays", _moved_spectrum(lambda ts, alpha, lams: (alpha * (1 + 1e-9), lams))),
+    (CLI + "spectrum_arrays", _moved_spectrum(lambda ts, alpha, lams: (alpha, [lams[0] * (1 + 1e-9), *lams[1:]]))),
+    (CLI + "spectrum_arrays", _moved_spectrum(lambda ts, alpha, lams: (2 * np.tan(2 * ts), lams))),
+], ids=["pi", "cot", "alpha", "one-lambda", "alpha-from-tan"])
+def test_the_trig_check_fails_on_a_perturbed_row(monkeypatch, target, wrong):
+    # a relative 1e-9 in pi, cot, alpha or one lambda, or alpha = 2 tan 2t, breaks an identity at some radius
     cli = importlib.import_module("hopfharmonic.cli")
-    calls = []
-    monkeypatch.setattr(cli, "_cot", lambda x, prec: calls.append((x, prec, _cot(x, prec))) or calls[-1][2])
-    with mp.workdps(dps):
-        assert cli._check_trig_identities()[0]
-    assert {prec for _, prec, _ in calls} == {dps_to_prec(max(dps, 35))}
-    assert [x for x, _, _ in calls] == [x._mpf_ for x in _cot_arguments(dps)]
-    with mp.workdps(max(dps, 35)):
-        assert [value for _, _, value in calls] == [float(mp.cot(mp.make_mpf(x))) for x, _, _ in calls]
-
-
-def _cot_probes():
-    """Both signs, all four quadrants, magnitudes 1e-20 to 1e3, and points a few ulps from k pi/2 (k = 1..8)."""
-    magnitudes = [mp.mpf(10) ** e for e in (-20, -10, -3)] + [mp.mpf(m) for m in ("0.3", 1, 2, 4, 5.5, 10, "123.4", 1000)]
-    quadrants = [(2 * k + 1) * mp.pi / 8 for k in range(8)]  # each quadrant of [0, 2 pi) twice
-    near_poles = [k * mp.pi / 2 * (1 + i * mp.eps) for k in range(1, 9) for i in range(-3, 4)]
-    return [sign * x for x in magnitudes + quadrants + near_poles for sign in (1, -1)]
-
-
-# mantissas of 120-bit (35-digit) arguments x = m 2**-120 whose cotangents lie within 2**-108 of a float midpoint,
-# so their floats depend on each rounding mp.cot makes: tan and 1 / tan at 10 guard bits, then back to 120 bits
-_COT_NEAR_FLOAT_MIDPOINTS = (
-    781589522229845634695143524170694738,
-    781589522229300201366372415922793878,
-    781589522229394739510769757710660227,
-)
-
-
-def test_cot_is_mp_cot_bit_for_bit_beside_a_float_midpoint():
-    with mp.workdps(35):
-        for man in _COT_NEAR_FLOAT_MIDPOINTS:
-            x = mp.ldexp(man, -120)
-            assert _cot(x._mpf_, mp.prec) == float(mp.cot(x))
-            with mp.workdps(60):
-                ulps = mp.cot(x) * 2**52  # the cotangents lie in (1, 2), where a float's ulp is 2**-52
-                assert abs(ulps - mp.floor(ulps) - 0.5) < mp.mpf(2) ** -56
-
-
-@pytest.mark.parametrize("dps", [30, 35, 40, 60, 100])
-def test_cot_is_mp_cot_bit_for_bit(dps):
-    with mp.workdps(dps):
-        probes = _cot_probes()
-        assert len({(x > 0, int(mp.floor(2 * abs(x) / mp.pi)) % 4) for x in probes}) == 8
-        for x in probes:
-            assert _cot(x._mpf_, mp.prec) == float(mp.cot(x)), mp.nstr(x, 20)
+    monkeypatch.setattr(target, wrong)
+    passed, detail = cli._check_trig_identities()
+    assert not passed and detail.startswith("quarter-turn cotangent identity failed at t=")
 
 
 def test_readme_command_list_is_the_pinned_list():

@@ -133,6 +133,7 @@ class TestEnumeration:
 
 
 class TestSpectra:
+    @mp.workdps(40)
     def test_cp_a1_at_quarter_pi(self):
         spec = curvature_spectrum(F(CP.CP_A1, 2), mp.pi / 4)
         assert abs(spec.alpha) < 1e-35
@@ -145,6 +146,7 @@ class TestSpectra:
         assert spec.branches == ((mp.mpf(1), 2),)
         assert curvature_spectrum(F(CP.CH_A0, 2), 17.5) == spec
 
+    @mp.workdps(40)
     def test_cp_b_exact_surds(self):
         spec = curvature_spectrum(F(CP.CP_B, 3), mp.pi / 8)
         assert abs(spec.alpha - 2) < 1e-35
@@ -199,6 +201,7 @@ class TestSpectra:
 
 
 class TestTraces:
+    @mp.workdps(40)
     def test_trace_zero_at_pi_six_for_a1_n2(self):
         spec = curvature_spectrum(F(CP.CP_A1, 2), mp.pi / 6)
         assert abs(trace_shape(spec)) < 1e-35
@@ -209,15 +212,18 @@ class TestTraces:
         assert trace_shape_squared(spec) == 6
 
     @pytest.mark.parametrize("n,k", [(3, 1), (5, 2), (9, 4), (12, 7)])
+    @mp.workdps(40)
     def test_a2_trace_zero_at_special_radius(self, n, k):
         t_star = mp.atan(mp.sqrt(mp.mpf(2 * n - 2 * k - 1) / (2 * k + 1)))
         spec = curvature_spectrum(F(CP.CP_A2, n, k), t_star)
         assert abs(trace_shape(spec)) < 1e-30
 
+    @mp.workdps(40)
     def test_trace_sq_at_quarter_pi(self):
         spec = curvature_spectrum(F(CP.CP_A1, 2), mp.pi / 4)
         assert abs(trace_shape_squared(spec) - 2) < 1e-35
 
+    @mp.workdps(40)
     def test_trace_sq_at_biharmonic_radius(self):
         t_plus = mp.acos(mp.sqrt((7 + mp.sqrt(13)) / 12))
         spec = curvature_spectrum(F(CP.CP_A1, 2), t_plus)
@@ -271,6 +277,7 @@ class TestSpecialRadii:
 class TestConversions:
     @pytest.mark.parametrize("fam", [f for f in sample_families(7) if f.is_projective],
                              ids=lambda f: f"{f.tag.value}-n{f.n}-k{f.k}")
+    @mp.workdps(40)
     def test_radius_x_round_trip(self, fam):
         for x in (mp.mpf("0.12"), mp.mpf("0.5"), mp.mpf("0.93")):
             t = radius_from_x(fam, x)
@@ -432,6 +439,7 @@ class TestAngleLane:
         with pytest.raises(UnsupportedFamily):
             _angle_spectrum(fam, mp.cos(mp.mpf("0.3")), mp.sin(mp.mpf("0.3")))
 
+    @mp.workdps(40)
     def test_only_the_double_angle_is_defined(self):
         # the table's rows use t and 2t alone; any other multiple must not pass as a tuple repeat
         t = mp.mpf("0.3")

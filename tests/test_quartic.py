@@ -498,6 +498,7 @@ class TestRootToRadius:
     def test_is_the_family_radius_map(self):
         assert hopfharmonic.root_to_radius is hopfharmonic.radius_from_x
 
+    @mp.workdps(40)
     def test_examples(self):
         assert abs(root_to_radius(F(CP.CP_A1, 2), 0.5) - mp.pi / 4) < 1e-35
         assert abs(root_to_radius(F(CP.CP_A2, 3, 1), 0.75) - mp.pi / 6) < 1e-35

@@ -33,6 +33,7 @@ CP = FamilyTag
 
 class TestResidualValues:
     @pytest.mark.parametrize("r", [2, 3, 5, 17, 64])
+    @mp.workdps(40)
     def test_curve_closed_form(self, r):
         # a circle of radius t in the projective line is properly r-harmonic
         # exactly when sin^2(2t) = 1/r
@@ -42,6 +43,7 @@ class TestResidualValues:
         assert abs(rep.residual) < 1e-30
         assert abs(rep.residual) <= 1e-12 and abs(rep.trace) > 1e-12
 
+    @mp.workdps(40)
     def test_a2_exact_zero_at_pi_six(self):
         fam = F(CP.CP_A2, 3, 1)
         rep = residual(fam, mp.pi / 6, 2)
