@@ -289,7 +289,7 @@ def _check_roundtrip():
                 xa = to_fraction(float(x_from_radius(family, ts[i])))
                 xb = to_fraction(float(x_from_radius(family, ts[i + 1])))
                 xlo, xhi = min(xa, xb), max(xa, xb)
-                if not any(xlo <= a <= xhi or xlo <= b <= xhi or (a <= xlo and xhi <= b) for a, b in intervals):
+                if not any(a <= xhi and xlo <= b for a, b in intervals):  # [a, b] meets [xlo, xhi]
                     return False, f"sign change near t={ts[i]:.6f} outside certificates for {family.tag.value} r={r}"
     return True, "certified roots and residual sign changes agree"
 

@@ -14,12 +14,12 @@ Self-dual families, 2k = n - 1 (for A1: n = 1), have proper roots x and 1 - x.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import NamedTuple
 
 from .errors import InvalidFamily, NoExactCountGuarantee, NotApplicable, ProbesCollide, check_integer, check_order, mp
-from .families import FamilyTag, HypersurfaceFamily, check_family, minimal_x, r_independent_x
+from .families import FamilyTag, HypersurfaceFamily, check_family, minimal_x, r_independent_x, radius_from_x
 from .quartic import build_quartic, count_real_roots, isolate_and_refine
 
 
@@ -123,14 +123,15 @@ def count_solutions(family: HypersurfaceFamily, r: int) -> int:
 def certify_radii(family: HypersurfaceFamily, r: int, tol) -> list:
     """Certificates of the proper r-harmonic radii, one per root that
     ``count_solutions`` counts: each root of the family quartic in (0, 1),
-    refined to tol, with its radius and exact residual; a root at the
-    minimal radius (exact rational test) is not proper and is dropped."""
+    refined to tol, with its exact residual and the mpf radius of its
+    ``refined_root``; a root at the minimal radius (exact rational test) is
+    not proper and is dropped before any radius is computed."""
     poly = build_quartic(family, r)
     certs = isolate_and_refine(poly, 0, 1, tol)
     x_min = minimal_x(family)
-    if poly.evaluate(x_min) != 0:
-        return certs
-    return [cert for cert in certs if not cert.isolating_interval[0] < x_min < cert.isolating_interval[1]]
+    if poly.evaluate(x_min) == 0:
+        certs = [cert for cert in certs if not cert.isolating_interval[0] < x_min < cert.isolating_interval[1]]
+    return [replace(cert, radius=radius_from_x(family, cert.refined_root)) for cert in certs]
 
 
 @dataclass(frozen=True)

@@ -11,8 +11,8 @@ Refinement is one loop over one cell of bisection's dyadic grid, two
 integer numerators over a shared denominator: while the width test cannot
 pass yet, a secant step verified with two signs jumps several levels down,
 and otherwise one halving step moves one level, so each interval it
-returns is the one plain bisection returns.  Only the back-substitution from
-a certified root to a tube radius is numerical; the residual there is exact.
+returns is the one plain bisection returns.  Only the mpf read of each root
+is numerical; ``existence.certify_radii`` attaches the tube radius.
 """
 
 from __future__ import annotations
@@ -30,9 +30,8 @@ from .errors import (
     to_fraction,
     to_mpf,
 )
-from .families import HypersurfaceFamily, check_family, quarter_turn, radius_from_x
-
-root_to_radius = radius_from_x  # a root's tube radius, under the name bench/tracing.py looks up
+from .families import HypersurfaceFamily, check_family, quarter_turn
+from .families import radius_from_x as root_to_radius  # the name bench/tracing.py looks up; nothing here calls it
 
 # Bound on the halvings of one isolation path, one refinement or one exact-root window.
 _MAX_STEPS = 4000
@@ -185,11 +184,10 @@ class RootCertificate:
 
     The interval endpoints are exact rationals; the square-free part of the
     certified polynomial changes sign exactly once across the interval and
-    its Sturm count over the interval is one.  A polynomial with a family
-    and an order gives a midpoint x in (0, 1) ``radius``, the mpf tube
-    radius of x, and, if it is that family's quartic, ``residual_at_radius``,
-    the exact ``Fraction`` residual there (see ``build_quartic``); each is
-    None otherwise.
+    its Sturm count over the interval is one.  For its family's quartic, a
+    midpoint x in (0, 1) gets ``residual_at_radius``, the exact ``Fraction``
+    residual at the radius of x (see ``build_quartic``); ``radius``, the mpf
+    tube radius of x, is set by ``existence.certify_radii`` only.
     """
 
     isolating_interval: tuple
@@ -299,10 +297,9 @@ def isolate_and_refine(poly: QuarticPoly, lo, hi, tol) -> list:
     pass, at its midpoint, and past ``_MAX_STEPS`` halvings it raises
     ``ToleranceNotReached``.  Each piece is then refined to the interval
     plain bisection would return: narrower than tol with the exact |P| at
-    its midpoint at most tol.  A polynomial with a family and an order
-    gives a midpoint x in (0, 1) its mpf tube radius; if it equals
-    ``build_quartic(family, r)``, also the exact residual
-    w P(x) / (x^2 (1 - x)^2) there, with no curvature spectrum.
+    its midpoint at most tol.  If poly equals ``build_quartic(family, r)``,
+    a midpoint x in (0, 1) gets the exact residual w P(x) / (x^2 (1 - x)^2)
+    of the tube of x, from no spectrum; ``certify_radii`` adds the radii.
     """
     tol_frac = to_fraction(check_tol(tol), InvalidTolerance)
     ints, chain, lo, hi = _prepare(poly, lo, hi)
@@ -330,22 +327,21 @@ def isolate_and_refine(poly: QuarticPoly, lo, hi, tol) -> list:
             stack.append((m, b, vm, False, vb, rb, depth + 1))
 
     family = poly.family if poly.r is not None else None
-    w = None  # build_quartic's weight, read at the first radius
+    w = None  # build_quartic's weight, read at the first midpoint in (0, 1)
     certs = []
     for a, b in sorted(intervals):
         a, b = _refine(ints, poly.scale, chain, a, b, tol_frac)
         mid = (a + b) / 2
-        root = to_mpf(mid, InvalidRootSearch)
-        radius = exact = None
+        exact = None
         if family is not None and 0 < mid < 1:
-            radius = root_to_radius(family, root)  # checks the family before its row is read
             if w is None:  # 4d for B-E, 1 for A1 and A2; 0 leaves any other polynomial's residual None
+                quartic = build_quartic(family, poly.r)  # checks the family before its row is read
                 pattern = quarter_turn(family)
-                w = (1 if pattern is None else 4 * pattern[2]) if poly == build_quartic(family, poly.r) else 0
+                w = (1 if pattern is None else 4 * pattern[2]) if poly == quartic else 0
             if w:  # scale 1 and degree 4: P(x) and x^2 (1 - x)^2 = (m (den - m))^2 / den^4 share den^4
                 m, den = mid.numerator, mid.denominator
                 exact = Fraction(w * _int_value(ints, m, den), (m * (den - m)) ** 2)
-        certs.append(RootCertificate((a, b), root, radius=radius, residual_at_radius=exact))
+        certs.append(RootCertificate((a, b), to_mpf(mid, InvalidRootSearch), residual_at_radius=exact))
     return certs
 
 

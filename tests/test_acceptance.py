@@ -18,6 +18,7 @@ from hopfharmonic import (
     asymptotic_check,
     biharmonic_radii,
     build_quartic,
+    certify_radii,
     chn_scan,
     count_solutions,
     curvature_spectrum,
@@ -99,8 +100,7 @@ def test_criterion_03_cross_consistency():
         step = float(hi) / 1000
         ts = np.arange(1000) * step + step / 2  # 1000 interior radii
         for r in range(2, 31):
-            poly = build_quartic(fam, r)
-            certs = isolate_and_refine(poly, 0, 1, tol_root)
+            certs = certify_radii(fam, r, tol_root)
             for cert in certs:
                 assert abs(cert.residual_at_radius) <= 1e-9, (fam, r, cert)
                 assert abs(residual(fam, cert.radius, r).residual) <= 1e-9, (fam, r, cert)

@@ -29,8 +29,11 @@ from hopfharmonic import (
     build_quartic,
     certify_radii,
     count_solutions,
+    residual_grid,
     spectrum_arrays,
+    x_from_radius,
 )
+from hopfharmonic.errors import to_fraction
 from hopfharmonic.cli import _build_parser, main
 
 
@@ -327,6 +330,45 @@ class TestVerify:
         assert code == 0
         assert calls == [(HypersurfaceFamily(tag, n, k), r, Fraction(1, 10**18)) for tag, n, k, orders in cases for r in orders]
 
+
+
+def _flip_cells(family, r):
+    """(xlo, xhi) of each grid cell where the roundtrip check sees the residual change sign, computed as it does."""
+    hi = float(family.radius_domain()[1])
+    ts = np.linspace(hi / 301, hi * 300 / 301, 300)
+    values = residual_grid(family, r, ts)
+    xs = [to_fraction(float(x_from_radius(family, t))) for t in ts]
+    return [(min(xs[i], xs[i + 1]), max(xs[i], xs[i + 1])) for i in np.flatnonzero(values[:-1] * values[1:] < 0)]
+
+
+# each certificate's interval moved relative to the cell (lo, hi) that holds its root, and the row the check prints
+COVER_MOVES = {
+    "wider-than-the-cell": (lambda lo, hi: (2 * lo - hi, 2 * hi - lo), "[PASS] root-residual-roundtrip"),
+    "starting-at-the-cell's-upper-x": (lambda lo, hi: (hi, 2 * hi - lo), "[PASS] root-residual-roundtrip"),
+    "ending-at-the-cell's-lower-x": (lambda lo, hi: (2 * lo - hi, lo), "[PASS] root-residual-roundtrip"),
+    "starting-just-past-the-cell": (lambda lo, hi: (hi + (hi - lo) / 2**20, 2 * hi - lo), "outside certificates"),
+}
+
+
+@pytest.mark.parametrize("move,line", COVER_MOVES.values(), ids=COVER_MOVES)
+def test_the_roundtrip_check_covers_a_cell_by_any_overlap(capsys, monkeypatch, move, line):
+    # a sign change is covered by a certificate that meets its cell, even at a single grid x or with neither
+    # endpoint inside it
+    def moved(family, r, tol):
+        cells, certs = _flip_cells(family, r), certify_radii(family, r, tol)
+        shifted = [
+            dataclasses.replace(cert, isolating_interval=move(*cell))
+            for cert in certs
+            for cell in cells
+            if cell[0] < sum(cert.isolating_interval) / 2 < cell[1]
+        ]
+        assert len(shifted) == len(certs) == len(cells)
+        return shifted
+
+    monkeypatch.setattr(CLI + "certify_radii", moved)
+    code, out = run(capsys, "verify", "--suite", "roundtrip", "--format", "text")
+    assert code == ("FAIL" in out)
+    assert line in out
 
 
 class TestContract:

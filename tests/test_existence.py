@@ -17,7 +17,9 @@ from hopfharmonic import (
     InvalidFamily,
     NoExactCountGuarantee,
     NotApplicable,
+    ProbeReport,
     ProbesCollide,
+    QuarticPoly,
     a1_offset_probe_poly,
     admissible_families,
     a2_closed_form,
@@ -30,6 +32,8 @@ from hopfharmonic import (
     k_above_k2,
     k_below_k1,
     probe_values,
+    radius_from_x,
+    residual,
 )
 
 F = HypersurfaceFamily
@@ -77,6 +81,11 @@ class TestProbeValues:
             assert report.pattern == "+-+-+"
             assert all(a < b for a, b in zip(report.points, report.points[1:]))
 
+    def test_a_zero_value_has_sign_zero(self):
+        # no family quartic checked vanishes at a probe, so the report is built by hand
+        report = ProbeReport(F(CP.CP_D, 9), 89, (0, 1, 2), (Fraction(3), Fraction(0), Fraction(-1, 7)))
+        assert report.signs == (1, 0, -1) and report.pattern == "+0-"
+
     @pytest.mark.parametrize(
         "fam,r,expected",
         [
@@ -118,8 +127,13 @@ class TestProbeValues:
     def test_probes_collide_for_small_orders(self):
         with pytest.raises(ProbesCollide):
             probe_values(F(CP.CP_B, 2), 2)
-        with pytest.raises(ProbesCollide):
+        with pytest.raises(ProbesCollide):  # only x1 = x2 = 1/2; the other points are in order
+            probe_values(F(CP.CP_B, 2), 10)
+        with pytest.raises(ProbesCollide) as refused:
             probe_values(F(CP.CP_A1, 2), 3)
+        # the message names the three interior probes x0, x1, x2
+        points = "(Fraction(1, 4), Fraction(5, 12), Fraction(2, 5))"
+        assert str(refused.value) == f"probe points {points} not strictly ordered in (0, 1) at r=3"
 
     def test_a2_window_has_no_probe_layout(self):
         with pytest.raises(NoExactCountGuarantee):
@@ -241,6 +255,26 @@ class TestCertifyRadii:
             certs = certify_radii(fam, r, 1e-20)
             assert len(certs) == count_solutions(fam, r)
             assert all(type(cert.residual_at_radius) is Fraction for cert in certs)
+
+    def test_family_certificates_carry_radius_and_residual(self):
+        fam = F(CP.CP_A2, 3, 1)
+        certs = certify_radii(fam, 2, Fraction(1, 10**20))
+        assert abs(certs[0].radius - mp.pi / 3) < 1e-25
+        assert abs(certs[1].radius - mp.pi / 6) < 1e-25
+        for cert in certs:
+            assert cert.radius == radius_from_x(fam, cert.refined_root)
+            assert abs(cert.residual_at_radius) < 1e-9
+            assert abs(residual(fam, cert.radius, 2).residual) < 1e-9
+
+    def test_only_roots_in_the_unit_interval_are_counted_and_certified(self, monkeypatch):
+        # x = 3/2 gives no tube.  No family quartic checked has a root at or past 1, so (2x - 1)(2x - 3), tagged
+        # with a family whose minimal x is 1/4, stands in for the family quartic
+        fam, tol = F(CP.CP_A1, 2), Fraction(1, 10**8)
+        stand_in = QuarticPoly(4, -8, 3, family=fam, r=3)
+        monkeypatch.setattr("hopfharmonic.existence.build_quartic", lambda family, r: stand_in)
+        assert count_solutions(fam, 3) == 1
+        ((lo, hi),) = [cert.isolating_interval for cert in certify_radii(fam, 3, tol)]
+        assert lo < Fraction(1, 2) < hi
 
     def test_counts_and_intervals_keep_their_digest(self):
         # SHA-256 of the count and the isolating intervals of every CP family

@@ -11,6 +11,7 @@ from hopfharmonic import mp
 from hopfharmonic import (
     FamilyTag,
     HypersurfaceFamily,
+    InvalidFamily,
     InvalidOrder,
     QuarticPoly,
     RootOutOfRange,
@@ -241,6 +242,16 @@ class TestExactResidual:
             elif isinstance(node, ast.Import):
                 names += [alias.name for alias in node.names]
         assert [name for name in names if "residual" in name.split(".")] == []
+        # the radius map is re-exported on one line for bench/tracing.py; no other line names it, so none calls it
+        radius = {"root_to_radius", "radius_from_x"}
+        lines = {
+            node.lineno for node in ast.walk(tree)
+            if {getattr(node, "id", None), getattr(node, "attr", None)} & radius
+            or any({alias.name, alias.asname} & radius for alias in getattr(node, "names", ()))
+        }
+        (alias,) = [node for node in tree.body if node.lineno in lines]
+        assert lines == {alias.lineno}
+        assert [(a.name, a.asname) for a in alias.names] == [("radius_from_x", "root_to_radius")]
 
 
 def _random_family_and_order(rng):
@@ -364,29 +375,25 @@ class TestIsolateAndRefine:
             assert poly.evaluate(lo) * poly.evaluate(hi) < 0
             assert count_real_roots(poly, lo, hi) == 1
 
-    def test_family_certificates_carry_radius_and_residual(self):
-        poly = build_quartic(F(CP.CP_A2, 3, 1), 2)
-        certs = isolate_and_refine(poly, 0, 1, Fraction(1, 10**20))
-        assert abs(certs[0].radius - mp.pi / 3) < 1e-25
-        assert abs(certs[1].radius - mp.pi / 6) < 1e-25
-        for cert in certs:
-            assert abs(cert.residual_at_radius) < 1e-9
-            assert abs(residual(F(CP.CP_A2, 3, 1), cert.radius, 2).residual) < 1e-9
-
     def test_only_the_family_quartic_gets_an_exact_residual(self):
         # w P(x) / (x^2 (1 - x)^2) is the residual only for P = build_quartic(family, r): 2x - 1 tagged with
         # A1 (n = 2, r = 3) has its root at x = 1/2, where the residual is not 0, and 2 P scales the value
         fam, tol = F(CP.CP_A1, 2), Fraction(1, 10**20)
         (cert,) = isolate_and_refine(QuarticPoly(2, -1, family=fam, r=3), 0, 1, tol)
-        assert cert.radius == root_to_radius(fam, cert.refined_root)
         assert cert.residual_at_radius is None
-        assert abs(residual(fam, cert.radius, 3).residual) > 1
+        assert abs(residual(fam, radius_from_x(fam, cert.refined_root), 3).residual) > 1
         quartic = build_quartic(fam, 3)
         doubled = QuarticPoly(*(2 * c for c in quartic.coefficients()), family=fam, r=3)
         assert [c.residual_at_radius for c in isolate_and_refine(doubled, 0, 1, tol)] == [None] * 2
         # the same coefficients given anew are the family quartic
         copied = QuarticPoly(*quartic.coefficients(), family=fam, r=3)
         assert isolate_and_refine(copied, 0, 1, tol) == isolate_and_refine(quartic, 0, 1, tol)
+
+    @pytest.mark.parametrize("family,error", [(F(CP.CH_B, 2), UnsupportedFamily), ("CP_A1", InvalidFamily)])
+    def test_the_family_is_checked_before_its_row_is_read(self, family, error):
+        # a root in (0, 1) makes isolate_and_refine read the tag's weight, and only a CP family has one
+        with pytest.raises(error):
+            isolate_and_refine(QuarticPoly(2, -1, family=family, r=3), 0, 1, Fraction(1, 10**8))
 
     def test_unreachable_tolerance_is_a_hopf_error(self):
         # 4000 bisection steps from width 1 stop at width 2^-4000 > tol
@@ -476,22 +483,22 @@ class TestIsolateAndRefine:
         with pytest.raises(ToleranceNotReached):
             isolate_and_refine(_monic(roots), 0, 1, Fraction(1, 10**6))
 
-    def test_free_polynomials_have_no_radius(self):
-        certs = isolate_and_refine(quartic(1, 0, -1, 0, 0), -2, 2, Fraction(1, 10**8))
-        assert all(cert.radius is None for cert in certs)
-
-    def test_roots_outside_the_unit_interval_have_no_radius(self):
-        # the family's x lies in (0, 1); its radius map refuses x = 3/2
-        (cert,) = isolate_and_refine(QuarticPoly(2, -3, family=F(CP.CP_A1, 2), r=3), 0, 2, Fraction(1, 10**8))
-        assert cert.radius is None and cert.residual_at_radius is None
-
-    @pytest.mark.parametrize("lo,hi,tol", [(-0.5, 0.5, 2), (0.5, 1.5, 10)], ids=["centred-on-0", "centred-on-1"])
-    def test_a_root_read_at_an_end_of_the_unit_interval_has_no_radius(self, lo, hi, tol):
-        # the cell holds one root of the A1 quartic (n = 2, r = 2), and a tol above |P| there (1 at x = 0, 9 at
-        # x = 1) stops refinement at once, so the root is read at the cell's midpoint, where no tube is
-        (cert,) = isolate_and_refine(build_quartic(F(CP.CP_A1, 2), 2), lo, hi, tol)
-        assert cert.refined_root == (lo + hi) / 2
-        assert cert.radius is None and cert.residual_at_radius is None
+    def test_isolate_and_refine_never_sets_a_radius(self):
+        # certify_radii attaches radii.  Here a family quartic's midpoints in (0, 1) get an exact residual and no
+        # other root does: not a free polynomial's, not the root x = 3/2 of 2x - 3 tagged with a family (its x lies
+        # in (0, 1)), and not a root of the A1 quartic (n = 2, r = 2) read at an end of (0, 1): a cell centred on 0
+        # or 1 holds one root, and a tol above |P| there (1 at x = 0, 9 at x = 1) stops refinement at once
+        a1, tol = build_quartic(F(CP.CP_A1, 2), 2), Fraction(1, 10**8)
+        family = isolate_and_refine(a1, 0, 1, tol)
+        free = isolate_and_refine(quartic(1, 0, -1, 0, 0), -2, 2, tol)
+        outside = isolate_and_refine(QuarticPoly(2, -3, family=F(CP.CP_A1, 2), r=3), 0, 2, tol)
+        cells = ((-0.5, 0.5, 2), (0.5, 1.5, 10))
+        ends = [cert for lo, hi, wide in cells for cert in isolate_and_refine(a1, lo, hi, wide)]
+        assert [cert.refined_root for cert in ends] == [0, 1]
+        assert len(family) == 2 and all(type(cert.residual_at_radius) is Fraction for cert in family)
+        assert len(free) == 3 and len(outside) == 1
+        assert [cert.residual_at_radius for cert in outside + ends] == [None] * 3
+        assert all(cert.radius is None for cert in family + free + outside + ends)
 
 
 class TestRootToRadius:
