@@ -483,23 +483,30 @@ class TestIsolateAndRefine:
         with pytest.raises(ToleranceNotReached):
             isolate_and_refine(_monic(roots), 0, 1, Fraction(1, 10**6))
 
-    def test_isolate_and_refine_never_sets_a_radius(self):
-        # certify_radii attaches radii.  Here a family quartic's midpoints in (0, 1) get an exact residual and no
-        # other root does: not a free polynomial's, not the root x = 3/2 of 2x - 3 tagged with a family (its x lies
-        # in (0, 1)), and not a root of the A1 quartic (n = 2, r = 2) read at an end of (0, 1): a cell centred on 0
-        # or 1 holds one root, and a tol above |P| there (1 at x = 0, 9 at x = 1) stops refinement at once
-        a1, tol = build_quartic(F(CP.CP_A1, 2), 2), Fraction(1, 10**8)
-        family = isolate_and_refine(a1, 0, 1, tol)
-        free = isolate_and_refine(quartic(1, 0, -1, 0, 0), -2, 2, tol)
-        outside = isolate_and_refine(QuarticPoly(2, -3, family=F(CP.CP_A1, 2), r=3), 0, 2, tol)
-        cells = ((-0.5, 0.5, 2), (0.5, 1.5, 10))
-        ends = [cert for lo, hi, wide in cells for cert in isolate_and_refine(a1, lo, hi, wide)]
-        assert [cert.refined_root for cert in ends] == [0, 1]
-        assert len(family) == 2 and all(type(cert.residual_at_radius) is Fraction for cert in family)
-        assert len(free) == 3 and len(outside) == 1
-        assert [cert.residual_at_radius for cert in outside + ends] == [None] * 3
-        assert all(cert.radius is None for cert in family + free + outside + ends)
+    def test_family_roots_get_an_exact_residual_and_no_radius(self):
+        # certify_radii attaches radii; isolate_and_refine gives a family quartic's midpoints in (0, 1) only
+        # their exact residual
+        certs = isolate_and_refine(build_quartic(F(CP.CP_A1, 2), 2), 0, 1, Fraction(1, 10**8))
+        assert len(certs) == 2
+        assert all(type(cert.residual_at_radius) is Fraction and cert.radius is None for cert in certs)
 
+    def test_free_polynomials_have_no_radius(self):
+        certs = isolate_and_refine(quartic(1, 0, -1, 0, 0), -2, 2, Fraction(1, 10**8))
+        assert len(certs) == 3
+        assert all(cert.radius is None for cert in certs)
+
+    def test_roots_outside_the_unit_interval_have_no_radius(self):
+        # the family's x lies in (0, 1); its radius map refuses x = 3/2
+        (cert,) = isolate_and_refine(QuarticPoly(2, -3, family=F(CP.CP_A1, 2), r=3), 0, 2, Fraction(1, 10**8))
+        assert cert.radius is None and cert.residual_at_radius is None
+
+    @pytest.mark.parametrize("lo,hi,tol", [(-0.5, 0.5, 2), (0.5, 1.5, 10)], ids=["centred-on-0", "centred-on-1"])
+    def test_a_root_read_at_an_end_of_the_unit_interval_has_no_radius(self, lo, hi, tol):
+        # the cell holds one root of the A1 quartic (n = 2, r = 2), and a tol above |P| there (1 at x = 0, 9 at
+        # x = 1) stops refinement at once, so the root is read at the cell's midpoint, where no tube is
+        (cert,) = isolate_and_refine(build_quartic(F(CP.CP_A1, 2), 2), lo, hi, tol)
+        assert cert.refined_root == (lo + hi) / 2
+        assert cert.radius is None and cert.residual_at_radius is None
 
 class TestRootToRadius:
     def test_is_the_family_radius_map(self):
