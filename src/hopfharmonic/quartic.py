@@ -11,8 +11,9 @@ Refinement is one loop over one cell of bisection's dyadic grid, two
 integer numerators over a shared denominator: while the width test cannot
 pass yet, a secant step verified with two signs jumps several levels down,
 and otherwise one halving step moves one level, so each interval it
-returns is the one plain bisection returns.  Only the mpf read of each root
-is numerical; ``existence.certify_radii`` attaches the tube radius.
+returns is the one plain bisection returns.  A family quartic carries the
+weight of its residual, so only ``build_quartic`` reads a family.  Only the
+mpf read of each root is numerical; ``certify_radii`` adds the radius.
 """
 
 from __future__ import annotations
@@ -148,16 +149,15 @@ class QuarticPoly:
     ``QuarticPoly(*coeffs)`` takes the coefficients highest degree first and
     clears them to integers once: ``ints`` holds them low to high, at the
     length given, and ``scale`` is the positive lcm of their denominators
-    (1 for integer coefficients).  ``family`` and ``r`` tie a polynomial to
-    the tube radii it certifies; they are None for free-standing polynomials.
+    (1 for integer coefficients).  ``weight``, a family's w, is set by
+    ``build_quartic`` alone (else None), so no other polynomial gets a residual.
     """
 
     ints: tuple
     scale: int
-    family: HypersurfaceFamily | None
-    r: int | None
+    weight: int | None
 
-    def __init__(self, *coeffs, family=None, r=None):
+    def __init__(self, *coeffs):
         if not coeffs:
             raise InvalidRootSearch("a polynomial needs at least one coefficient")
         ints, scale = coeffs[::-1], 1
@@ -165,7 +165,7 @@ class QuarticPoly:
             fracs = [to_fraction(c) for c in ints]
             scale = math.lcm(*(c.denominator for c in fracs))
             ints = tuple(c.numerator * (scale // c.denominator) for c in fracs)
-        for name, value in (("ints", ints), ("scale", scale), ("family", family), ("r", r)):
+        for name, value in (("ints", ints), ("scale", scale), ("weight", None)):
             object.__setattr__(self, name, value)
 
     def coefficients(self) -> tuple:
@@ -184,10 +184,10 @@ class RootCertificate:
 
     The interval endpoints are exact rationals; the square-free part of the
     certified polynomial changes sign exactly once across the interval and
-    its Sturm count over the interval is one.  For its family's quartic, a
-    midpoint x in (0, 1) gets ``residual_at_radius``, the exact ``Fraction``
-    residual at the radius of x (see ``build_quartic``); ``radius``, the mpf
-    tube radius of x, is set by ``existence.certify_radii`` only.
+    its Sturm count over the interval is one.  For a weighted (family)
+    quartic, a midpoint x in (0, 1) gets ``residual_at_radius``, the exact
+    ``Fraction`` residual at the radius of x (see ``build_quartic``);
+    ``radius``, the mpf radius of x, is set by ``certify_radii`` only.
     """
 
     isolating_interval: tuple
@@ -206,17 +206,17 @@ def build_quartic(family: HypersurfaceFamily, r: int) -> QuarticPoly:
 
     x^2 (1 - x)^2 times the residual at the radius of x is w P(x), w > 0, so
     at a rational x the residual is the rational w P(x) / (x^2 (1 - x)^2)
-    that certificates carry.  A2 (cot t and -tan t, multiplicities
-    2(n - 1 - k) and 2k, x = cos^2 t) has w = 1, and A1 is its row at k = 0.
-    B-E share cot(t - j pi/4), j = 1, 3, 2, 0, multiplicities (a, a, b, b),
-    x = cos^2 2t: one Q in (n, a, b, r) of content d, w = 4d; B, the pattern
-    with a = n - 1 at pi/4 - t, is Q(1 - x).
+    that certificates carry; the quartic holds w as ``weight``.  A2 (cot t
+    and -tan t, multiplicities 2(n - 1 - k) and 2k, x = cos^2 t) has w = 1,
+    and A1 is its row at k = 0.  B-E share cot(t - j pi/4), j = 1, 3, 2, 0,
+    multiplicities (a, a, b, b), x = cos^2 2t: one Q in (n, a, b, r) of
+    content d, w = 4d; B, the pattern with a = n - 1 at pi/4 - t, is Q(1 - x).
     """
     check_family(family, projective=True)  # only CP^n has proper polyharmonic tubes
     r = check_order(r)
     n, pattern = family.n, quarter_turn(family)
     if pattern is None:  # A1 is the A2 row at k = 0
-        k = family.k or 0
+        k, w = family.k or 0, 1
         coeffs = (
             4 * (n * n + 3 * n) * r - 8 * (n - 1),
             -2 * (2 * n * n + (4 * k + 11) * n + 6 * k + 3) * r + 4 * (n * n - (2 * k - 3) * n - 4),
@@ -235,8 +235,10 @@ def build_quartic(family: HypersurfaceFamily, r: int) -> QuarticPoly:
         if mirror:  # Q(1 - x): its x^i coefficient is (-1)^i sum_j C(j, i) q_j
             q0, q1 = q0 + q1 + q2 + q3 + q4, -(q1 + 2 * q2 + 3 * q3 + 4 * q4)
             q2, q3 = q2 + 3 * q3 + 6 * q4, -(q3 + 4 * q4)
-        coeffs = (q4 // d, q3 // d, q2 // d, q1 // d, q0 // d)
-    return QuarticPoly(*coeffs, family=family, r=r)
+        coeffs, w = (q4 // d, q3 // d, q2 // d, q1 // d, q0 // d), 4 * d
+    poly = QuarticPoly(*coeffs)
+    object.__setattr__(poly, "weight", w)
+    return poly
 
 
 # ---------------------------------------------------------------------------
@@ -297,9 +299,9 @@ def isolate_and_refine(poly: QuarticPoly, lo, hi, tol) -> list:
     pass, at its midpoint, and past ``_MAX_STEPS`` halvings it raises
     ``ToleranceNotReached``.  Each piece is then refined to the interval
     plain bisection would return: narrower than tol with the exact |P| at
-    its midpoint at most tol.  If poly equals ``build_quartic(family, r)``,
-    a midpoint x in (0, 1) gets the exact residual w P(x) / (x^2 (1 - x)^2)
-    of the tube of x, from no spectrum; ``certify_radii`` adds the radii.
+    its midpoint at most tol.  If poly has a ``weight`` w, a midpoint x in
+    (0, 1) gets the exact residual w P(x) / (x^2 (1 - x)^2) of the tube of
+    x, from no spectrum and no family; ``certify_radii`` adds the radii.
     """
     tol_frac = to_fraction(check_tol(tol), InvalidTolerance)
     ints, chain, lo, hi = _prepare(poly, lo, hi)
@@ -326,21 +328,14 @@ def isolate_and_refine(poly: QuarticPoly, lo, hi, tol) -> list:
             stack.append((a, m, va, ra, vm, False, depth + 1))
             stack.append((m, b, vm, False, vb, rb, depth + 1))
 
-    family = poly.family if poly.r is not None else None
-    w = None  # build_quartic's weight, read at the first midpoint in (0, 1)
     certs = []
     for a, b in sorted(intervals):
         a, b = _refine(ints, poly.scale, chain, a, b, tol_frac)
         mid = (a + b) / 2
         exact = None
-        if family is not None and 0 < mid < 1:
-            if w is None:  # 4d for B-E, 1 for A1 and A2; 0 leaves any other polynomial's residual None
-                quartic = build_quartic(family, poly.r)  # checks the family before its row is read
-                pattern = quarter_turn(family)
-                w = (1 if pattern is None else 4 * pattern[2]) if poly == quartic else 0
-            if w:  # scale 1 and degree 4: P(x) and x^2 (1 - x)^2 = (m (den - m))^2 / den^4 share den^4
-                m, den = mid.numerator, mid.denominator
-                exact = Fraction(w * _int_value(ints, m, den), (m * (den - m)) ** 2)
+        if poly.weight and 0 < mid < 1:  # scale 1, degree 4: P(x) and x^2 (1 - x)^2 = (m (den - m))^2 / den^4 share den^4
+            m, den = mid.numerator, mid.denominator
+            exact = Fraction(poly.weight * _int_value(ints, m, den), (m * (den - m)) ** 2)
         certs.append(RootCertificate((a, b), to_mpf(mid, InvalidRootSearch), residual_at_radius=exact))
     return certs
 

@@ -209,7 +209,7 @@ def _moved_quartic(*tags):
         if family.tag not in tags:
             return poly
         a4, a3, a2, a1, a0 = poly.coefficients()
-        return QuarticPoly(a4, a3, a2, a1 + 1, a0, family=family, r=r)
+        return QuarticPoly(a4, a3, a2, a1 + 1, a0)
     return build
 
 

@@ -267,10 +267,10 @@ class TestCertifyRadii:
             assert abs(residual(fam, cert.radius, 2).residual) < 1e-9
 
     def test_only_roots_in_the_unit_interval_are_counted_and_certified(self, monkeypatch):
-        # x = 3/2 gives no tube.  No family quartic checked has a root at or past 1, so (2x - 1)(2x - 3), tagged
-        # with a family whose minimal x is 1/4, stands in for the family quartic
+        # x = 3/2 gives no tube.  No family quartic checked has a root at or past 1, so (2x - 1)(2x - 3) stands in
+        # for the quartic of a family whose minimal x is 1/4; it has no weight, and counting and radii need none
         fam, tol = F(CP.CP_A1, 2), Fraction(1, 10**8)
-        stand_in = QuarticPoly(4, -8, 3, family=fam, r=3)
+        stand_in = QuarticPoly(4, -8, 3)
         monkeypatch.setattr("hopfharmonic.existence.build_quartic", lambda family, r: stand_in)
         assert count_solutions(fam, 3) == 1
         ((lo, hi),) = [cert.isolating_interval for cert in certify_radii(fam, 3, tol)]

@@ -517,7 +517,7 @@ RADII = st.one_of(st.lists(REAL, max_size=4), st.just(np.linspace(0.05, 1.5, 7))
 FAMILY = st.sampled_from(FAMILIES)
 COEFFS = st.lists(st.one_of(st.integers(-20, 20), st.fractions(-5, 5, max_denominator=16)), min_size=1, max_size=5)
 POLY = st.one_of(
-    st.builds(lambda c, family, r: QuarticPoly(*c, family=family, r=r), COEFFS, st.none() | FAMILY, st.none() | ORDER),
+    st.builds(lambda c: QuarticPoly(*c), COEFFS),
     st.builds(build_quartic, st.sampled_from([f for f in FAMILIES if f.is_projective]), ORDER),
 )
 
@@ -543,8 +543,7 @@ CLOSED = {
     "scaled_curvature_spectrum": (scaled_curvature_spectrum, (FAMILY, REAL, REAL)),
     "count_real_roots": (count_real_roots, (POLY, REAL, REAL)),
     "isolate_and_refine": (isolate_and_refine, (POLY, REAL, REAL, TOL)),
-    "QuarticPoly": (lambda a, b, c, family, r: QuarticPoly(a, b, c, family=family, r=r),
-                    (REAL, REAL, REAL, st.none() | FAMILY, st.none() | ORDER)),
+    "QuarticPoly": (QuarticPoly, (REAL, REAL, REAL)),
     "HypersurfaceFamily": (F, (st.sampled_from([*CP, *(tag.value for tag in CP)]), DIM, st.none() | DIM)),
     "stability_condition": (stability_condition, (TUBE_N, DIM, st.sampled_from(["plus", "minus"]))),
     "biharmonic_radii": (biharmonic_radii, (TUBE_N, DIM)),
@@ -612,7 +611,7 @@ BASE_ARGS = {
     "scaled_curvature_spectrum": (A1, 0.3, 0.5),
     "count_real_roots": (build_quartic(A1, 3), 0, 1),
     "isolate_and_refine": (build_quartic(A1, 3), 0, 1, 1e-12),
-    "QuarticPoly": (1, -3, 2, A1, 3),
+    "QuarticPoly": (1, -3, 2),
     "HypersurfaceFamily": (CP.CP_A2, 5, 2),
     "stability_condition": (3, 1, "plus"),
     "biharmonic_radii": (3, 1),

@@ -11,17 +11,17 @@ from hopfharmonic import mp
 from hopfharmonic import (
     FamilyTag,
     HypersurfaceFamily,
-    InvalidFamily,
     InvalidOrder,
     QuarticPoly,
     RootOutOfRange,
-    Substitution,
     ToleranceNotReached,
     UnsupportedFamily,
     admissible_families,
     build_quartic,
     count_real_roots,
     isolate_and_refine,
+    minimal_x,
+    r_independent_x,
     radius_from_x,
     residual,
     root_to_radius,
@@ -46,12 +46,12 @@ class TestBuild:
     def test_a1_n2_r2(self):
         poly = build_quartic(F(CP.CP_A1, 2), 2)
         assert poly.coefficients() == (72, -108, 58, -14, 1)
-        assert poly.family.substitution is Substitution.SIN2_T
+        assert poly.weight == 1
 
     def test_a2_n3_k1_r2(self):
         poly = build_quartic(F(CP.CP_A2, 3, 1), 2)
         assert poly.coefficients() == (128, -256, 200, -72, 9)
-        assert poly.family.substitution is Substitution.COS2_T
+        assert poly.weight == 1
 
     def test_d_r32(self):
         # linear coefficient is -(4r + 44); the boundary value P(1) = 25 pins it
@@ -190,6 +190,7 @@ class TestQuarterTurn:
         with mp.workdps(60):
             for r in (2, 3):
                 poly = build_quartic(fam, r)
+                assert poly.weight == w  # the w the exact residual reads
                 for x in (Fraction(1, 7), Fraction(1, 3), Fraction(1, 2), Fraction(2, 3), Fraction(6, 7)):
                     xm = mp.mpf(x.numerator) / x.denominator
                     lhs = xm**2 * (1 - xm) ** 2 * residual(fam, root_to_radius(fam, xm), r).residual
@@ -202,14 +203,15 @@ class TestExactResidual:
     """A family certificate's residual is w P(x) / (x^2 (1 - x)^2) at its midpoint x, an exact ``Fraction``."""
 
     def test_is_the_mp_residual_at_the_radius_of_every_certified_root(self):
-        # 593 roots: every CP family with n <= 12 at three orders.  At 60 digits the radius and each of the
-        # residual's terms, none above 1e7 here, are off by a relative 1e-60, so the mp value is within about
-        # 1e-52 of the exact one (2.8e-53 measured); 1e-40 leaves 12 digits of margin and is far below the
-        # residuals themselves, which a wrong weight w scales
+        # 597 roots: every CP family with n <= 12 at three orders, and E (n = 15), the one family with w = 8, whose
+        # 4 roots are at r = 89.  At 60 digits the radius and each of the residual's terms, none above 1e7 here, are
+        # off by a relative 1e-60, so the mp value is within about 1e-52 of the exact one (2.8e-53 measured, 1.4e-54
+        # on E); 1e-40 leaves 12 digits of margin and is far below the residuals themselves, which a wrong weight
+        # w scales
         tol, checked = Fraction(1, 10**24), 0
         fams = [f for tag in (CP.CP_A1, CP.CP_A2, CP.CP_B, CP.CP_C, CP.CP_D) for f in admissible_families(tag, 12)]
         with mp.workdps(60):
-            for fam in fams:
+            for fam in fams + [F(CP.CP_E, 15)]:
                 for r in (2, 17, 89):
                     for cert in isolate_and_refine(build_quartic(fam, r), 0, 1, tol):
                         x = sum(cert.isolating_interval) / 2
@@ -217,7 +219,7 @@ class TestExactResidual:
                         exact = cert.residual_at_radius
                         assert abs(value - mp.mpf(exact.numerator) / exact.denominator) <= mp.mpf(10) ** -40
                         checked += 1
-        assert checked == 593
+        assert checked == 597
 
     def test_certificates_do_not_depend_on_the_working_precision(self):
         def certificates(dps):
@@ -252,6 +254,47 @@ class TestExactResidual:
         (alias,) = [node for node in tree.body if node.lineno in lines]
         assert lines == {alias.lineno}
         assert [(a.name, a.asname) for a in alias.names] == [("radius_from_x", "root_to_radius")]
+        # the residual's weight comes with the polynomial: isolate_and_refine names no family, row or quartic builder
+        (body,) = [node for node in tree.body if getattr(node, "name", None) == "isolate_and_refine"]
+        named = {getattr(node, "id", None) for node in ast.walk(body)} | {getattr(node, "attr", None) for node in ast.walk(body)}
+        assert named & {"build_quartic", "quarter_turn", "family"} == set()
+        assert "weight" in named
+
+
+class TestOrderSlope:
+    """P(x; r) is affine in r, and its slope P1 = P(.; 3) - P(.; 2) is c x (1 - x)(x - x_min)(x - x_ri).
+
+    The residual's one r-term is -(r - 2) tr S (tr S + 3 alpha); cleared by
+    x^2 (1 - x)^2 it is the r-term of w P, so P1 vanishes where tr S does
+    (``minimal_x``), where tr S + 3 alpha does (``r_independent_x``), and at 0
+    and 1, where the traces' poles in x are simple.  A self-dual family has
+    x_min = x_ri = 1/2, a double zero.  A test of the quartic formulas
+    against the geometry, not against themselves.
+    """
+
+    @staticmethod
+    def slopes():
+        """(family, P1 coefficients highest degree first) for every CP family with n <= 60."""
+        for tag in (CP.CP_A1, CP.CP_A2, CP.CP_B, CP.CP_C, CP.CP_D, CP.CP_E):
+            for fam in admissible_families(tag, 60):
+                yield fam, [a - b for a, b in zip(build_quartic(fam, 3).coefficients(), build_quartic(fam, 2).coefficients())]
+
+    def test_the_slope_vanishes_at_both_ends_and_both_special_tubes(self):
+        evaluations = 0
+        for fam, slope in self.slopes():
+            p1 = QuarticPoly(*slope)
+            for x in (Fraction(0), Fraction(1), minimal_x(fam), r_independent_x(fam)):
+                assert p1.evaluate(x) == 0, (fam, x)
+                evaluations += 1
+        assert evaluations == 7440
+
+    def test_the_slope_has_a_double_zero_at_one_half_on_self_dual_families(self):
+        self_dual = [(fam, slope) for fam, slope in self.slopes() if minimal_x(fam) == r_independent_x(fam)]
+        assert len(self_dual) == 30
+        for fam, slope in self_dual:
+            assert minimal_x(fam) == Fraction(1, 2)
+            derivative = QuarticPoly(*(c * (len(slope) - 1 - i) for i, c in enumerate(slope[:-1])))
+            assert derivative.evaluate(Fraction(1, 2)) == 0, fam
 
 
 def _random_family_and_order(rng):
@@ -376,24 +419,28 @@ class TestIsolateAndRefine:
             assert count_real_roots(poly, lo, hi) == 1
 
     def test_only_the_family_quartic_gets_an_exact_residual(self):
-        # w P(x) / (x^2 (1 - x)^2) is the residual only for P = build_quartic(family, r): 2x - 1 tagged with
-        # A1 (n = 2, r = 3) has its root at x = 1/2, where the residual is not 0, and 2 P scales the value
+        # w P(x) / (x^2 (1 - x)^2) is the residual only for the P that build_quartic returns, the one polynomial
+        # with a weight: the same coefficients given anew certify the same intervals with no residual, and so
+        # does 2 P (whose |2 P| <= tol stop test may end elsewhere)
         fam, tol = F(CP.CP_A1, 2), Fraction(1, 10**20)
-        (cert,) = isolate_and_refine(QuarticPoly(2, -1, family=fam, r=3), 0, 1, tol)
-        assert cert.residual_at_radius is None
-        assert abs(residual(fam, radius_from_x(fam, cert.refined_root), 3).residual) > 1
         quartic = build_quartic(fam, 3)
-        doubled = QuarticPoly(*(2 * c for c in quartic.coefficients()), family=fam, r=3)
-        assert [c.residual_at_radius for c in isolate_and_refine(doubled, 0, 1, tol)] == [None] * 2
-        # the same coefficients given anew are the family quartic
-        copied = QuarticPoly(*quartic.coefficients(), family=fam, r=3)
-        assert isolate_and_refine(copied, 0, 1, tol) == isolate_and_refine(quartic, 0, 1, tol)
+        certs = isolate_and_refine(quartic, 0, 1, tol)
+        assert len(certs) == 2 and all(type(cert.residual_at_radius) is Fraction for cert in certs)
+        copied = QuarticPoly(*quartic.coefficients())
+        doubled = QuarticPoly(*(2 * c for c in quartic.coefficients()))
+        assert copied.weight is doubled.weight is None
+        free = isolate_and_refine(copied, 0, 1, tol)
+        assert [c.isolating_interval for c in free] == [c.isolating_interval for c in certs]
+        for poly in (copied, doubled):
+            assert [c.residual_at_radius for c in isolate_and_refine(poly, 0, 1, tol)] == [None] * 2
 
-    @pytest.mark.parametrize("family,error", [(F(CP.CH_B, 2), UnsupportedFamily), ("CP_A1", InvalidFamily)])
-    def test_the_family_is_checked_before_its_row_is_read(self, family, error):
-        # a root in (0, 1) makes isolate_and_refine read the tag's weight, and only a CP family has one
-        with pytest.raises(error):
-            isolate_and_refine(QuarticPoly(2, -1, family=family, r=3), 0, 1, Fraction(1, 10**8))
+    def test_no_keyword_or_assignment_sets_a_weight(self):
+        with pytest.raises(TypeError):
+            QuarticPoly(1, 2, family=F(CP.CP_A1, 2), r=3)
+        with pytest.raises(TypeError):
+            QuarticPoly(1, 2, weight=1)
+        with pytest.raises(AttributeError):  # a frozen dataclass refuses assignment
+            QuarticPoly(2, -1).weight = 1
 
     def test_unreachable_tolerance_is_a_hopf_error(self):
         # 4000 bisection steps from width 1 stop at width 2^-4000 > tol
@@ -491,14 +538,11 @@ class TestIsolateAndRefine:
         assert all(type(cert.residual_at_radius) is Fraction and cert.radius is None for cert in certs)
 
     def test_free_polynomials_have_no_radius(self):
+        # x^4 - x^2 has its roots -1, 0 and 1 outside (0, 1), and 2x - 3 its root 3/2
         certs = isolate_and_refine(quartic(1, 0, -1, 0, 0), -2, 2, Fraction(1, 10**8))
-        assert len(certs) == 3
-        assert all(cert.radius is None for cert in certs)
-
-    def test_roots_outside_the_unit_interval_have_no_radius(self):
-        # the family's x lies in (0, 1); its radius map refuses x = 3/2
-        (cert,) = isolate_and_refine(QuarticPoly(2, -3, family=F(CP.CP_A1, 2), r=3), 0, 2, Fraction(1, 10**8))
-        assert cert.radius is None and cert.residual_at_radius is None
+        certs += isolate_and_refine(QuarticPoly(2, -3), 0, 2, Fraction(1, 10**8))
+        assert len(certs) == 4
+        assert all(cert.radius is None and cert.residual_at_radius is None for cert in certs)
 
     @pytest.mark.parametrize("lo,hi,tol", [(-0.5, 0.5, 2), (0.5, 1.5, 10)], ids=["centred-on-0", "centred-on-1"])
     def test_a_root_read_at_an_end_of_the_unit_interval_has_no_radius(self, lo, hi, tol):

@@ -71,6 +71,11 @@ class TestResidualValues:
         with pytest.raises(InvalidOrder):
             residual(F(CP.CP_A1, 2), 0.3, 1)
 
+    def test_the_default_order_is_biharmonic(self):
+        fam, t = F(CP.CP_A2, 3, 1), mp.pi / 5
+        assert residual(fam, t).r == 2
+        assert residual(fam, t) == residual(fam, t, 2)
+
 
 class TestResidualStructure:
     @given(
