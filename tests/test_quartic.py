@@ -544,6 +544,15 @@ class TestIsolateAndRefine:
         assert len(certs) == 4
         assert all(cert.radius is None and cert.residual_at_radius is None for cert in certs)
 
+    def test_roots_outside_the_unit_interval_have_no_radius(self):
+        # a weight is set as build_quartic sets it; 4x^4 - 5x^2 - 9 = (4x^2 - 9)(x^2 + 1) has its root 3/2 outside
+        # (0, 1), where no tube is, so the weight gives it no residual
+        poly = quartic(4, 0, -5, 0, -9)
+        object.__setattr__(poly, "weight", 1)
+        (cert,) = isolate_and_refine(poly, 0, 2, Fraction(1, 10**8))
+        assert cert.isolating_interval[0] < Fraction(3, 2) < cert.isolating_interval[1]
+        assert cert.radius is None and cert.residual_at_radius is None
+
     @pytest.mark.parametrize("lo,hi,tol", [(-0.5, 0.5, 2), (0.5, 1.5, 10)], ids=["centred-on-0", "centred-on-1"])
     def test_a_root_read_at_an_end_of_the_unit_interval_has_no_radius(self, lo, hi, tol):
         # the cell holds one root of the A1 quartic (n = 2, r = 2), and a tol above |P| there (1 at x = 0, 9 at
